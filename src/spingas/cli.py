@@ -145,13 +145,14 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
                           _stamp(cfg) + operator_to_csv(
                               Operator(rho_e, "excited", "excited")))
     if args.t_end is not None:
-        traj = integrate(params, t_end=args.t_end, model=model)
+        traj = integrate(params, t_end=args.t_end, model=model,
+                         controls=cfg.controls())
         summary = {"mode": "fixed-horizon", "t_end": args.t_end,
                    "m_final": float(traj.magnetization[-1]),
                    "steady": bool(traj.steady)}
         nonconverged = False
     else:
-        res = steady_state(params, model=model)
+        res = steady_state(params, model=model, controls=cfg.controls())
         traj = res.trajectory
         if res.converged:
             if abs(res.m_ss) < 1e-3:
@@ -192,7 +193,8 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     result = run_sweep(grid, gamma=cfg.gamma(), cmap=cmap,
                        projection_mode=cfg["numerics", "projection_mode"],
                        seed_polarization=cfg["numerics", "seed_polarization"],
-                       b_z=cfg["fields", "b_z"], workers=cfg.workers())
+                       b_z=cfg["fields", "b_z"], workers=cfg.workers(),
+                       controls=cfg.controls())
     result.provenance["tool_version"] = __version__
     result.provenance["config_hash"] = cfg.hash()
     save_sweep(result, args.out + "_cells.csv", args.out + "_manifest.json",

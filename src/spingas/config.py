@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import units
-from .dynamics import PROJECTION_MODES, gamma_of_temperature
+from .dynamics import PROJECTION_MODES, IntegrationControls, gamma_of_temperature
 from .optics import CollisionParams, DopplerSpec, doppler_width
 from .spin_algebra import AtomSpec
 from .sweep import ConditionsMap, lorentzian_cross_section
@@ -172,6 +172,11 @@ class RunConfig:
             "seed_polarization": v[("numerics", "seed_polarization")],
             "light_shift": v[("numerics", "light_shift")],
         }
+
+    def controls(self) -> IntegrationControls:
+        v = self.values
+        return IntegrationControls(rtol=v[("numerics", "rtol")],
+                                   atol=v[("numerics", "atol")])
 
     def canonical(self) -> dict:
         out = {}

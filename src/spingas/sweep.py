@@ -33,6 +33,7 @@ from . import units
 from .dynamics import (
     GAMMA_BASE,
     CompiledModel,
+    IntegrationControls,
     IntegrationError,
     SimParams,
     steady_state,
@@ -202,13 +203,14 @@ class SweepResult:
 
 def _sweep_task(args):
     (ii, jj, i_axis, j_axis, i_eff, n, phi, gamma, mode, eps, b_z,
-     floor_reference, max_time) = args
+     floor_reference, max_time, controls) = args
     try:
         p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
                                  gamma=gamma, projection_mode=mode,
                                  seed_polarization=eps, b_z=b_z)
         model = CompiledModel(p)
-        res = steady_state(p, max_time=max_time, model=model)
+        res = steady_state(p, max_time=max_time, controls=controls,
+                           model=model)
         if res.converged:
             if abs(res.m_ss) < 1e-3 * floor_reference:
                 tau, floored = 1.0 / gamma, True
@@ -245,7 +247,8 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
               projection_mode: str = "hyperfine+zeeman",
               seed_polarization: float = 1e-4, b_z: float = 1.0,
               workers: int | None = None,
-              max_time: float | None = None) -> SweepResult:
+              max_time: float | None = None,
+              controls: IntegrationControls | None = None) -> SweepResult:
     """Run steady-state and response-time simulations over a grid.
 
     Cell failures are recorded per cell and never abort the sweep.  The
@@ -259,7 +262,8 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
         i_eff = i_axis * att
         tasks.append((ii, jj, i_axis, j_axis, i_eff, n, phi, gamma,
-                      projection_mode, seed_polarization, b_z, 1.0, max_time))
+                      projection_mode, seed_polarization, b_z, 1.0, max_time,
+                      controls))
     ni = len(grid.i_over_gamma)
     cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
     if workers <= 1 or len(tasks) <= 2:
@@ -324,7 +328,8 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
 
     ``axis='fixed-J'`` varies I/Gamma over ``points`` at J/Gamma = value;
     ``axis='fixed-I'`` varies J/Gamma.  ``quantity`` is 'm_signed', 'm_abs'
-    or 'tau'."""
+    or 'tau'; it is NaN wherever the cell did not converge, so a fit never
+    consumes a partial magnetization."""
     points = [float(x) for x in points]
     tasks = []
     for x in points:
@@ -333,7 +338,7 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
                       gamma, sim_kwargs.get("projection_mode", "hyperfine+zeeman"),
                       sim_kwargs.get("seed_polarization", 1e-4),
                       sim_kwargs.get("b_z", 1.0), 1.0,
-                      sim_kwargs.get("max_time")))
+                      sim_kwargs.get("max_time"), sim_kwargs.get("controls")))
     workers = workers if workers is not None else default_workers()
     if workers <= 1 or len(tasks) <= 2:
         results = list(map(_sweep_task, tasks))
@@ -345,14 +350,9 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
         finally:
             pool.close()
             pool.join()
-    ys = []
-    for (_, _, cell), x in zip(results, points):
-        if quantity == "tau":
-            ys.append(cell.tau_s)
-        elif quantity == "m_abs":
-            ys.append(cell.m_abs)
-        else:
-            ys.append(cell.m_signed)
+    attr = {"tau": "tau_s", "m_abs": "m_abs"}.get(quantity, "m_signed")
+    ys = [getattr(cell, attr) if cell.converged else float("nan")
+          for _, _, cell in results]
     return np.array(points), np.array(ys)
 
 

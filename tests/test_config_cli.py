@@ -148,6 +148,37 @@ class TestCli:
         payload = json.loads(open(str(tmp_path / "r_summary.json")).read())
         assert payload["params"]["seed_polarization"] == 2e-4
 
+    def test_numerics_tolerances_reach_simulate_and_sweep(self, tmp_path, capsys):
+        def m_ss(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            rc = main(sets + ["simulate", "--i", "2", "--j", "3",
+                              "--out", str(tmp_path / "r")])
+            assert rc == 0
+            return json.loads((tmp_path / "r_summary.json").read_text())["m_ss"]
+
+        tight = m_ss()
+        loose = m_ss("numerics.rtol=1e-4")
+        assert loose != tight
+        assert loose == pytest.approx(tight, rel=1e-3)
+
+        from spingas.sweep import ConditionsMap, SweepGrid, run_sweep, save_sweep
+        axes = ["--set", "sweep.i_over_gamma=0.4,2.0", "--set", "sweep.j_over_gamma=3.0",
+                "--set", "sweep.workers=1"]
+
+        def rows(path):
+            return [r for r in open(path).read().splitlines() if not r.startswith("#")]
+
+        prefix = str(tmp_path / "sw")
+        assert main(axes + ["sweep", "--out", prefix]) == 0
+        cmap = ConditionsMap()
+        direct = run_sweep(SweepGrid.from_rates((0.4, 2.0), (3.0,), cmap=cmap),
+                           cmap=cmap, workers=1)
+        save_sweep(direct, str(tmp_path / "direct.csv"))
+        assert rows(prefix + "_cells.csv") == rows(str(tmp_path / "direct.csv"))
+        assert main(axes + ["--set", "numerics.rtol=1e-4", "sweep",
+                            "--out", prefix]) == 0
+        assert rows(prefix + "_cells.csv") != rows(str(tmp_path / "direct.csv"))
+
     def test_susceptibility_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "chi.csv")
         rc = main(["susceptibility", "--j", "2.3", "--i-values", "0.0,0.4",

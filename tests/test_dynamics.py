@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,30 @@ class TestCompiledModel:
         d_ref = model.sub.from_matrix(ground_rhs(rho, model))
         assert np.abs(d_coords - d_ref).max() < 1e-9 * max(np.abs(d_ref).max(), 1.0)
 
+    @pytest.mark.parametrize("mode, n", [("hyperfine+zeeman", 16),
+                                         ("hyperfine", 130), ("none", 256)])
+    def test_jacobian_matches_finite_differences(self, mode, n, rng):
+        p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0,
+                                 h_over_gamma=0.4, projection_mode=mode)
+        model = CompiledModel(p)
+        assert model.sub.n == n
+        for _ in range(2):
+            s = model.sub.from_matrix(random_density(rng))
+            jac = model.jacobian(s)
+            # the rhs is quadratic, so central differences are exact up to
+            # rounding; compare against the nonlinear part being tested
+            h = 1e-4
+            fd = np.empty_like(jac)
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = h
+                fd[:, k] = (model.rhs_coords(s + e) - model.rhs_coords(s - e)) / (2 * h)
+            feedback = np.abs(jac - model.r_lin).max()
+            assert feedback > 1.0
+            assert np.abs(jac - fd).max() < 1e-4 * feedback
+            # trace conservation: the trace row of the Jacobian vanishes
+            assert np.abs(model._tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
+
     def test_rhs_traceless(self, rng):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)
         model = CompiledModel(p)
@@ -177,6 +203,12 @@ class TestIntegration:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-9
+
+    def test_step_budget_enforced(self):
+        p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
+        with pytest.raises(IntegrationError) as info:
+            integrate(p, t_end=1.0, controls=IntegrationControls(max_steps=5))
+        assert info.value.diagnostics["steps"] == 5
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -259,6 +291,27 @@ class TestSteadyDetection:
         exact = 1e-3 * math.exp(-1.0)
         assert capped.magnetization[-1] == pytest.approx(exact, rel=1e-9)
         assert free.magnetization[-1] == pytest.approx(exact, rel=1e-4)
+
+    def test_slow_disordered_cell_converges(self):
+        # slow mode -0.173 /s: with steps longer than the steadiness window
+        # the trailing snapshot is too old and dM/dt is overstated
+        res = steady_state(SimParams.from_rates(2.881422, 1.827586))
+        assert res.converged
+        assert abs(res.m_ss) < 1e-3
+
+    def test_model_released_after_steady_state(self):
+        # the solver is a reference cycle; it must not pin the model
+        p = SimParams.from_rates(2.0, 3.0)
+        model = CompiledModel(p)
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            res = steady_state(p, model=model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert res.converged
 
     def test_symmetric_fixed_point_and_rate(self):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,

@@ -174,6 +174,14 @@ class TestContours:
         assert abs(ys[0]) < 1e-6
         assert abs(ys[1]) > 0.2
 
+    def test_refine_contour_unconverged_is_nan(self):
+        # (1.0, 3.8) needs about 1.9 s to settle, (0.4, 3.8) about 0.6 s
+        for quantity in ("m_abs", "m_signed", "tau"):
+            xs, ys = refine_contour("fixed-J", 3.8, [0.4, 1.0], workers=1,
+                                    quantity=quantity, max_time=1.0)
+            assert np.isfinite(ys[0])
+            assert math.isnan(ys[1])
+
 
 class TestOutputs:
     def test_gnuplot_matrix(self, tiny_sweep):
