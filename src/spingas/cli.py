@@ -190,11 +190,8 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     grid = SweepGrid.from_rates(cfg["sweep", "i_over_gamma"],
                                 cfg["sweep", "j_over_gamma"],
                                 cmap=cmap, gamma=cfg.gamma())
-    result = run_sweep(grid, gamma=cfg.gamma(), cmap=cmap,
-                       projection_mode=cfg["numerics", "projection_mode"],
-                       seed_polarization=cfg["numerics", "seed_polarization"],
-                       b_z=cfg["fields", "b_z"], workers=cfg.workers(),
-                       controls=cfg.controls())
+    result = run_sweep(grid, gamma=cfg.gamma(), cmap=cmap, workers=cfg.workers(),
+                       controls=cfg.controls(), **cfg.sim_kwargs())
     result.provenance["tool_version"] = __version__
     result.provenance["config_hash"] = cfg.hash()
     save_sweep(result, args.out + "_cells.csv", args.out + "_manifest.json",
@@ -226,8 +223,8 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
     i_values = _axis(args.i_values)
     rows = []
     for i in i_values:
-        r = susceptibility(i, args.j, dh_over_gamma=args.dh,
-                           gamma=cfg.gamma(), **cfg.sim_kwargs())
+        r = susceptibility(i, args.j, dh_over_gamma=args.dh, gamma=cfg.gamma(),
+                           controls=cfg.controls(), **cfg.sim_kwargs())
         rows.append((i, r))
         print(f"I/Gamma={i:.4f}: chi*Gamma={r.chi * cfg.gamma():.4f} "
               f"(richardson {r.richardson_change:.2e}"

@@ -26,6 +26,7 @@ from scipy.optimize import least_squares, minimize
 
 from .dynamics import (
     GAMMA_BASE,
+    IntegrationControls,
     SimParams,
     steady_state,
 )
@@ -307,13 +308,16 @@ class SusceptibilityResult:
 
 def susceptibility(i_over_gamma: float, j_over_gamma: float,
                    dh_over_gamma: float = 1e-3, gamma: float = GAMMA_BASE,
-                   check_ordered: bool = True, **sim_kwargs) -> SusceptibilityResult:
+                   check_ordered: bool = True,
+                   controls: IntegrationControls | None = None,
+                   **sim_kwargs) -> SusceptibilityResult:
     """chi = dM/dH at H = 0 by a symmetric finite difference.
 
     Runs the +/- bias pair with a zero symmetry-breaking seed so only the
     bias selects the sign, and reports the change of the estimate when the
     step doubles (Richardson consistency).  Ordered-phase points, where the
-    spontaneous magnetization dominates the bias response, are flagged."""
+    spontaneous magnetization dominates the bias response, are flagged.
+    ``controls`` apply to every steady state."""
     if dh_over_gamma <= 0:
         raise ValueError("dh must be > 0")
     sim_kwargs = dict(sim_kwargs)
@@ -323,7 +327,7 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
         p = SimParams.from_rates(i_over_gamma=i_over_gamma,
                                  j_over_gamma=j_over_gamma,
                                  h_over_gamma=h, gamma=gamma, **sim_kwargs)
-        return steady_state(p).m_ss
+        return steady_state(p, controls=controls).m_ss
 
     dh = dh_over_gamma * gamma
     m_plus = m_at(dh_over_gamma)
@@ -336,7 +340,7 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
         p0 = SimParams.from_rates(i_over_gamma=i_over_gamma,
                                   j_over_gamma=j_over_gamma, gamma=gamma,
                                   **seeded)
-        m_spont = abs(steady_state(p0).m_ss)
+        m_spont = abs(steady_state(p0, controls=controls).m_ss)
         # in the ordered phase the +/- runs land on the spontaneous branches
         # and the difference quotient measures M_spont/dH, not a response
         ordered = m_spont > 1e-3 and m_spont >= 0.5 * abs(m_plus)

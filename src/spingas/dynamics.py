@@ -12,9 +12,19 @@ electron spin at a rate q*J:
 
 with phi(rho) = rho/4 + S.rho S and M = Tr(rho S).  The quadratic M-term
 re-aligns the electron spin along the vapor's own mean spin; it conserves
-Tr(F_z rho) exactly and is the only nonlinearity, so everything else is
-precompiled into a single superoperator and integration runs in the real
-coordinates of the coherence-projected subspace.  The generator is stiff
+Tr(F_z rho) exactly and is the only nonlinearity.  Integration runs in the
+real coordinates s of the coherence-projected subspace, on the linear
+generator
+
+    r_lin = R_H + Gamma R_Gamma + qJ R_phi + sum_fields R_opt(a)
+
+plus the bilinear feedback.  Every term but R_opt depends only on (atom,
+b_z, projection mode): it is projected once into subspace coordinates,
+Re(F L T) with fixed maps T (coords -> vec rho) and F (vec rho -> coords),
+and cached with the feedback parts.  R_opt depends on the field intensity a
+only through the excited-level solve, so a field's a-independent parts are
+cached too and a new point costs one dim_e^2 solve per field
+(:class:`spingas.optics.FieldAction`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
 integrated with the implicit Radau IIA method on the analytic Jacobian of
 those coordinates (:meth:`CompiledModel.jacobian`).
@@ -47,6 +57,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,9 +65,12 @@ from .optics import (
     AtomSystem,
     CollisionParams,
     DopplerSpec,
+    FieldAction,
     FieldCoupling,
     OpticalChannel,
     OpticalField,
+    _frozen,
+    atom_system,
     bias_field,
     cesium_collisions,
     cesium_doppler,
@@ -282,69 +296,140 @@ def spin_exchange_term(rho_g: np.ndarray, qj: float, s_ops: VectorOperator) -> n
     return qj * out
 
 
+@lru_cache(maxsize=8)
+def _ground_superops(atom: AtomSpec, b_z: float) -> tuple[np.ndarray, ...]:
+    """Full-space superoperators (L_H, L_Gamma, L_phi) of the Hamiltonian
+    commutator, of spin destruction per unit Gamma and of the linear
+    exchange kernel phi(rho) - rho per unit qJ."""
+    system = atom_system(atom, b_z)
+    dg = system.dim_g
+    eye_sop = np.eye(dg * dg)
+    h_g = system.h_g
+    l_h = -1j * (np.kron(h_g, np.eye(dg)) - np.kron(np.eye(dg), h_g.T))
+    vec_id = np.eye(dg).reshape(-1)
+    l_gamma = np.outer(vec_id / dg, vec_id) - eye_sop
+    phi_sop = 0.25 * eye_sop
+    for s in system.ops_g["S"].matrices:
+        phi_sop = phi_sop + np.kron(s, s.T)
+    return _frozen(l_h), _frozen(l_gamma), _frozen(phi_sop - eye_sop)
+
+
+@dataclass(frozen=True)
+class _GroundParts:
+    """Parameter-independent parts of the generator in subspace coordinates."""
+
+    system: AtomSystem
+    sub: Subspace
+    t_map: np.ndarray      # coords -> vec rho (columns)
+    f_map: np.ndarray      # vec rho -> coords, as Re(f_map @ v)
+    r_h: np.ndarray
+    r_gamma: np.ndarray
+    r_phi: np.ndarray
+    m_rows: np.ndarray
+    q_mats: tuple
+    active_j: tuple
+    fz_row: np.ndarray
+    tr_row: np.ndarray
+    f_max: float
+
+
+@lru_cache(maxsize=8)
+def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
+    system = atom_system(atom, b_z)
+    dg = system.dim_g
+    sub = Subspace(mode, system.basis_g)
+    n = sub.n
+    t_map = np.stack([sub.to_matrix(e).reshape(-1) for e in np.eye(n)], axis=1)
+    f_map = t_map.conj().T / np.sum(np.abs(t_map) ** 2, axis=0)[:, None]
+
+    def project(vecs):   # columns vec(L rho_k) -> the real n x n block
+        return np.ascontiguousarray(np.real(f_map @ vecs))
+
+    r_h, r_gamma, r_phi = (project(sop @ t_map) for sop in _ground_superops(atom, b_z))
+    s_ops = system.ops_g["S"]
+    m_rows = np.array([np.real(s.T.reshape(-1) @ t_map) for s in s_ops.matrices])
+    brackets = [_exchange_vector_bracket(t_map[:, k].reshape(dg, dg), s_ops)
+                for k in range(n)]
+    q_mats = tuple(project(np.stack([b[j].reshape(-1) for b in brackets], axis=1))
+                   for j in range(3))
+    active_j = tuple(j for j in range(3)
+                     if np.abs(m_rows[j]).max() > 1e-14 and np.abs(q_mats[j]).max() > 1e-14)
+    f_max = float(max(f for f, _ in system.basis_g.states))
+    fz = system.ops_g["F"].z.matrix
+    fz_row = np.real(fz.T.reshape(-1) @ t_map) / f_max
+    tr_row = np.zeros(n)
+    tr_row[:dg] = 1.0
+    return _GroundParts(system, sub, _frozen(t_map), _frozen(f_map), _frozen(r_h),
+                        _frozen(r_gamma), _frozen(r_phi), _frozen(m_rows),
+                        tuple(map(_frozen, q_mats)), active_j, _frozen(fz_row),
+                        _frozen(tr_row), f_max)
+
+
+@lru_cache(maxsize=16)
+def _field_action(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
+                  coll: CollisionParams, doppler: DopplerSpec,
+                  light_shift: bool) -> FieldAction:
+    """A unit-intensity field's action in subspace coordinates."""
+    ground = _ground_parts(atom, b_z, mode)
+    coupling = couple_field(shape, ground.system, coll, doppler)
+    return FieldAction(ground.system, coupling, coll, light_shift,
+                       t_map=ground.t_map, f_map=ground.f_map)
+
+
 class CompiledModel:
     """Fully assembled generator of one parameter point.
 
+    ``r_lin`` is summed from the cached parts of the module docstring.
     ``rhs_coords`` evaluates d(state)/dt in the real subspace coordinates
-    using only matrix-vector products: the precompiled linear superoperator
-    plus the bilinear exchange feedback."""
+    using only matrix-vector products: the linear generator plus the
+    bilinear exchange feedback.  The full-space ``lin_superop``, ``channel``
+    and ``couplings`` behind the reference path ``rhs_matrix`` are built on
+    first use."""
 
     def __init__(self, params: SimParams):
         self.params = params
-        self.system = AtomSystem(params.atom, params.b_z)
-        basis = self.system.basis_g
-        dg = self.system.dim_g
-        self.f_max = float(max(f for f, _ in basis.states))
+        parts = _ground_parts(params.atom, params.b_z, params.projection_mode)
+        self.system = parts.system
+        self.sub = parts.sub
+        self.f_max = parts.f_max
         self.fz = self.system.ops_g["F"].z.matrix
         self.s_ops = self.system.ops_g["S"]
         self.qj = params.coll.q_slowdown * params.j_exchange
+        self.m_rows, self.q_mats, self.fz_row = parts.m_rows, parts.q_mats, parts.fz_row
+        self._active_j, self._tr_row = parts.active_j, parts.tr_row
 
-        self.couplings: list[FieldCoupling] = [
-            couple_field(f, self.system, params.coll, params.doppler)
-            for f in params.fields()
-        ]
-        self.channel = (OpticalChannel(self.system, self.couplings, params.coll,
-                                       light_shift=params.light_shift)
-                        if self.couplings else None)
-
-        eye_sop = np.eye(dg * dg)
-        h_g = self.system.h_g
-        lin = -1j * (np.kron(h_g, np.eye(dg)) - np.kron(np.eye(dg), h_g.T))
-        vec_id = np.eye(dg).reshape(-1)
-        lin -= params.gamma * (eye_sop - np.outer(vec_id / dg, vec_id))
+        r_lin = parts.r_h + params.gamma * parts.r_gamma
         if self.qj > 0:
-            phi_sop = 0.25 * eye_sop
-            for s in self.s_ops.matrices:
-                phi_sop = phi_sop + np.kron(s, s.T)
-            lin += self.qj * (phi_sop - eye_sop)
+            r_lin += self.qj * parts.r_phi
+        for f in params.fields():
+            action = _field_action(params.atom, params.b_z, params.projection_mode,
+                                   f.scaled(1.0), params.coll, params.doppler,
+                                   params.light_shift)
+            r_lin += np.real(action.superop(f.amplitude_sq)[0])
+        self.r_lin = r_lin
+
+    @cached_property
+    def couplings(self) -> list[FieldCoupling]:
+        p = self.params
+        return [couple_field(f, self.system, p.coll, p.doppler) for f in p.fields()]
+
+    @cached_property
+    def channel(self) -> OpticalChannel | None:
+        if not self.couplings:
+            return None
+        return OpticalChannel(self.system, self.couplings, self.params.coll,
+                              light_shift=self.params.light_shift)
+
+    @cached_property
+    def lin_superop(self) -> np.ndarray:
+        """The full-space linear generator (reference path)."""
+        l_h, l_gamma, l_phi = _ground_superops(self.params.atom, self.params.b_z)
+        lin = l_h + self.params.gamma * l_gamma
+        if self.qj > 0:
+            lin = lin + self.qj * l_phi
         if self.channel is not None:
             lin = lin + self.channel.ground_superop
-        self.lin_superop = lin
-
-        self.sub = Subspace(params.projection_mode, basis)
-        n = self.sub.n
-        self.r_lin = np.empty((n, n))
-        self.m_rows = np.empty((3, n))
-        self.q_mats = [np.empty((n, n)) for _ in range(3)]
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            rho_k = self.sub.to_matrix(e)
-            lin_k = (lin @ rho_k.reshape(-1)).reshape(dg, dg)
-            self.r_lin[:, k] = self.sub.from_matrix(lin_k)
-            for j, s in enumerate(self.s_ops.matrices):
-                self.m_rows[j, k] = np.trace(rho_k @ s).real
-            for j, bracket in enumerate(_exchange_vector_bracket(rho_k, self.s_ops)):
-                self.q_mats[j][:, k] = self.sub.from_matrix(bracket)
-        self._active_j = [j for j in range(3)
-                          if np.abs(self.m_rows[j]).max() > 1e-14
-                          and np.abs(self.q_mats[j]).max() > 1e-14]
-        self.fz_row = np.array([
-            np.trace(self.sub.to_matrix(np.eye(n)[k]) @ self.fz).real / self.f_max
-            for k in range(n)
-        ])
-        self._tr_row = np.zeros(n)
-        self._tr_row[:dg] = 1.0
+        return lin
 
     def rhs_coords(self, s: np.ndarray) -> np.ndarray:
         out = self.r_lin @ s
@@ -618,17 +703,21 @@ def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
     return out
 
 
-def critical_pump_rate(j_over_gamma: float, gamma: float = GAMMA_BASE,
-                       lo: float = 0.05, hi: float = 40.0,
-                       tol: float = 1e-3, **kwargs) -> float:
-    """Critical axis rate I/Gamma on a fixed-J contour, from the zero
-    crossing of the symmetric state's slow-mode growth rate."""
-    def rate(i):
-        p = SimParams.from_rates(i_over_gamma=i, j_over_gamma=j_over_gamma,
+def _critical_rate(axis: str, fixed: float, gamma: float, lo: float, hi: float,
+                   tol: float, kwargs: dict) -> float:
+    """Geometric bisection, to relative width ``tol``, of the zero crossing
+    of the symmetric state's slow-mode growth rate along the axis-rate
+    ``axis`` ('I' or 'J') with the other rate held at ``fixed``."""
+    other = "J" if axis == "I" else "I"
+
+    def rate(x):
+        rates = {axis: x, other: fixed}
+        p = SimParams.from_rates(i_over_gamma=rates["I"], j_over_gamma=rates["J"],
                                  gamma=gamma, seed_polarization=0.0, **kwargs)
         return CompiledModel(p).slow_mode_rate()
     if rate(hi) < 0:
-        raise ValueError(f"no instability up to I/Gamma = {hi} at J/Gamma = {j_over_gamma}")
+        raise ValueError(f"no instability up to {axis}/Gamma = {hi} "
+                         f"at {other}/Gamma = {fixed}")
     while hi / lo > 1.0 + tol:
         mid = math.sqrt(lo * hi)
         if rate(mid) > 0:
@@ -636,25 +725,21 @@ def critical_pump_rate(j_over_gamma: float, gamma: float = GAMMA_BASE,
         else:
             lo = mid
     return math.sqrt(lo * hi)
+
+
+def critical_pump_rate(j_over_gamma: float, gamma: float = GAMMA_BASE,
+                       lo: float = 0.05, hi: float = 40.0,
+                       tol: float = 1e-3, **kwargs) -> float:
+    """Critical axis rate I/Gamma on a fixed-J contour, from the zero
+    crossing of the symmetric state's slow-mode growth rate."""
+    return _critical_rate("I", j_over_gamma, gamma, lo, hi, tol, kwargs)
 
 
 def critical_exchange_rate(i_over_gamma: float, gamma: float = GAMMA_BASE,
                            lo: float = 0.05, hi: float = 40.0,
                            tol: float = 1e-3, **kwargs) -> float:
     """Critical axis rate J/Gamma on a fixed-I contour."""
-    def rate(j):
-        p = SimParams.from_rates(i_over_gamma=i_over_gamma, j_over_gamma=j,
-                                 gamma=gamma, seed_polarization=0.0, **kwargs)
-        return CompiledModel(p).slow_mode_rate()
-    if rate(hi) < 0:
-        raise ValueError(f"no instability up to J/Gamma = {hi} at I/Gamma = {i_over_gamma}")
-    while hi / lo > 1.0 + tol:
-        mid = math.sqrt(lo * hi)
-        if rate(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(lo * hi)
+    return _critical_rate("J", i_over_gamma, gamma, lo, hi, tol, kwargs)
 
 
 # --- rate calibrations -------------------------------------------------------
@@ -673,17 +758,25 @@ def _cal_key(params: SimParams, shape: OpticalField, extra=()) -> tuple:
             tuple(map(float, shape.reference_transition))) + tuple(extra)
 
 
+def _rho0_action(params: SimParams, shape: OpticalField,
+                 system: AtomSystem) -> FieldAction:
+    """The unit-intensity field acting on the fully mixed state alone."""
+    dg = system.dim_g
+    coupling = couple_field(shape.scaled(1.0), system, params.coll, params.doppler)
+    rho0 = (np.eye(dg) / dg).reshape(-1, 1)
+    return FieldAction(system, coupling, params.coll, params.light_shift, t_map=rho0)
+
+
 def absorption_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
     """Photon absorption rate of the fully mixed state per unit intensity."""
     shape = shape if shape is not None else pump_field(1.0)
     key = ("abs",) + _cal_key(params, shape)
     if key not in _CAL_CACHE:
-        system = AtomSystem(params.atom, params.b_z)
-        coupling = couple_field(shape.scaled(1.0), system, params.coll, params.doppler)
-        channel = OpticalChannel(system, [coupling], params.coll,
-                                 light_shift=params.light_shift)
-        rho0 = np.eye(system.dim_g) / system.dim_g
-        _CAL_CACHE[key] = channel.absorption_rate(rho0)
+        system = atom_system(params.atom, params.b_z)
+        # gamma_q Tr(rho_e); the first column is the unrotated excited matrix
+        rho_e = _rho0_action(params, shape, system).excited(1.0)[:, 0]
+        de = system.dim_e
+        _CAL_CACHE[key] = float(params.coll.gamma_q * np.trace(rho_e.reshape(de, de)).real)
     return _CAL_CACHE[key]
 
 
@@ -701,28 +794,18 @@ def bias_rate_unit(params: SimParams, shape: OpticalField) -> float:
     so H := Gamma * dM/d(intensity)."""
     key = ("H",) + _cal_key(params, shape, extra=(params.gamma, params.j_exchange))
     if key not in _CAL_CACHE:
-        system = AtomSystem(params.atom, params.b_z)
+        system = atom_system(params.atom, params.b_z)
         dg = system.dim_g
-        coupling = couple_field(shape.scaled(1.0), system, params.coll, params.doppler)
-        channel = OpticalChannel(system, [coupling], params.coll,
-                                 light_shift=params.light_shift)
-        eye_sop = np.eye(dg * dg)
-        h_g = system.h_g
-        lin = -1j * (np.kron(h_g, np.eye(dg)) - np.kron(np.eye(dg), h_g.T))
-        vec_id = np.eye(dg).reshape(-1)
-        lin -= params.gamma * (eye_sop - np.outer(vec_id / dg, vec_id))
+        l_h, l_gamma, l_phi = _ground_superops(params.atom, params.b_z)
+        lin = l_h + params.gamma * l_gamma
         qj = params.coll.q_slowdown * params.j_exchange
         if qj > 0:
-            phi_sop = 0.25 * eye_sop
-            s_mats = system.ops_g["S"].matrices
-            for s in s_mats:
-                phi_sop = phi_sop + np.kron(s, s.T)
-            lin += qj * (phi_sop - eye_sop)
+            lin = lin + qj * l_phi
             # linearized mean-spin feedback at the fully mixed state
-            for s in s_mats:
+            for s in system.ops_g["S"].matrices:
                 lin += (qj / 4.0) * np.outer(s.reshape(-1), s.T.reshape(-1))
-        rho0 = np.eye(dg) / dg
-        source = channel.apply(rho0).reshape(-1)
+        vec_id = np.eye(dg).reshape(-1)
+        source = _rho0_action(params, shape, system).superop(1.0)[0][:, 0]
         solver = lin + np.outer(vec_id / dg, vec_id)
         delta = np.linalg.solve(solver, -source).reshape(dg, dg)
         fz = system.ops_g["F"].z.matrix

@@ -18,8 +18,10 @@ transition only; the other manifold sits a full ground hyperfine splitting
 away and is treated as uncoupled, which makes the stretched states of the
 non-addressed manifold exactly dark.
 
-All of this is linear in rho_g, so :class:`OpticalChannel` precompiles the
-whole ground-level action into one superoperator for fast repeated use.
+All of this is linear in rho_g.  :class:`FieldAction` assembles one field's
+ground-level action between fixed input and output maps, as a function of
+the field intensity; :class:`OpticalChannel` is its identity-map case, the
+whole ground-level action as one superoperator.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -242,6 +245,24 @@ class AtomSystem:
         return float(hf_e[ie, ie].real - hf_g[ig, ig].real)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def atom_system(spec: AtomSpec, b_z: float) -> AtomSystem:
+    """Shared, read-only :class:`AtomSystem` of ``(spec, b_z)``, built once
+    per process (the exact Clebsch-Gordan sums dominate its cost)."""
+    system = AtomSystem(spec, b_z)
+    ops = [op for level in (system.ops_g, system.ops_e) for op in level.values()]
+    for a in (system.h_g, system.h_e, *system._eig_g, *system._eig_e,
+              *system.dipole.matrices, *system.dipole_sph.values(),
+              *(m for op in ops for m in op.matrices)):
+        _frozen(a)
+    return system
+
+
 def field_coupling_matrix(field: OpticalField, system: AtomSystem) -> np.ndarray:
     """E0 (eps . D) restricted to the field's reference ground manifold."""
     eps = field.polarization_vector()
@@ -304,6 +325,11 @@ def _sop_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
+def _stimulated_drain(coupling: FieldCoupling, de: int) -> np.ndarray:
+    g_e = coupling.x @ coupling.w.conj().T
+    return -1j * (_sop_left(g_e, de) - _sop_right(g_e.conj().T, de))
+
+
 def excited_superoperator(system: AtomSystem, couplings: list[FieldCoupling],
                           coll: CollisionParams) -> np.ndarray:
     """Generator of the excited-level matrix: commutator, quench, spin
@@ -316,8 +342,7 @@ def excited_superoperator(system: AtomSystem, couplings: list[FieldCoupling],
     s_ops = system.ops_e["S"].matrices
     a -= coll.gamma_p * (0.75 * eye - sum(_sop_sandwich(s, s) for s in s_ops))
     for c in couplings:
-        g_e = c.x @ c.w.conj().T
-        a -= 1j * (_sop_left(g_e, de) - _sop_right(g_e.conj().T, de))
+        a += _stimulated_drain(c, de)
     return a
 
 
@@ -358,16 +383,90 @@ def repopulation(rho_e: np.ndarray, dipole: VectorOperator,
     return (2.0 * coll.gamma_q / 3.0) * out
 
 
+def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
+    """Matrix product in which None stands for the identity."""
+    if a is None:
+        return b
+    return a if b is None else a @ b
+
+
+class FieldAction:
+    """Action of one field on the ground level as a function of its
+    intensity, between fixed maps: ``t_map`` takes its columns to vec(rho_g)
+    and ``f_map`` takes vec(rho_g) to its rows (None is the identity).
+
+    Scaling the coupling's intensity by a scales the depletion kernel D, the
+    stimulated return K and the excited-level source B by a, and the
+    stimulated drain S of the excited generator A0 + a S; so with
+    X(a) = a (A0 + a S)^-1 (-B T) the action is
+
+        F [a D + (a K + P) X(a)] T,    P = quench repopulation.
+
+    Only the dim_e^2 solve depends on a other than through a factor, and it
+    runs against the columns of B T alone.  A linearly polarized field is
+    averaged with its pi-about-x rotation C (``symmetrize_z``): the second
+    half of the columns is B C T and of the rows F C^-1.
+    """
+
+    def __init__(self, system: AtomSystem, coupling: FieldCoupling,
+                 coll: CollisionParams, light_shift: bool = False,
+                 t_map: np.ndarray | None = None, f_map: np.ndarray | None = None):
+        dg, de = system.dim_g, system.dim_e
+        x, w = coupling.x, coupling.w
+        self.a0 = _frozen(excited_superoperator(system, [], coll))
+        self.drain = _frozen(_stimulated_drain(coupling, de))
+        g = x.conj().T @ w
+        herm = 0.5 * (g + g.conj().T)
+        anti = (g - g.conj().T) / 2j
+        dep = -(_sop_left(anti, dg) + _sop_right(anti, dg))
+        if light_shift:
+            dep += 1j * (_sop_left(herm, dg) - _sop_right(herm, dg))
+        self._ret = 1j * (_sop_sandwich(w.conj().T, x) - _sop_sandwich(x.conj().T, w))
+        self._repop = (2.0 * coll.gamma_q / 3.0) * sum(
+            _sop_sandwich(d.conj().T, d) for d in system.dipole.matrices)
+        t_maps, self._f_maps = [t_map], [f_map]
+        if coupling.field.wants_symmetrization():
+            u = system.ground_pi_rotation_x()
+            t_maps.append(_mul(np.kron(u, u.conj()), t_map))
+            self._f_maps.append(_mul(f_map, np.kron(u.conj().T, u.T)))
+        self.weight = 1.0 / len(t_maps)
+        src = excited_source([coupling])
+        self.source = _frozen(np.hstack([_mul(src, t) for t in t_maps]))
+        self.depletion = _frozen(self.weight * sum(
+            _mul(f, _mul(dep, t)) for f, t in zip(self._f_maps, t_maps)))
+
+    @cached_property
+    def _left(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(F K, F P) of each half; built on the first ground-level use."""
+        return [(_frozen(_mul(f, self._ret)), _frozen(_mul(f, self._repop)))
+                for f in self._f_maps]
+
+    def excited(self, a: float) -> np.ndarray:
+        """X(a), the quasi-steady excited matrices of the source columns."""
+        try:
+            return a * np.linalg.solve(self.a0 + a * self.drain, -self.source)
+        except np.linalg.LinAlgError as exc:
+            raise OpticsError("quasi-steady excited solve is singular") from exc
+
+    def superop(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        """The ground-level action at intensity scale a, and X(a)."""
+        x = self.excited(a)
+        out = a * self.depletion
+        for (k, p), xb in zip(self._left, np.hsplit(x, len(self._left))):
+            out = out + self.weight * ((a * k + p) @ xb)
+        return out, x
+
+
 class OpticalChannel:
     """Compiled linear action of a set of fields on the ground-level matrix.
 
     The full channel (depletion, stimulated return, quench repopulation
     through the quasi-steady excited solve) is linear in rho_g, so it is
     assembled once into ``ground_superop`` (dim_g^2 x dim_g^2) plus the map
-    ``excited_map`` giving the quasi-steady excited matrix.  ``light_shift``
-    adds the coherent (Hermitian) part of the depletion kernel, which is
-    dropped by default so that only dissipative channels act on the ground
-    level.
+    ``excited_map`` giving the quasi-steady excited matrix: the sum of the
+    fields' :class:`FieldAction` with identity maps.  ``light_shift`` adds
+    the coherent (Hermitian) part of the depletion kernel, which is dropped
+    by default so that only dissipative channels act on the ground level.
     """
 
     def __init__(self, system: AtomSystem, couplings: list[FieldCoupling],
@@ -377,44 +476,17 @@ class OpticalChannel:
         self.coll = coll
         self.light_shift = light_shift
         dg, de = system.dim_g, system.dim_e
-
-        repop = np.zeros((dg * dg, de * de), dtype=complex)
-        for d in system.dipole.matrices:
-            repop += _sop_sandwich(d.conj().T, d)
-        repop *= 2.0 * coll.gamma_q / 3.0
-
         # Fields are assembled independently: each gets its own quasi-steady
         # solve (cross-field stimulated terms are smaller than the per-field
         # ones by the same pump-rate/gamma_q factor, i.e. negligible), which
         # keeps every per-field channel exactly atom-conserving and lets a
         # linearly polarized channel be parity-symmetrized on its own.
-        u = system.ground_pi_rotation_x()
-        conj_fwd = np.kron(u, u.conj())
-        conj_bwd = np.kron(u.conj().T, u.T)
-
+        self.ground_superop = np.zeros((dg * dg, dg * dg), dtype=complex)
         self.excited_map = np.zeros((de * de, dg * dg), dtype=complex)
-        g_total = np.zeros((dg * dg, dg * dg), dtype=complex)
         for c in couplings:
-            a_e = excited_superoperator(system, [c], coll)
-            src = excited_source([c])
-            try:
-                e_map = np.linalg.solve(a_e, -src)
-            except np.linalg.LinAlgError as exc:
-                raise OpticsError("quasi-steady excited solve is singular") from exc
-            g = c.x.conj().T @ c.w
-            herm = 0.5 * (g + g.conj().T)
-            anti = (g - g.conj().T) / 2j
-            g_sop = -(_sop_left(anti, dg) + _sop_right(anti, dg))
-            if light_shift:
-                g_sop += 1j * (_sop_left(herm, dg) - _sop_right(herm, dg))
-            g_sop += 1j * (_sop_sandwich(c.w.conj().T, c.x)
-                           - _sop_sandwich(c.x.conj().T, c.w)) @ e_map
-            g_sop += repop @ e_map
-            if c.field.wants_symmetrization():
-                g_sop = 0.5 * (g_sop + conj_bwd @ g_sop @ conj_fwd)
-            g_total += g_sop
-            self.excited_map += e_map
-        self.ground_superop = g_total
+            g_sop, x = FieldAction(system, c, coll, light_shift).superop(1.0)
+            self.ground_superop += g_sop
+            self.excited_map += x[:, :dg * dg]
 
     def rho_e(self, rho_g: np.ndarray) -> np.ndarray:
         vec = self.excited_map @ np.asarray(rho_g, dtype=complex).reshape(-1)

@@ -202,12 +202,12 @@ class SweepResult:
 
 
 def _sweep_task(args):
-    (ii, jj, i_axis, j_axis, i_eff, n, phi, gamma, mode, eps, b_z,
+    (ii, jj, i_axis, j_axis, i_eff, n, phi, gamma, sim_kwargs,
      floor_reference, max_time, controls) = args
+    p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
+                             gamma=gamma, **sim_kwargs)
+    eps = p.seed_polarization
     try:
-        p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
-                                 gamma=gamma, projection_mode=mode,
-                                 seed_polarization=eps, b_z=b_z)
         model = CompiledModel(p)
         res = steady_state(p, max_time=max_time, controls=controls,
                            model=model)
@@ -242,19 +242,43 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
+               sim_kwargs: dict) -> list:
+    """``_sweep_task`` over the tasks, in a fork pool when there are workers
+    to share them.  One pumped model with the tasks' ``gamma`` and
+    ``sim_kwargs`` is compiled here first, so the workers inherit its cached
+    parts and calibrations instead of each building them again."""
+    if workers <= 1 or len(tasks) <= 2:
+        return list(map(_sweep_task, tasks))
+    CompiledModel(SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
+                                       gamma=gamma, **sim_kwargs))
+    ctx = multiprocessing.get_context("fork")
+    pool = ctx.Pool(processes=workers)
+    try:
+        return pool.map(_sweep_task, tasks, chunksize=chunksize)
+    finally:
+        pool.close()
+        pool.join()
+
+
 def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
               cmap: ConditionsMap | None = None,
               projection_mode: str = "hyperfine+zeeman",
               seed_polarization: float = 1e-4, b_z: float = 1.0,
               workers: int | None = None,
               max_time: float | None = None,
-              controls: IntegrationControls | None = None) -> SweepResult:
+              controls: IntegrationControls | None = None,
+              **sim_kwargs) -> SweepResult:
     """Run steady-state and response-time simulations over a grid.
 
-    Cell failures are recorded per cell and never abort the sweep.  The
-    output is bitwise independent of the worker count."""
+    ``sim_kwargs`` are further :class:`SimParams` fields of every cell
+    (atom, coll, doppler, light_shift).  Cell failures are recorded per
+    cell and never abort the sweep.  The output is bitwise independent of
+    the worker count."""
     cmap = cmap if cmap is not None else ConditionsMap()
     workers = workers if workers is not None else default_workers()
+    cell_kwargs = dict(sim_kwargs, projection_mode=projection_mode,
+                       seed_polarization=seed_polarization, b_z=b_z)
     tasks = []
     for ii, jj, i_axis, j_axis in grid.cells():
         n = grid.densities[jj]
@@ -262,21 +286,10 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
         i_eff = i_axis * att
         tasks.append((ii, jj, i_axis, j_axis, i_eff, n, phi, gamma,
-                      projection_mode, seed_polarization, b_z, 1.0, max_time,
-                      controls))
+                      cell_kwargs, 1.0, max_time, controls))
     ni = len(grid.i_over_gamma)
     cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
-    if workers <= 1 or len(tasks) <= 2:
-        results = map(_sweep_task, tasks)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(processes=workers)
-        try:
-            results = pool.map(_sweep_task, tasks, chunksize=4)
-        finally:
-            pool.close()
-            pool.join()
-    for ii, jj, cell in results:
+    for ii, jj, cell in _run_tasks(tasks, workers, 4, gamma, cell_kwargs):
         cells[jj * ni + ii] = cell
     result = SweepResult(
         grid=grid, cells=cells,
@@ -331,25 +344,15 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
     or 'tau'; it is NaN wherever the cell did not converge, so a fit never
     consumes a partial magnetization."""
     points = [float(x) for x in points]
+    max_time = sim_kwargs.pop("max_time", None)
+    controls = sim_kwargs.pop("controls", None)
     tasks = []
     for x in points:
         i_ax, j_ax = (x, value) if axis == "fixed-J" else (value, x)
         tasks.append((0, 0, i_ax, j_ax, i_ax, float("nan"), float("nan"),
-                      gamma, sim_kwargs.get("projection_mode", "hyperfine+zeeman"),
-                      sim_kwargs.get("seed_polarization", 1e-4),
-                      sim_kwargs.get("b_z", 1.0), 1.0,
-                      sim_kwargs.get("max_time"), sim_kwargs.get("controls")))
+                      gamma, sim_kwargs, 1.0, max_time, controls))
     workers = workers if workers is not None else default_workers()
-    if workers <= 1 or len(tasks) <= 2:
-        results = list(map(_sweep_task, tasks))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(processes=workers)
-        try:
-            results = pool.map(_sweep_task, tasks, chunksize=1)
-        finally:
-            pool.close()
-            pool.join()
+    results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
     attr = {"tau": "tau_s", "m_abs": "m_abs"}.get(quantity, "m_signed")
     ys = [getattr(cell, attr) if cell.converged else float("nan")
           for _, _, cell in results]

@@ -179,6 +179,29 @@ class TestCli:
                             "--out", prefix]) == 0
         assert rows(prefix + "_cells.csv") != rows(str(tmp_path / "direct.csv"))
 
+    def test_sweep_receives_physical_settings(self, tmp_path, capsys):
+        axes = ["--set", "sweep.i_over_gamma=2.0", "--set", "sweep.j_over_gamma=2.0,3.0",
+                "--set", "sweep.workers=1"]
+
+        def rows(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            prefix = str(tmp_path / "sw")
+            assert main(axes + sets + ["sweep", "--out", prefix]) == 0
+            return [r for r in open(prefix + "_cells.csv").read().splitlines()
+                    if not r.startswith("#")]
+
+        assert rows("collisions.gamma_c=1 GHz") != rows()
+
+    def test_susceptibility_receives_tolerances(self, tmp_path, capsys):
+        def row(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            out = str(tmp_path / "chi.csv")
+            assert main(sets + ["susceptibility", "--j", "2.3", "--i-values", "1.2",
+                                "--out", out]) == 0
+            return open(out).read().splitlines()[2]
+
+        assert row("numerics.rtol=1e-4") != row()
+
     def test_susceptibility_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "chi.csv")
         rc = main(["susceptibility", "--j", "2.3", "--i-values", "0.0,0.4",

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,26 @@ from spingas.dynamics import (
     spin_exchange_term,
     steady_state,
 )
+from spingas.optics import (
+    DopplerSpec,
+    OpticalChannel,
+    cesium_collisions,
+    couple_field,
+    pump_field,
+)
 from conftest import random_density
 
 GAMMA = 58.0
+
+
+def project_superop(sub, sop):
+    """Reference projection of a full-space superoperator into subspace
+    coordinates, one basis matrix at a time."""
+    out = np.empty((sub.n, sub.n))
+    for k, e in enumerate(np.eye(sub.n)):
+        rho_k = sub.to_matrix(e)
+        out[:, k] = sub.from_matrix((sop @ rho_k.reshape(-1)).reshape(rho_k.shape))
+    return out
 
 
 class TestExchangeTerm:
@@ -325,3 +343,63 @@ class TestSteadyDetection:
         p0 = SimParams.from_rates(i_over_gamma=0.3, j_over_gamma=1.0,
                                   seed_polarization=0.0)
         assert CompiledModel(p0).slow_mode_rate() < 0
+
+
+class TestCachedParts:
+    @pytest.mark.parametrize("mode, light_shift", [
+        ("hyperfine+zeeman", False), ("hyperfine", False), ("none", False),
+        ("hyperfine+zeeman", True)])
+    def test_r_lin_matches_projected_full_generator(self, mode, light_shift):
+        p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0,
+                                 h_over_gamma=0.4, projection_mode=mode,
+                                 light_shift=light_shift)
+        model = CompiledModel(p)
+        ref = project_superop(model.sub, model.lin_superop)
+        assert np.abs(model.r_lin - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("i_over_gamma", [0.05, 40.0])
+    def test_optical_part_matches_channel(self, i_over_gamma):
+        # the ends of the boundary locators' bracket
+        p = SimParams.from_rates(i_over_gamma=i_over_gamma)
+        field = p.pump
+        action = dyn._field_action(p.atom, p.b_z, p.projection_mode,
+                                   field.scaled(1.0), p.coll, p.doppler,
+                                   p.light_shift)
+        r_opt = np.real(action.superop(field.amplitude_sq)[0])
+        model = CompiledModel(p)
+        channel = OpticalChannel(model.system, [couple_field(
+            field, model.system, p.coll, p.doppler)], p.coll)
+        ref = project_superop(model.sub, channel.ground_superop)
+        assert np.abs(r_opt - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode, change", [
+        ("hyperfine+zeeman", {"coll": replace(cesium_collisions(),
+                                              gamma_c=2 * math.pi * 1e9)}),
+        ("hyperfine+zeeman", {"doppler": DopplerSpec(width=1e9)}),
+        # b_z acts through the Zeeman coherences, which hyperfine mode keeps
+        ("hyperfine", {"b_z": 2.0})])
+    def test_cache_key_covers_parameters(self, mode, change):
+        kwargs = dict(i_over_gamma=1.5, j_over_gamma=3.0, projection_mode=mode)
+        base = CompiledModel(SimParams.from_rates(**kwargs))
+        other = CompiledModel(SimParams.from_rates(**kwargs, **change))
+        assert np.abs(other.r_lin - base.r_lin).max() > 1e-4 * np.abs(base.r_lin).max()
+        # not the base point's cached parts under a rescaled calibration
+        ref = project_superop(other.sub, other.lin_superop)
+        assert np.abs(other.r_lin - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_cached_arrays_are_read_only(self):
+        model = CompiledModel(SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0))
+        for arr in (model.q_mats[0], model.m_rows, model.fz_row, model.system.h_g):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the point's own generator is a fresh array
+        model.r_lin[0, 0] += 0.0
+
+    def test_pump_only_model_matches_reference(self, rng):
+        # fields enter r_lin through the cached unit-intensity parts
+        p = SimParams.from_rates(i_over_gamma=3.0, j_over_gamma=0.0)
+        model = CompiledModel(p)
+        assert model.qj == 0.0
+        s = model.sub.from_matrix(random_density(rng))
+        d_ref = model.sub.from_matrix(ground_rhs(model.sub.to_matrix(s), model))
+        assert np.abs(model.rhs_coords(s) - d_ref).max() < 1e-9 * np.abs(d_ref).max()

@@ -112,6 +112,13 @@ class TestRunSweep:
             assert a.tau_s == b.tau_s
             assert a.converged == b.converged
 
+    def test_refine_contour_worker_independence(self):
+        points = [0.4, 0.6, 2.0]
+        serial = refine_contour("fixed-J", 3.8, points, workers=1)
+        pooled = refine_contour("fixed-J", 3.8, points, workers=2)
+        assert serial[1].tobytes() == pooled[1].tobytes()
+        assert abs(serial[1][2]) > 0.2
+
     def test_roundtrip(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
         man_path = str(tmp_path / "manifest.json")
