@@ -41,7 +41,6 @@ from .dynamics import (  # noqa: F401
     critical_exchange_rate,
     critical_pump_rate,
     gamma_of_temperature,
-    ground_rhs,
     integrate,
     project_coherences,
     response_time,

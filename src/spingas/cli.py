@@ -3,7 +3,8 @@
 Subcommands: simulate, sweep, contour, susceptibility, fit, table2,
 selftest.  All artifacts are written atomically, embed the tool version and
 the resolved-configuration hash, and are byte-identical for identical
-configurations (the worker count never affects output content).
+configurations at a fixed BLAS thread count (the worker count never affects
+output content).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 non-convergence, 5 I/O error.
@@ -154,15 +155,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     else:
         res = steady_state(params, model=model, controls=cfg.controls())
         traj = res.trajectory
-        if res.converged:
-            if abs(res.m_ss) < 1e-3:
-                tau, floored = params.t1, True
-            else:
-                tau, floored = traj.response_crossing(0.63), False
-        else:
-            tau, floored = None, False
-        summary = {"mode": "steady", "m_ss": res.m_ss, "tau_s": tau,
-                   "tau_floored": floored, "eps": params.seed_polarization,
+        summary = {"mode": "steady", "m_ss": res.m_ss, "tau_s": res.tau,
+                   "tau_floored": res.floored, "eps": params.seed_polarization,
                    "converged": res.converged}
         nonconverged = not res.converged
     summary["params"] = {"i_over_gamma": args.i, "j_over_gamma": args.j,

@@ -171,6 +171,8 @@ class RunConfig:
             "projection_mode": v[("numerics", "projection_mode")],
             "seed_polarization": v[("numerics", "seed_polarization")],
             "light_shift": v[("numerics", "light_shift")],
+            "pump_detuning": v[("fields", "pump_detuning")],
+            "bias_detuning": v[("fields", "bias_detuning")],
         }
 
     def controls(self) -> IntegrationControls:

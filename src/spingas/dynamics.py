@@ -124,8 +124,6 @@ class SimParams:
     projection_mode: str = MODE_HFZ
     seed_polarization: float = 1e-4
     light_shift: bool = False
-    i_rate: float | None = None
-    h_rate: float | None = None
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -144,24 +142,28 @@ class SimParams:
     @classmethod
     def from_rates(cls, i_over_gamma: float = 0.0, j_over_gamma: float = 0.0,
                    h_over_gamma: float = 0.0, bias_sign: int = +1,
-                   gamma: float = GAMMA_BASE, **kwargs) -> "SimParams":
-        """Build parameters from axis-rate ratios I/Gamma, J/Gamma, H/Gamma."""
+                   gamma: float = GAMMA_BASE, pump_detuning: float | None = None,
+                   bias_detuning: float | None = None, **kwargs) -> "SimParams":
+        """Build parameters from axis-rate ratios I/Gamma, J/Gamma, H/Gamma.
+
+        The pump and bias beams are calibrated at their detunings (angular
+        frequencies; ``None`` keeps the defaults of :func:`pump_field` and
+        :func:`bias_field`)."""
         if i_over_gamma < 0 or j_over_gamma < 0:
             raise ValueError("axis rates I/Gamma and J/Gamma must be >= 0")
         base = cls(gamma=gamma,
                    j_exchange=EXCHANGE_AXIS_SCALE * j_over_gamma * gamma,
                    **kwargs)
         pump = None
-        i_rate = i_over_gamma * gamma
         if i_over_gamma > 0:
-            pump = pump_field(i_rate / alignment_rate_unit(base))
+            shape = pump_field(1.0, detuning=pump_detuning)
+            pump = shape.scaled(i_over_gamma * gamma / alignment_rate_unit(base, shape))
         bias = None
-        h_rate = h_over_gamma * gamma
         if h_over_gamma != 0.0:
             sign = bias_sign if h_over_gamma > 0 else -bias_sign
-            shape = bias_field(1.0, sign=sign)
-            bias = shape.scaled(abs(h_rate) / bias_rate_unit(base, shape))
-        return replace(base, pump=pump, bias=bias, i_rate=i_rate, h_rate=h_rate)
+            shape = bias_field(1.0, sign=sign, detuning=bias_detuning)
+            bias = shape.scaled(abs(h_over_gamma * gamma) / bias_rate_unit(base, shape))
+        return replace(base, pump=pump, bias=bias)
 
     def fields(self) -> list[OpticalField]:
         return [f for f in (self.pump, self.bias)
@@ -498,11 +500,6 @@ class CompiledModel:
         return float(ev[-1])
 
 
-def ground_rhs(rho_g: np.ndarray, model: CompiledModel) -> np.ndarray:
-    """Full ground-level time derivative for a given state (reference path)."""
-    return model.rhs_matrix(rho_g)
-
-
 @dataclass
 class IntegrationControls:
     rtol: float = 1e-8
@@ -617,13 +614,24 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
                       final_state=model.sub.to_matrix(s), steady=steady)
 
 
+# Below this |M_ss| a converged point is disordered and reports the dark
+# lifetime T1 as its response time.
+TAU_FLOOR_M = 1e-3
+
+
 @dataclass
 class SteadyResult:
+    """A run to steady state and its response time ``tau``: the 63% crossing
+    of |M|, or T1 (``floored``) when |M_ss| < TAU_FLOOR_M; ``None`` when
+    the run did not converge."""
+
     m_ss: float
     rho_ss: np.ndarray
     t_converge: float
     converged: bool
     trajectory: Trajectory
+    tau: float | None
+    floored: bool
 
 
 def steady_state(params: SimParams, seed: float | None = None,
@@ -643,44 +651,30 @@ def steady_state(params: SimParams, seed: float | None = None,
                                                stop_when_steady=True)
     traj = Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), steady=steady)
-    return SteadyResult(m_ss=float(mags[-1]), rho_ss=traj.final_state,
+    m_ss = float(mags[-1])
+    tau, floored = None, False
+    if steady:
+        floored = abs(m_ss) < TAU_FLOOR_M
+        tau = params.t1 if floored else traj.response_crossing(0.63)
+    return SteadyResult(m_ss=m_ss, rho_ss=traj.final_state,
                         t_converge=float(times[-1]), converged=steady,
-                        trajectory=traj)
-
-
-@dataclass
-class ResponseResult:
-    tau: float
-    m_ss: float
-    floored: bool
-    converged: bool
-    eps: float
+                        trajectory=traj, tau=tau, floored=floored)
 
 
 def response_time(params: SimParams, seed: float | None = None,
-                  floor_reference: float = 1.0,
-                  floor_fraction: float = 1e-3,
                   max_time: float | None = None,
                   controls: IntegrationControls | None = None,
-                  model: CompiledModel | None = None) -> ResponseResult:
-    """Time for |M| to reach 63% of its steady value.
-
-    Points whose steady response is below ``floor_fraction`` of
-    ``floor_reference`` report the dark lifetime T1 instead."""
-    eps = params.seed_polarization if seed is None else seed
-    res = steady_state(params, seed=eps, max_time=max_time,
+                  model: CompiledModel | None = None) -> SteadyResult:
+    """The steady state of :func:`steady_state`, raising unless it has a
+    response time ``tau``."""
+    res = steady_state(params, seed=seed, max_time=max_time,
                        controls=controls, model=model)
     if not res.converged:
         raise IntegrationError("no steady state within the time budget",
                                {"t_max": res.t_converge, "m_last": res.m_ss})
-    if abs(res.m_ss) < floor_fraction * floor_reference:
-        return ResponseResult(tau=params.t1, m_ss=res.m_ss, floored=True,
-                              converged=True, eps=eps)
-    tau = res.trajectory.response_crossing(0.63)
-    if tau is None:
+    if res.tau is None:
         raise IntegrationError("response never crossed 63% of steady value", {})
-    return ResponseResult(tau=tau, m_ss=res.m_ss, floored=False,
-                          converged=True, eps=eps)
+    return res
 
 
 def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
@@ -744,40 +738,32 @@ def critical_exchange_rate(i_over_gamma: float, gamma: float = GAMMA_BASE,
 
 # --- rate calibrations -------------------------------------------------------
 
-_CAL_CACHE: dict = {}
-
-
-def _cal_key(params: SimParams, shape: OpticalField, extra=()) -> tuple:
-    a = params.atom
-    c = params.coll
-    d = params.doppler
-    return (float(a.nuclear_spin), a.a_ground, a.a_excited, a.g_ground, a.g_excited,
-            c.gamma_c, c.gamma_q, c.gamma_p, c.q_slowdown,
-            d.width, d.quadrature_order, params.b_z, params.light_shift,
-            str(shape.polarization), shape.detuning, shape.restrict_to_reference,
-            tuple(map(float, shape.reference_transition))) + tuple(extra)
-
-
-def _rho0_action(params: SimParams, shape: OpticalField,
-                 system: AtomSystem) -> FieldAction:
+def _rho0_action(atom: AtomSpec, b_z: float, shape: OpticalField,
+                 coll: CollisionParams, doppler: DopplerSpec,
+                 light_shift: bool) -> FieldAction:
     """The unit-intensity field acting on the fully mixed state alone."""
+    system = atom_system(atom, b_z)
     dg = system.dim_g
-    coupling = couple_field(shape.scaled(1.0), system, params.coll, params.doppler)
+    coupling = couple_field(shape, system, coll, doppler)
     rho0 = (np.eye(dg) / dg).reshape(-1, 1)
-    return FieldAction(system, coupling, params.coll, params.light_shift, t_map=rho0)
+    return FieldAction(system, coupling, coll, light_shift, t_map=rho0)
+
+
+@lru_cache(maxsize=64)
+def _absorption_unit(atom: AtomSpec, b_z: float, shape: OpticalField,
+                     coll: CollisionParams, doppler: DopplerSpec,
+                     light_shift: bool) -> float:
+    # gamma_q Tr(rho_e); the first column is the unrotated excited matrix
+    rho_e = _rho0_action(atom, b_z, shape, coll, doppler, light_shift).excited(1.0)[:, 0]
+    de = atom_system(atom, b_z).dim_e
+    return float(coll.gamma_q * np.trace(rho_e.reshape(de, de)).real)
 
 
 def absorption_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
     """Photon absorption rate of the fully mixed state per unit intensity."""
     shape = shape if shape is not None else pump_field(1.0)
-    key = ("abs",) + _cal_key(params, shape)
-    if key not in _CAL_CACHE:
-        system = atom_system(params.atom, params.b_z)
-        # gamma_q Tr(rho_e); the first column is the unrotated excited matrix
-        rho_e = _rho0_action(params, shape, system).excited(1.0)[:, 0]
-        de = system.dim_e
-        _CAL_CACHE[key] = float(params.coll.gamma_q * np.trace(rho_e.reshape(de, de)).real)
-    return _CAL_CACHE[key]
+    return _absorption_unit(params.atom, params.b_z, shape.scaled(1.0), params.coll,
+                            params.doppler, params.light_shift)
 
 
 def alignment_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
@@ -788,31 +774,37 @@ def alignment_rate_unit(params: SimParams, shape: OpticalField | None = None) ->
     return absorption_rate_unit(params, shape) / PUMP_AXIS_SCALE
 
 
+@lru_cache(maxsize=64)
+def _bias_unit(atom: AtomSpec, b_z: float, shape: OpticalField,
+               coll: CollisionParams, doppler: DopplerSpec, light_shift: bool,
+               gamma: float, j_exchange: float) -> float:
+    system = atom_system(atom, b_z)
+    dg = system.dim_g
+    l_h, l_gamma, l_phi = _ground_superops(atom, b_z)
+    lin = l_h + gamma * l_gamma
+    qj = coll.q_slowdown * j_exchange
+    if qj > 0:
+        lin = lin + qj * l_phi
+        # linearized mean-spin feedback at the fully mixed state
+        for s in system.ops_g["S"].matrices:
+            lin += (qj / 4.0) * np.outer(s.reshape(-1), s.T.reshape(-1))
+    vec_id = np.eye(dg).reshape(-1)
+    source = _rho0_action(atom, b_z, shape, coll, doppler, light_shift).superop(1.0)[0][:, 0]
+    solver = lin + np.outer(vec_id / dg, vec_id)
+    delta = np.linalg.solve(solver, -source).reshape(dg, dg)
+    fz = system.ops_g["F"].z.matrix
+    f_max = float(max(f for f, _ in system.basis_g.states))
+    m1 = float(np.trace(delta @ fz).real) / f_max
+    unit = gamma * abs(m1)
+    if unit == 0:
+        raise RuntimeError("bias calibration produced a vanishing rate")
+    return unit
+
+
 def bias_rate_unit(params: SimParams, shape: OpticalField) -> float:
     """Bias rate H per unit intensity, fixed by the disordered-limit pumping
     law: the linearized steady response at I=0 must satisfy dM/dH = 1/Gamma,
     so H := Gamma * dM/d(intensity)."""
-    key = ("H",) + _cal_key(params, shape, extra=(params.gamma, params.j_exchange))
-    if key not in _CAL_CACHE:
-        system = atom_system(params.atom, params.b_z)
-        dg = system.dim_g
-        l_h, l_gamma, l_phi = _ground_superops(params.atom, params.b_z)
-        lin = l_h + params.gamma * l_gamma
-        qj = params.coll.q_slowdown * params.j_exchange
-        if qj > 0:
-            lin = lin + qj * l_phi
-            # linearized mean-spin feedback at the fully mixed state
-            for s in system.ops_g["S"].matrices:
-                lin += (qj / 4.0) * np.outer(s.reshape(-1), s.T.reshape(-1))
-        vec_id = np.eye(dg).reshape(-1)
-        source = _rho0_action(params, shape, system).superop(1.0)[0][:, 0]
-        solver = lin + np.outer(vec_id / dg, vec_id)
-        delta = np.linalg.solve(solver, -source).reshape(dg, dg)
-        fz = system.ops_g["F"].z.matrix
-        f_max = float(max(f for f, _ in system.basis_g.states))
-        m1 = float(np.trace(delta @ fz).real) / f_max
-        unit = params.gamma * abs(m1)
-        if unit == 0:
-            raise RuntimeError("bias calibration produced a vanishing rate")
-        _CAL_CACHE[key] = unit
-    return _CAL_CACHE[key]
+    return _bias_unit(params.atom, params.b_z, shape.scaled(1.0), params.coll,
+                      params.doppler, params.light_shift, params.gamma,
+                      params.j_exchange)

@@ -32,6 +32,7 @@ from . import __version__
 from . import units
 from .dynamics import (
     GAMMA_BASE,
+    TAU_FLOOR_M,
     CompiledModel,
     IntegrationControls,
     IntegrationError,
@@ -190,49 +191,28 @@ class SweepResult:
         ni, nj = len(self.grid.i_over_gamma), len(self.grid.j_over_gamma)
         return np.array([c.tau_s for c in self.cells]).reshape(nj, ni)
 
-    def apply_tau_floor(self, gamma: float, fraction: float = 1e-3) -> None:
-        """Replace tau by T1 wherever the response is below ``fraction`` of
-        the map's maximal magnetization."""
-        m_max = max((c.m_abs for c in self.cells if c.converged), default=0.0)
-        t1 = 1.0 / gamma
-        for c in self.cells:
-            if c.converged and c.m_abs < fraction * m_max:
-                c.tau_s = t1
-                c.tau_floored = True
-
 
 def _sweep_task(args):
     (ii, jj, i_axis, j_axis, i_eff, n, phi, gamma, sim_kwargs,
-     floor_reference, max_time, controls) = args
+     max_time, controls) = args
     p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
                              gamma=gamma, **sim_kwargs)
-    eps = p.seed_polarization
+    nan = float("nan")
+    m_ss, tau, floored, converged, error = nan, nan, False, False, ""
     try:
-        model = CompiledModel(p)
-        res = steady_state(p, max_time=max_time, controls=controls,
-                           model=model)
-        if res.converged:
-            if abs(res.m_ss) < 1e-3 * floor_reference:
-                tau, floored = 1.0 / gamma, True
-            else:
-                tau = res.trajectory.response_crossing(0.63)
-                floored = False
-            return ii, jj, CellResult(
-                i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
-                i_effective=i_eff, m_signed=res.m_ss, m_abs=abs(res.m_ss),
-                tau_s=tau, tau_floored=floored, converged=True, eps=eps)
-        # flagged non-steady result: keep the partial magnetization
-        return ii, jj, CellResult(
-            i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
-            i_effective=i_eff, m_signed=res.m_ss, m_abs=abs(res.m_ss),
-            tau_s=float("nan"), tau_floored=False, converged=False, eps=eps,
-            error=f"no steady state within {res.t_converge:.1f} s")
+        res = steady_state(p, max_time=max_time, controls=controls)
+        # an unconverged run keeps its partial magnetization, flagged
+        m_ss, floored, converged = res.m_ss, res.floored, res.converged
+        tau = nan if res.tau is None else res.tau
+        if not converged:
+            error = f"no steady state within {res.t_converge:.1f} s"
     except IntegrationError as exc:
-        return ii, jj, CellResult(
-            i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
-            i_effective=i_eff, m_signed=float("nan"), m_abs=float("nan"),
-            tau_s=float("nan"), tau_floored=False, converged=False, eps=eps,
-            error=str(exc))
+        error = str(exc)
+    return ii, jj, CellResult(
+        i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
+        i_effective=i_eff, m_signed=m_ss, m_abs=abs(m_ss), tau_s=tau,
+        tau_floored=floored, converged=converged, eps=p.seed_polarization,
+        error=error)
 
 
 def default_workers() -> int:
@@ -286,12 +266,12 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
         i_eff = i_axis * att
         tasks.append((ii, jj, i_axis, j_axis, i_eff, n, phi, gamma,
-                      cell_kwargs, 1.0, max_time, controls))
+                      cell_kwargs, max_time, controls))
     ni = len(grid.i_over_gamma)
     cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
     for ii, jj, cell in _run_tasks(tasks, workers, 4, gamma, cell_kwargs):
         cells[jj * ni + ii] = cell
-    result = SweepResult(
+    return SweepResult(
         grid=grid, cells=cells,
         provenance={
             "schema_version": SCHEMA_VERSION,
@@ -307,8 +287,6 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
             "j_convention": cmap.j_convention,
             "migrations": [],
         })
-    result.apply_tau_floor(gamma)
-    return result
 
 
 def extract_contour(result: SweepResult, axis: str, value: float,
@@ -350,7 +328,7 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
     for x in points:
         i_ax, j_ax = (x, value) if axis == "fixed-J" else (value, x)
         tasks.append((0, 0, i_ax, j_ax, i_ax, float("nan"), float("nan"),
-                      gamma, sim_kwargs, 1.0, max_time, controls))
+                      gamma, sim_kwargs, max_time, controls))
     workers = workers if workers is not None else default_workers()
     results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
     attr = {"tau": "tau_s", "m_abs": "m_abs"}.get(quantity, "m_signed")
@@ -413,8 +391,10 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
     prov = manifest.get("provenance", {})
     version = prov.get("schema_version")
     migrations = list(prov.get("migrations", []))
-    if version == 0:
-        migrations.append("migrated schema 0 -> 1: filled tau_floored from tau == T1")
+    legacy = version == 0
+    if legacy:
+        migrations.append("migrated schema 0 -> 1: filled a missing tau_floored "
+                          "from the floor rule, converged and M_abs < TAU_FLOOR_M")
         version = 1
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported sweep schema version {version!r}")
@@ -437,6 +417,9 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
             if reader.fieldnames is None or set(reader.fieldnames) - set(CSV_COLUMNS):
                 raise SchemaError(f"unexpected CSV columns {reader.fieldnames!r}")
             for row in reader:
+                if legacy and "tau_floored" not in row:
+                    row["tau_floored"] = int(bool(int(row["converged"]))
+                                             and float(row["M_abs"]) < TAU_FLOOR_M)
                 cells.append(CellResult(
                     i_over_gamma=float(row["I_over_Gamma"]),
                     j_over_gamma=float(row["J_over_Gamma"]),

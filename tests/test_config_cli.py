@@ -202,6 +202,20 @@ class TestCli:
 
         assert row("numerics.rtol=1e-4") != row()
 
+    @pytest.mark.parametrize("override", ["fields.pump_detuning=300 MHz",
+                                          "fields.bias_detuning=300 MHz"],
+                             ids=["pump", "bias"])
+    def test_detunings_reach_simulate(self, override, tmp_path, capsys):
+        def summary(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            out = str(tmp_path / "r")
+            assert main(sets + ["simulate", "--i", "2", "--j", "3", "--h", "0.05",
+                                "--out", out]) == 0
+            payload = json.loads(open(out + "_summary.json").read())
+            return payload["m_ss"], payload["tau_s"]
+
+        assert summary(override) != summary()
+
     def test_susceptibility_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "chi.csv")
         rc = main(["susceptibility", "--j", "2.3", "--i-values", "0.0,0.4",

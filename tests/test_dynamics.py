@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -15,7 +16,6 @@ from spingas.dynamics import (
     Trajectory,
     critical_pump_rate,
     gamma_of_temperature,
-    ground_rhs,
     integrate,
     project_coherences,
     response_time,
@@ -30,6 +30,8 @@ from spingas.optics import (
     couple_field,
     pump_field,
 )
+from spingas.cli import main
+from spingas.sweep import SweepGrid, run_sweep
 from conftest import random_density
 
 GAMMA = 58.0
@@ -128,7 +130,7 @@ class TestCompiledModel:
         s = model.sub.from_matrix(random_density(rng))
         rho = model.sub.to_matrix(s)
         d_coords = model.rhs_coords(s)
-        d_ref = model.sub.from_matrix(ground_rhs(rho, model))
+        d_ref = model.sub.from_matrix(model.rhs_matrix(rho))
         assert np.abs(d_coords - d_ref).max() < 1e-9 * max(np.abs(d_ref).max(), 1.0)
 
     @pytest.mark.parametrize("mode, n", [("hyperfine+zeeman", 16),
@@ -159,13 +161,13 @@ class TestCompiledModel:
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)
         model = CompiledModel(p)
         for _ in range(10):
-            out = ground_rhs(random_density(rng), model)
+            out = model.rhs_matrix(random_density(rng))
             assert abs(np.trace(out)) < 1e-10 * GAMMA
 
     def test_unpolarized_dark_fixed_point(self):
         p = SimParams(j_exchange=0.0)
         model = CompiledModel(p)
-        rhs = ground_rhs(np.eye(16) / 16, model)
+        rhs = model.rhs_matrix(np.eye(16) / 16)
         assert np.abs(rhs).max() < 1e-12 * GAMMA
 
     def test_magnetization_normalization(self):
@@ -263,6 +265,28 @@ class TestResponseTime:
         r = response_time(SimParams.from_rates(i0 * 1.1, 3.7))
         assert not r.floored
         assert r.tau > 10.0 / GAMMA
+
+    @pytest.mark.parametrize("i, j, floored", [(0.3, 1.0, True), (2.0, 3.0, False)])
+    def test_one_rule_for_every_caller(self, i, j, floored, tmp_path, capsys):
+        p = SimParams.from_rates(i, j)
+        res = steady_state(p)
+        assert res.floored is floored
+        expected = (res.tau, res.floored)
+        r = response_time(p)
+        assert (r.tau, r.floored) == expected
+        cell = run_sweep(SweepGrid.from_rates([i], [j]), workers=1).cells[0]
+        assert (cell.tau_s, cell.tau_floored) == expected
+        out = str(tmp_path / "r")
+        assert main(["simulate", "--i", str(i), "--j", str(j), "--out", out]) == 0
+        summary = json.loads(open(out + "_summary.json").read())
+        assert (summary["tau_s"], summary["tau_floored"]) == expected
+
+    def test_unconverged_run_has_no_tau(self):
+        res = steady_state(SimParams.from_rates(2.0, 3.0), max_time=0.01)
+        assert not res.converged
+        assert abs(res.m_ss) < dyn.TAU_FLOOR_M
+        assert res.tau is None
+        assert res.floored is False
 
     def test_seed_sensitivity_report(self):
         p = SimParams.from_rates(1.5, 3.7)
@@ -401,5 +425,5 @@ class TestCachedParts:
         model = CompiledModel(p)
         assert model.qj == 0.0
         s = model.sub.from_matrix(random_density(rng))
-        d_ref = model.sub.from_matrix(ground_rhs(model.sub.to_matrix(s), model))
+        d_ref = model.sub.from_matrix(model.rhs_matrix(model.sub.to_matrix(s)))
         assert np.abs(model.rhs_coords(s) - d_ref).max() < 1e-9 * np.abs(d_ref).max()

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from spingas.sweep import (
+    CellResult,
     ConditionsMap,
     SchemaError,
     SweepGrid,
+    SweepResult,
     density_scan,
     extract_contour,
     gnuplot_matrix,
@@ -159,6 +162,29 @@ class TestRunSweep:
         back = load_sweep(csv_path, man_path)
         assert back.provenance["schema_version"] == 1
         assert any("migrated" in note for note in back.provenance["migrations"])
+
+    def test_schema_0_without_floor_column_gets_the_floor_rule(self, tmp_path):
+        grid = SweepGrid.from_rates([1.0, 2.0, 3.0], [2.0])
+        cells = [CellResult(i_over_gamma=i, j_over_gamma=2.0, n=math.nan, phi=math.nan,
+                            i_effective=i, m_signed=m, m_abs=m, tau_s=tau,
+                            tau_floored=False, converged=conv, eps=1e-4)
+                 for i, m, tau, conv in ((1.0, 5e-4, 1.0 / GAMMA, True),
+                                         (2.0, 0.5, 0.2, True),
+                                         (3.0, 5e-4, math.nan, False))]
+        csv_path = str(tmp_path / "cells.csv")
+        man_path = str(tmp_path / "manifest.json")
+        save_sweep(SweepResult(grid=grid, cells=cells, provenance={"schema_version": 0}),
+                   csv_path, man_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.DictWriter(fh, [c for c in rows[0] if c != "tau_floored"],
+                               extrasaction="ignore")
+            w.writeheader()
+            w.writerows(rows)
+        back = load_sweep(csv_path, man_path)
+        assert [c.tau_floored for c in back.cells] == [True, False, False]
+        assert any("floor rule" in note for note in back.provenance["migrations"])
 
 
 class TestContours:
