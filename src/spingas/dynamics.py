@@ -27,7 +27,8 @@ cached too and a new point costs one dim_e^2 solve per field
 (:class:`spingas.optics.FieldAction`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
 integrated with the implicit Radau IIA method on the analytic Jacobian of
-those coordinates (:meth:`CompiledModel.jacobian`).
+those coordinates (:meth:`CompiledModel.jacobian`); the solver's Newton
+systems go straight to LAPACK ``getrf``/``getrs``.
 
 Projection modes follow the two truncation levels used for the production
 phase diagrams: 'hyperfine' zeros the F=3 <-> F=4 blocks, and
@@ -55,9 +56,10 @@ exponents, or any other dimensionless prediction.
 from __future__ import annotations
 
 import math
+import warnings
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -514,23 +516,76 @@ class IntegrationControls:
     steady_window: float | None = None     # default: 5 / gamma
 
 
+@lru_cache(maxsize=8)
+def _lapack(name: str, dtype: np.dtype):
+    from scipy.linalg import get_lapack_funcs  # imported on first use
+    return get_lapack_funcs((name,), dtype=dtype)[0]
+
+
+def _lu_factor(solver, a: np.ndarray):
+    """``scipy.linalg.lu_factor(a, overwrite_a=True)`` without its batching
+    wrappers, counting ``solver.nlu`` as Radau's own factorization does."""
+    solver.nlu += 1
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = _lapack("getrf", a.dtype)(a, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+    if info > 0:
+        from scipy.linalg import LinAlgWarning
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      LinAlgWarning, stacklevel=2)
+    return lu, piv
+
+
+def _lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.lu_solve(lu_piv, b, overwrite_b=True)`` for a ``b`` of
+    the factor's dtype, without its finite check: Radau checks the stage
+    derivatives that its right-hand sides are built from."""
+    lu, piv = lu_piv
+    x, info = _lapack("getrs", lu.dtype)(lu, piv, b, overwrite_b=True)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
+
+
+def _radau(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
+           controls: IntegrationControls):
+    """``scipy.integrate.Radau`` on ``model`` with the LAPACK helpers as its
+    Newton factorization and solve."""
+    from scipy.integrate import Radau  # imported on first use: ~28 ms
+
+    # The solver is a reference cycle; a weak proxy keeps it from pinning
+    # the compiled model until the next full garbage collection.
+    weak = weakref.proxy(model)
+    solver = Radau(lambda _t, y: weak.rhs_coords(y), 0.0, s0, t_end,
+                   max_step=max_step, rtol=controls.rtol, atol=controls.atol,
+                   jac=lambda _t, y: weak.jacobian(y))
+    solver.lu = partial(_lu_factor, solver)
+    solver.solve_lu = _lu_solve
+    return solver
+
+
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                       controls: IntegrationControls,
                       stop_when_steady: bool = False):
     """Radau IIA (order 5) on subspace coordinates, with the analytic
     Jacobian, stepped one accepted step at a time.  An implicit method takes
-    steps set by the dynamics rather than by the stiff fast decays.  Trace
-    and positivity are checked on every accepted step.
+    steps set by the dynamics rather than by the stiff fast decays.  Its
+    Newton systems (16x16 in the production mode) go straight to LAPACK
+    ``getrf``/``getrs``, the routines behind ``scipy.linalg.lu_factor`` and
+    ``lu_solve``, whose per-call wrappers cost more than the factorization.
+    Trace and positivity are checked on every accepted step.
 
-    Returns (times, magnetizations, s_final, steady_flag).  Steadiness
-    compares the state against trailing-window-old snapshots: both the
-    window-averaged magnetization derivative and the window-averaged state
-    displacement rate must fall below threshold.  Averaging over the window
-    keeps the criterion meaningful for stiff parameter points, where the
-    instantaneous derivative floats on integrator noise; steps are capped
-    at the window so the oldest snapshot stays one window old."""
-    from scipy.integrate import Radau  # imported on first use: ~28 ms
-
+    Returns (times, magnetizations, s_final, steady_flag, counts), where
+    ``counts`` holds the accepted ``steps`` and the solver's ``nfev``,
+    ``njev`` and ``nlu``.  Steadiness compares the state against
+    trailing-window-old snapshots: both the window-averaged magnetization
+    derivative and the window-averaged state displacement rate must fall
+    below threshold.  Averaging over the window keeps the criterion
+    meaningful for stiff parameter points, where the instantaneous
+    derivative floats on integrator noise; steps are capped at the window
+    so the oldest snapshot stays one window old."""
     gamma = model.params.gamma
     window = controls.steady_window if controls.steady_window is not None else 5.0 / gamma
     abs_rate = (controls.steady_abs_rate if controls.steady_abs_rate is not None
@@ -538,12 +593,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     max_step = controls.max_step if controls.max_step is not None else np.inf
     if stop_when_steady:
         max_step = min(max_step, window)
-    # The solver is a reference cycle; a weak proxy keeps it from pinning
-    # the compiled model until the next full garbage collection.
-    weak = weakref.proxy(model)
-    solver = Radau(lambda _t, y: weak.rhs_coords(y), 0.0, s0, t_end,
-                   max_step=max_step, rtol=controls.rtol, atol=controls.atol,
-                   jac=lambda _t, y: weak.jacobian(y))
+    solver = _radau(model, s0, t_end, max_step, controls)
     dim = model.sub.dim
     state_scale = 1.0 / dim
     times = [0.0]
@@ -552,15 +602,20 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     steady = False
     n_steps = 0
     s = s0
+
+    def counts():
+        return {"steps": n_steps, "nfev": solver.nfev, "njev": solver.njev,
+                "nlu": solver.nlu}
+
     while solver.status == "running":
         if n_steps >= controls.max_steps:
             raise IntegrationError("step budget exhausted",
-                                   {"t": solver.t, "steps": n_steps})
+                                   {"t": solver.t, **counts()})
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"solver failed: {message}",
                                    {"t": solver.t, "h": solver.step_size,
-                                    "steps": n_steps})
+                                    **counts()})
         t = solver.t
         s = solver.y
         n_steps += 1
@@ -591,7 +646,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                 if m_ok and s_ok:
                     steady = True
                     break
-    return np.array(times), np.array(mags), s.copy(), steady
+    return np.array(times), np.array(mags), s.copy(), steady, counts()
 
 
 def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
@@ -608,8 +663,8 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
         s0 = model.seed_coords(params.seed_polarization)
     else:
         s0 = model.sub.from_matrix(np.asarray(rho0, dtype=complex))
-    times, mags, s, steady = _integrate_coords(model, s0, t_end, controls,
-                                               stop_when_steady=stop_when_steady)
+    times, mags, s, steady, _ = _integrate_coords(model, s0, t_end, controls,
+                                                  stop_when_steady=stop_when_steady)
     return Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), steady=steady)
 
@@ -623,7 +678,9 @@ TAU_FLOOR_M = 1e-3
 class SteadyResult:
     """A run to steady state and its response time ``tau``: the 63% crossing
     of |M|, or T1 (``floored``) when |M_ss| < TAU_FLOOR_M; ``None`` when
-    the run did not converge."""
+    the run did not converge.  ``steps`` counts the accepted steps;
+    ``nfev``, ``njev`` and ``nlu`` are the solver's right-hand-side,
+    Jacobian and LU-factorization counts."""
 
     m_ss: float
     rho_ss: np.ndarray
@@ -632,6 +689,10 @@ class SteadyResult:
     trajectory: Trajectory
     tau: float | None
     floored: bool
+    steps: int
+    nfev: int
+    njev: int
+    nlu: int
 
 
 def steady_state(params: SimParams, seed: float | None = None,
@@ -647,8 +708,8 @@ def steady_state(params: SimParams, seed: float | None = None,
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(eps)
-    times, mags, s, steady = _integrate_coords(model, s0, max_time, controls,
-                                               stop_when_steady=True)
+    times, mags, s, steady, counts = _integrate_coords(model, s0, max_time, controls,
+                                                       stop_when_steady=True)
     traj = Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), steady=steady)
     m_ss = float(mags[-1])
@@ -658,7 +719,7 @@ def steady_state(params: SimParams, seed: float | None = None,
         tau = params.t1 if floored else traj.response_crossing(0.63)
     return SteadyResult(m_ss=m_ss, rho_ss=traj.final_state,
                         t_converge=float(times[-1]), converged=steady,
-                        trajectory=traj, tau=tau, floored=floored)
+                        trajectory=traj, tau=tau, floored=floored, **counts)
 
 
 def response_time(params: SimParams, seed: float | None = None,

@@ -3,6 +3,7 @@ import json
 import math
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,7 +229,9 @@ class TestIntegration:
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
         with pytest.raises(IntegrationError) as info:
             integrate(p, t_end=1.0, controls=IntegrationControls(max_steps=5))
-        assert info.value.diagnostics["steps"] == 5
+        diag = info.value.diagnostics
+        assert diag["steps"] == 5
+        assert diag["nfev"] >= 5 and diag["njev"] > 0 and diag["nlu"] > 0
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -427,3 +430,107 @@ class TestCachedParts:
         s = model.sub.from_matrix(random_density(rng))
         d_ref = model.sub.from_matrix(model.rhs_matrix(model.sub.to_matrix(s)))
         assert np.abs(model.rhs_coords(s) - d_ref).max() < 1e-9 * np.abs(d_ref).max()
+
+
+class TestSolverCounts:
+    def test_steady_state_reports_solver_counts(self):
+        res = steady_state(SimParams.from_rates(2.0, 3.0))
+        assert res.steps == len(res.trajectory.times) - 1
+        assert res.nlu > 0
+        assert res.njev > 0
+        assert res.nfev >= res.steps
+
+    def test_failure_diagnostics_carry_counts(self):
+        # a right-hand side that turns non-finite after a few steps: every
+        # Newton iteration fails until the step falls below its minimum
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        calls = []
+
+        def rhs(s):
+            calls.append(1)
+            return np.full_like(s, np.nan) if len(calls) > 50 else model.r_lin @ s
+        model.rhs_coords = rhs
+        with pytest.raises(IntegrationError, match="solver failed") as info:
+            dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
+                                  IntegrationControls())
+        diag = info.value.diagnostics
+        assert diag["steps"] > 0
+        assert diag["nfev"] == len(calls)
+        assert diag["njev"] > 0 and diag["nlu"] > 0
+
+
+class TestNewtonLinearAlgebra:
+    """Radau's Newton factorizations and solves go straight to LAPACK and
+    must stay exactly what scipy's ``lu_factor``/``lu_solve`` give."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_helpers_match_scipy_bitwise(self, dtype, rng):
+        from scipy.linalg import lu_factor, lu_solve
+        a = rng.normal(size=(16, 16)).astype(dtype)
+        b = rng.normal(size=16).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(16, 16))
+            b += 1j * rng.normal(size=16)
+        solver = SimpleNamespace(nlu=0)
+        lu_piv = dyn._lu_factor(solver, a.copy())
+        ref = lu_factor(a.copy(), overwrite_a=True)
+        assert solver.nlu == 1
+        assert np.array_equal(lu_piv[0], ref[0]) and np.array_equal(lu_piv[1], ref[1])
+        assert np.array_equal(dyn._lu_solve(lu_piv, b.copy()),
+                              lu_solve(ref, b.copy(), overwrite_b=True))
+
+    def test_singular_matrix_warns_like_scipy(self):
+        from scipy.linalg import LinAlgWarning, lu_factor
+        a = np.eye(16)
+        a[5, 5] = 0.0
+        solver = SimpleNamespace(nlu=0)
+        with pytest.warns(LinAlgWarning, match="Diagonal number 6"):
+            lu, piv = dyn._lu_factor(solver, a.copy())
+        with pytest.warns(LinAlgWarning):
+            ref = lu_factor(a.copy())
+        assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
+
+    def test_bad_input_raises_value_error(self, monkeypatch):
+        solver = SimpleNamespace(nlu=0)
+        bad = np.eye(16)
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dyn._lu_factor(solver, bad)
+        lu_piv = dyn._lu_factor(solver, np.eye(16))
+
+        # LAPACK reports an illegal second argument
+        illegal = {"getrf": lambda a, **_: (a, np.arange(16, dtype=np.int32), -2),
+                   "getrs": lambda lu, piv, b, **_: (b, -2)}
+        monkeypatch.setattr(dyn, "_lapack", lambda name, _dtype: illegal[name])
+        with pytest.raises(ValueError, match="2th argument of internal getrf"):
+            dyn._lu_factor(solver, np.eye(16))
+        with pytest.raises(ValueError, match="2th argument of internal getrs"):
+            dyn._lu_solve(lu_piv, np.ones(16))
+
+    def test_lockstep_with_stock_radau(self, monkeypatch):
+        # the package solver must take scipy's own steps, bit for bit
+        from scipy.integrate import Radau
+        i0 = critical_pump_rate(3.7)
+        model = CompiledModel(SimParams.from_rates(1.06 * i0, 3.7))
+        s0 = model.seed_coords(1e-4)
+        controls = IntegrationControls()
+        t_end, max_step = 2000.0 / GAMMA, 5.0 / GAMMA
+        lapack_calls = set()
+        lapack = dyn._lapack
+
+        def counted(name, dtype):
+            lapack_calls.add(name)
+            return lapack(name, dtype)
+        monkeypatch.setattr(dyn, "_lapack", counted)
+        ours = dyn._radau(model, s0, t_end, max_step, controls)
+        assert ours.solve_lu is dyn._lu_solve
+        assert ours.lu.func is dyn._lu_factor
+        stock = Radau(lambda _t, y: model.rhs_coords(y), 0.0, s0, t_end,
+                      max_step=max_step, rtol=controls.rtol, atol=controls.atol,
+                      jac=lambda _t, y: model.jacobian(y))
+        for _ in range(300):
+            assert ours.step() is None and stock.step() is None
+            assert ours.t == stock.t
+            assert np.array_equal(ours.y, stock.y)
+        assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
+        assert lapack_calls == {"getrf", "getrs"}
