@@ -24,15 +24,18 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .critfit import (
+    FORMS,
+    WEIGHTS,
     FitError,
     FitSpec,
     NoTransitionError,
     fit_delta,
-    fit_gamma,
-    fit_znu,
+    reduced_distance,
     susceptibility,
     three_step_fit,
     weighted_residuals,
+    _FORM_RULES,
+    _fit_divergent,
     _model_and_jac,
     _weights,
 )
@@ -234,15 +237,13 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
 def _cmd_fit(args, cfg: RunConfig) -> int:
     x, y = _read_xy(args.input)
     if args.form == "delta":
-        result = fit_delta(x, y, gamma=cfg.gamma())
-    elif args.form == "gamma":
-        result = fit_gamma(x, y, exclude=args.exclude, gamma=cfg.gamma())
-    elif args.form == "znu":
-        result = fit_znu(x, y, exclude=args.exclude, gamma=cfg.gamma())
+        result = fit_delta(x, y)
+    elif _FORM_RULES[args.form][1] < 0:  # the divergent gamma and znu forms
+        result = _fit_divergent(args.form, x, y, args.exclude)
     else:
         spec = FitSpec(form=args.form, weights=args.weights,
                        exclude_near_max=args.exclude)
-        result = three_step_fit(x, y, spec, gamma=cfg.gamma())
+        result = three_step_fit(x, y, spec)
     payload = {
         "form": result.form, "exponent": result.exponent,
         "exponent_err": result.exponent_err, "x0": result.x0,
@@ -265,7 +266,7 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         # log-log table of reduced distance against the measured quantity
         buf = _stamp(cfg) + "log10_reduced_distance,log10_y\n"
         for xi, yi in zip(x, y):
-            u = (1.0 - result.x0 / xi) if result.form != "gamma" else (result.x0 / xi - 1.0)
+            u = reduced_distance(result.form, result.x0, xi)
             if u > 0 and yi > 0:
                 buf += f"{np.log10(u):.12g},{np.log10(yi):.12g}\n"
         _write_atomic(args.out + "_loglog.csv", buf)
@@ -332,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="critical-exponent fit of a series")
     p.add_argument("--input", required=True, help="CSV with columns x,y")
-    p.add_argument("--form", choices=("beta", "gamma", "znu", "delta"), required=True)
-    p.add_argument("--weights", choices=("uniform", "gamma-cubed"), default="uniform")
+    p.add_argument("--form", choices=FORMS, required=True)
+    p.add_argument("--weights", choices=WEIGHTS, default="uniform")
     p.add_argument("--exclude", type=int, default=2,
                    help="points near the maximum to drop (gamma/znu)")
     p.add_argument("--out", default="spingas_fit", help="output prefix")

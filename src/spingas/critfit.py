@@ -8,6 +8,14 @@ susceptibility, and the dynamic slow-down:
     gamma:  chi(X)= chi0 (X0/X - 1)^(-gamma)   for X < X0
     znu:    tau(X)= tau0 (1 - X0/X)^(-znu)     for X > X0
 
+The three nonlinear forms differ only in two signs, written once in the
+table ``_FORM_RULES``: the side of X0 the data live on, which fixes the
+reduced distance u = side (1 - X0/X) (u = 1 - X0/X for beta and znu,
+X0/X - 1 for gamma), and the sign of the exponent, y = A u^(sign p) (+p for
+the vanishing beta form, -p for the divergent gamma and znu forms).  The
+model, its Jacobian, the log-log inner fit, the side of the critical-point
+candidates and bounds, and the CLI's log-log table all read that table.
+
 The nonlinear forms are fitted in three stages: a scan over critical-point
 candidates with the exponent free, a refit of the critical point with the
 exponent pinned, and a final fully free refinement.  Divergent-form fits
@@ -34,6 +42,12 @@ from .dynamics import (
 FORMS = ("beta", "gamma", "znu", "delta")
 WEIGHTS = ("uniform", "gamma-cubed")
 
+# The form table, (side, exponent sign), of the module docstring.
+_FORM_RULES = {"beta": (+1.0, +1.0), "gamma": (-1.0, -1.0), "znu": (+1.0, -1.0)}
+
+ZERO_LEVEL = 1e-3   # fraction of max |y| treated as "no signal"
+N_CANDIDATES = 25   # stage-1 critical-point candidates
+
 
 class FitError(RuntimeError):
     pass
@@ -48,8 +62,6 @@ class FitSpec:
     form: str
     weights: str = "uniform"
     exclude_near_max: int = 0
-    zero_level: float = 1e-3   # fraction of max |y| treated as "no signal"
-    candidates: int = 25
 
     def __post_init__(self):
         if self.form not in FORMS:
@@ -83,37 +95,28 @@ def _weights(x: np.ndarray, scheme: str) -> np.ndarray:
     return x ** -3.0
 
 
+def reduced_distance(form: str, x0, x):
+    """u = side (1 - x0/x) of a nonlinear form: positive on its data side."""
+    side, _ = _FORM_RULES[form]
+    return side * (1.0 - x0 / x)
+
+
 def _model_and_jac(form: str, params: np.ndarray, x: np.ndarray):
-    """Model values and Jacobian columns d/d(amplitude, x0, exponent)."""
+    """Model values and Jacobian columns d/d(amplitude, x0, exponent).
+
+    Beyond x0 a vanishing form is zero and a divergent one infinite."""
     a, x0, p = params
-    if form == "beta":
-        u = 1.0 - x0 / x
-        mask = u > 0
-        um = np.where(mask, u, 1.0)
-        y = np.where(mask, a * um ** p, 0.0)
-        da = np.where(mask, um ** p, 0.0)
-        dx0 = np.where(mask, -a * p * um ** (p - 1.0) / x, 0.0)
-        dp = np.where(mask, a * um ** p * np.log(um), 0.0)
-        return y, np.stack([da, dx0, dp], axis=1)
-    if form == "gamma":
-        u = x0 / x - 1.0
-        mask = u > 0
-        um = np.where(mask, u, 1.0)
-        y = np.where(mask, a * um ** -p, np.inf)
-        da = np.where(mask, um ** -p, 0.0)
-        dx0 = np.where(mask, -a * p * um ** (-p - 1.0) / x, 0.0)
-        dp = np.where(mask, -a * um ** -p * np.log(um), 0.0)
-        return y, np.stack([da, dx0, dp], axis=1)
-    if form == "znu":
-        u = 1.0 - x0 / x
-        mask = u > 0
-        um = np.where(mask, u, 1.0)
-        y = np.where(mask, a * um ** -p, np.inf)
-        da = np.where(mask, um ** -p, 0.0)
-        dx0 = np.where(mask, a * p * um ** (-p - 1.0) / x, 0.0)
-        dp = np.where(mask, -a * um ** -p * np.log(um), 0.0)
-        return y, np.stack([da, dx0, dp], axis=1)
-    raise ValueError(form)
+    side, sign = _FORM_RULES[form]
+    e = sign * p
+    u = reduced_distance(form, x0, x)
+    mask = u > 0
+    um = np.where(mask, u, 1.0)
+    y = np.where(mask, a * um ** e, 0.0 if sign > 0 else np.inf)
+    da = np.where(mask, um ** e, 0.0)
+    # du/dx0 = -side/x
+    dx0 = np.where(mask, (-side * sign) * a * p * um ** (e - 1.0) / x, 0.0)
+    dp = np.where(mask, sign * a * um ** e * np.log(um), 0.0)
+    return y, np.stack([da, dx0, dp], axis=1)
 
 
 def weighted_residuals(form: str, params, x, y, w) -> np.ndarray:
@@ -122,12 +125,14 @@ def weighted_residuals(form: str, params, x, y, w) -> np.ndarray:
     return np.sqrt(w) * (model - y)
 
 
-def _stage1_candidates(form: str, x: np.ndarray, y: np.ndarray,
-                       spec: FitSpec) -> np.ndarray:
-    """Critical-point candidates bracketing the onset, widened by 20%."""
+def _signal(y: np.ndarray) -> np.ndarray:
     absy = np.abs(y)
-    zero_tol = spec.zero_level * absy.max()
-    signal = absy > zero_tol
+    return absy > ZERO_LEVEL * absy.max()
+
+
+def _stage1_candidates(form: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Critical-point candidates bracketing the onset, widened by 20%."""
+    signal = _signal(y)
     if form == "beta" and (~signal).any() and signal.any():
         # last quiet point below the first active point
         first_sig = x[signal].min()
@@ -135,29 +140,19 @@ def _stage1_candidates(form: str, x: np.ndarray, y: np.ndarray,
         if len(quiet):
             lo, hi = quiet.max(), first_sig
             lo, hi = lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)
-            return np.linspace(max(lo, 1e-9), hi, spec.candidates)
+            return np.linspace(max(lo, 1e-9), hi, N_CANDIDATES)
     xa = x[signal] if signal.any() else x
-    if form == "gamma":
-        return np.linspace(xa.max() * 1.002, xa.max() * 1.6, spec.candidates)
-    # one-sided ordered forms: the critical point sits below the data
-    return np.linspace(xa.min() * 0.5, xa.min() * 0.998, spec.candidates)
+    side, _ = _FORM_RULES[form]
+    if side < 0:  # the critical point sits above the data
+        return np.linspace(xa.max() * 1.002, xa.max() * 1.6, N_CANDIDATES)
+    return np.linspace(xa.min() * 0.5, xa.min() * 0.998, N_CANDIDATES)
 
 
 def _log_linear_inner(form: str, x0: float, x: np.ndarray, y: np.ndarray,
                       w: np.ndarray):
     """Amplitude and exponent at fixed x0, by weighted log-log regression."""
-    if form == "beta":
-        u = 1.0 - x0 / x
-        ok = (u > 0) & (y > 0)
-        sgn = +1.0
-    elif form == "gamma":
-        u = x0 / x - 1.0
-        ok = (u > 0) & (y > 0)
-        sgn = -1.0
-    else:  # znu
-        u = 1.0 - x0 / x
-        ok = (u > 0) & (y > 0)
-        sgn = -1.0
+    u = reduced_distance(form, x0, x)
+    ok = (u > 0) & (y > 0)
     if ok.sum() < 3:
         return None
     lu, ly, lw = np.log(u[ok]), np.log(y[ok]), w[ok]
@@ -169,7 +164,7 @@ def _log_linear_inner(form: str, x0: float, x: np.ndarray, y: np.ndarray,
         return None
     slope = (lw * (lu - mu_u) * (ly - mu_y)).sum() / var
     inter = mu_y - slope * mu_u
-    exponent = sgn * slope
+    exponent = _FORM_RULES[form][1] * slope
     if exponent <= 0:
         return None
     return math.exp(inter), exponent
@@ -186,7 +181,7 @@ def _covariance(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     return cov
 
 
-def three_step_fit(x, y, spec: FitSpec, gamma: float = GAMMA_BASE) -> FitResult:
+def three_step_fit(x, y, spec: FitSpec) -> FitResult:
     """Staged weighted fit of one of the critical forms.
 
     Stage 1 scans critical-point candidates with the exponent free, stage 2
@@ -194,7 +189,7 @@ def three_step_fit(x, y, spec: FitSpec, gamma: float = GAMMA_BASE) -> FitResult:
     three parameters.  Requires at least 6 points."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.form == "delta":
+    if spec.form not in _FORM_RULES:
         raise ValueError("use fit_delta for the log-log bias form")
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
@@ -218,7 +213,7 @@ def three_step_fit(x, y, spec: FitSpec, gamma: float = GAMMA_BASE) -> FitResult:
 
     stage_log = []
     best = None
-    for x0 in _stage1_candidates(spec.form, x, y, spec):
+    for x0 in _stage1_candidates(spec.form, x, y):
         inner = _log_linear_inner(spec.form, x0, x, y, w)
         if inner is None:
             continue
@@ -233,11 +228,11 @@ def three_step_fit(x, y, spec: FitSpec, gamma: float = GAMMA_BASE) -> FitResult:
     _, a1, x01, p1 = best
     stage_log.append({"stage": 1, "amplitude": a1, "x0": x01, "exponent": p1})
 
-    sig = np.abs(y) > spec.zero_level * np.abs(y).max()
+    sig = _signal(y)
     xa = x[sig] if sig.any() else x
     if spec.form == "beta":
         lo_x0, hi_x0 = x.min() * 0.2, x.max()
-    elif spec.form == "gamma":
+    elif _FORM_RULES[spec.form][0] < 0:
         lo_x0, hi_x0 = xa.max() * 1.0000001, xa.max() * 3.0
     else:
         lo_x0, hi_x0 = xa.min() * 0.05, xa.min() * 0.9999999
@@ -351,21 +346,25 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
     )
 
 
-def fit_gamma(x, chi, exclude: int = 2, gamma: float = GAMMA_BASE) -> FitResult:
-    """Susceptibility divergence on the disordered side, with the
-    (Gamma/X)^3 weights and near-maximum exclusion; the sensitivity of the
-    exponent to the exclusion count is reported in the diagnostics."""
-    spec = FitSpec(form="gamma", weights="gamma-cubed", exclude_near_max=exclude)
-    out = three_step_fit(x, chi, spec, gamma=gamma)
+def _fit_divergent(form: str, x, y, exclude: int) -> FitResult:
+    """Divergent-form fit with the (Gamma/X)^3 weights and near-maximum
+    exclusion; the sensitivity of the exponent to the exclusion count is
+    reported in the diagnostics."""
+    out = three_step_fit(x, y, FitSpec(form=form, weights="gamma-cubed",
+                                       exclude_near_max=exclude))
     if exclude > 0:
-        alt = three_step_fit(x, chi, FitSpec(form="gamma", weights="gamma-cubed",
-                                             exclude_near_max=0), gamma=gamma)
+        alt = three_step_fit(x, y, FitSpec(form=form, weights="gamma-cubed"))
         out.diagnostics["exclusion_sensitivity"] = out.exponent - alt.exponent
     return out
 
 
-def fit_znu(x, tau, exclude: int = 2, gamma: float = GAMMA_BASE,
-            t1_floor: float | None = None) -> FitResult:
+def fit_gamma(x, chi, exclude: int = 2) -> FitResult:
+    """Susceptibility divergence on the disordered side (see
+    :func:`_fit_divergent`)."""
+    return _fit_divergent("gamma", x, chi, exclude)
+
+
+def fit_znu(x, tau, exclude: int = 2, t1_floor: float | None = None) -> FitResult:
     """Dynamic slow-down divergence on the ordered side.
 
     Points at the dark-lifetime floor carry no divergence information and
@@ -379,16 +378,10 @@ def fit_znu(x, tau, exclude: int = 2, gamma: float = GAMMA_BASE,
             raise NoTransitionError("all response times at the T1 floor: "
                                     "no divergence detected")
         x, tau = x[above], tau[above]
-    spec = FitSpec(form="znu", weights="gamma-cubed", exclude_near_max=exclude)
-    out = three_step_fit(x, tau, spec, gamma=gamma)
-    if exclude > 0:
-        alt = three_step_fit(x, tau, FitSpec(form="znu", weights="gamma-cubed",
-                                             exclude_near_max=0), gamma=gamma)
-        out.diagnostics["exclusion_sensitivity"] = out.exponent - alt.exponent
-    return out
+    return _fit_divergent("znu", x, tau, exclude)
 
 
-def fit_delta(h_over_gamma, m, gamma: float = GAMMA_BASE) -> FitResult:
+def fit_delta(h_over_gamma, m) -> FitResult:
     """Log-log slope fit of the bias response M = (H/Gamma)^(1/delta).
 
     Also fits the one-parameter linear law M = c H and reports which model

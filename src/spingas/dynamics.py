@@ -128,6 +128,9 @@ class SimParams:
     light_shift: bool = False
 
     def __post_init__(self):
+        for name in ("gamma", "j_exchange", "b_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.j_exchange < 0:
@@ -506,14 +509,24 @@ class CompiledModel:
 class IntegrationControls:
     rtol: float = 1e-8
     atol: float = 1e-10
-    trace_tol: float = 1e-9
-    positivity_tol: float = 1e-9
     max_step: float | None = None
     max_steps: int = 50_000_000
-    steady_rel: float = 1e-6          # window-averaged dM/dt vs Gamma*|M|
-    steady_state_rel: float = 1e-5    # window-averaged state displacement rate
-    steady_abs_rate: float | None = None   # default: 1e-9 * gamma
-    steady_window: float | None = None     # default: 5 / gamma
+
+
+# Invariant checks on every accepted step.
+TRACE_TOL = 1e-9
+POSITIVITY_TOL = 1e-9
+# Steadiness, over a trailing window of STEADY_WINDOW_T1 / Gamma: the
+# window-averaged |dM/dt| against STEADY_REL Gamma |M| + STEADY_ABS_RATE
+# Gamma, and the window-averaged state displacement rate against
+# STEADY_STATE_REL Gamma / dim_g.
+STEADY_WINDOW_T1 = 5.0
+STEADY_REL = 1e-6
+STEADY_ABS_RATE = 1e-9
+STEADY_STATE_REL = 1e-5
+# Below this |M_ss| a converged point is disordered and reports the dark
+# lifetime T1 as its response time.
+TAU_FLOOR_M = 1e-3
 
 
 @lru_cache(maxsize=8)
@@ -587,9 +600,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     derivative floats on integrator noise; steps are capped at the window
     so the oldest snapshot stays one window old."""
     gamma = model.params.gamma
-    window = controls.steady_window if controls.steady_window is not None else 5.0 / gamma
-    abs_rate = (controls.steady_abs_rate if controls.steady_abs_rate is not None
-                else 1e-9 * gamma)
+    window = STEADY_WINDOW_T1 / gamma
+    abs_rate = STEADY_ABS_RATE * gamma
     max_step = controls.max_step if controls.max_step is not None else np.inf
     if stop_when_steady:
         max_step = min(max_step, window)
@@ -611,8 +623,12 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         if n_steps >= controls.max_steps:
             raise IntegrationError("step budget exhausted",
                                    {"t": solver.t, **counts()})
-        message = solver.step()
-        if solver.status == "failed":
+        try:
+            message = solver.step()
+            failed = solver.status == "failed"
+        except ValueError as exc:  # a non-finite Newton matrix
+            message, failed = str(exc), True
+        if failed:
             raise IntegrationError(f"solver failed: {message}",
                                    {"t": solver.t, "h": solver.step_size,
                                     **counts()})
@@ -620,11 +636,11 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         s = solver.y
         n_steps += 1
         trace = float(np.sum(s[:dim]))
-        if abs(trace - 1.0) > controls.trace_tol:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise IntegrationError("trace drift beyond tolerance",
                                    {"t": t, "trace": trace})
         min_eig = model.sub.min_eigenvalue(s)
-        if min_eig < -controls.positivity_tol:
+        if min_eig < -POSITIVITY_TOL:
             raise IntegrationError("state lost positivity",
                                    {"t": t, "min_eig": min_eig})
         m = model.magnetization(s)
@@ -639,10 +655,10 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
             if t_old <= t - window:
                 span = t - t_old
                 mdot = abs(m - m_old) / span
-                m_ok = mdot <= (controls.steady_rel * gamma
+                m_ok = mdot <= (STEADY_REL * gamma
                                 * max(abs(m), abs(m_old)) + abs_rate)
                 sdot = math.sqrt(float(np.mean((s - s_old) ** 2))) / span
-                s_ok = sdot <= controls.steady_state_rel * gamma * state_scale
+                s_ok = sdot <= STEADY_STATE_REL * gamma * state_scale
                 if m_ok and s_ok:
                     steady = True
                     break
@@ -667,11 +683,6 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
                                                   stop_when_steady=stop_when_steady)
     return Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), steady=steady)
-
-
-# Below this |M_ss| a converged point is disordered and reports the dark
-# lifetime T1 as its response time.
-TAU_FLOOR_M = 1e-3
 
 
 @dataclass

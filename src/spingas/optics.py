@@ -221,9 +221,6 @@ class AtomSystem:
         self._eig_g = np.linalg.eigh(self.h_g)
         self._eig_e = np.linalg.eigh(self.h_e)
 
-    def with_field(self, b_z: float) -> "AtomSystem":
-        return AtomSystem(self.spec, b_z)
-
     def ground_projector(self, f) -> np.ndarray:
         p = np.zeros((self.dim_g, self.dim_g))
         sl = self.basis_g.block_slice(f)

@@ -104,10 +104,6 @@ class AtomSpec:
         if self.nuclear_spin < 0 or self.electron_spin < 0:
             raise ValueError("spins must be non-negative")
 
-    @property
-    def ground_dimension(self) -> int:
-        return int((2 * self.nuclear_spin + 1) * (2 * self.electron_spin + 1))
-
 
 def cesium() -> AtomSpec:
     """Cs D1 constants: I=7/2 with the hyperfine and Zeeman couplings used

@@ -30,8 +30,6 @@ _FREQ_SCALE = {
 # Units that are already rates (no 2*pi convention applies).
 _RATE_UNITS = {"/s", "1/s", "s^-1", "s-1", "rad/s"}
 
-_TIME_SCALE = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
-
 _NUMBER_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
@@ -102,17 +100,6 @@ def magnetic_field(value: str | float, unit: str | None = None) -> float:
     if scale is None:
         raise UnitError(f"unknown magnetic-field unit {unit!r}")
     return float(value) * scale
-
-
-def time_seconds(value: str | float, unit: str | None = None) -> float:
-    if isinstance(value, str):
-        value, unit = _split(value)
-    if unit is None:
-        raise UnitError("time requires a unit tag")
-    key = unit.lower().strip()
-    if key not in _TIME_SCALE:
-        raise UnitError(f"unknown time unit {unit!r}")
-    return float(value) * _TIME_SCALE[key]
 
 
 def plain_number(value: str | float) -> float:

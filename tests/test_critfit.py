@@ -12,6 +12,7 @@ from spingas.critfit import (
     synthetic_series,
     three_step_fit,
     weighted_residuals,
+    _model_and_jac,
     _weights,
 )
 
@@ -92,6 +93,31 @@ class TestMechanics:
         model = 2.1 * (1.42 / x - 1.0) ** -0.95
         direct = sum(w_i * (m_i - y_i) ** 2 for w_i, m_i, y_i in zip(w, model, y))
         assert float(r @ r) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("form, params", [
+        ("beta", (0.6, 1.6, 0.5)),
+        ("gamma", (2.0, 1.4, 1.0)),
+        ("znu", (0.02, 1.6, 1.3)),
+    ])
+    def test_jacobian_against_central_differences(self, form, params):
+        # points on both sides of x0: on the data side every column matches
+        # a central difference; beyond x0 the model is flat (0 or inf)
+        x0 = params[1]
+        x = x0 * np.array([0.5, 0.7, 0.9, 1.1, 1.4, 2.0])
+        y, jac = _model_and_jac(form, np.array(params), x)
+        data_side = (x > x0) if form != "gamma" else (x < x0)
+        assert data_side.any() and (~data_side).any()
+        assert np.all(y[~data_side] == (0.0 if form == "beta" else np.inf))
+        assert np.all(jac[~data_side] == 0.0)
+        xd = x[data_side]
+        for k in range(3):
+            step = 1e-6 * params[k]
+            up, down = np.array(params), np.array(params)
+            up[k] += step
+            down[k] -= step
+            fd = (_model_and_jac(form, up, xd)[0]
+                  - _model_and_jac(form, down, xd)[0]) / (2 * step)
+            assert np.allclose(jac[data_side, k], fd, rtol=1e-6, atol=0)
 
     def test_scale_equivariance(self):
         x = np.linspace(1.0, 3.2, 40)

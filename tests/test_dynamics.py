@@ -313,6 +313,10 @@ class TestHelpers:
             SimParams(seed_polarization=0.5)
         with pytest.raises(ValueError):
             SimParams(projection_mode="bogus")
+        for bad in ({"gamma": math.nan}, {"gamma": math.inf},
+                    {"j_exchange": math.nan}, {"b_z": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                SimParams(**bad)
 
 
 class TestSteadyDetection:
@@ -457,6 +461,26 @@ class TestSolverCounts:
         assert diag["steps"] > 0
         assert diag["nfev"] == len(calls)
         assert diag["njev"] > 0 and diag["nlu"] > 0
+
+    def test_nonfinite_rhs_is_an_integration_error(self):
+        # NaN from the fourth call: Radau halves the step until its Newton
+        # matrix overflows, and the factorization's non-finite check must
+        # surface as IntegrationError, which a sweep cell catches
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        calls = []
+
+        def rhs(s):
+            calls.append(1)
+            return np.full_like(s, np.nan) if len(calls) >= 4 else model.r_lin @ s
+        model.rhs_coords = rhs
+        with (pytest.raises(IntegrationError, match="solver failed") as info,
+              np.errstate(over="ignore", invalid="ignore")):
+            dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
+                                  IntegrationControls())
+        diag = info.value.diagnostics
+        assert set(diag) == {"t", "h", "steps", "nfev", "njev", "nlu"}
+        assert diag["nfev"] == len(calls)
+        assert diag["nlu"] > 0
 
 
 class TestNewtonLinearAlgebra:
