@@ -3,8 +3,8 @@
 Subcommands: simulate, sweep, contour, susceptibility, fit, table2,
 selftest.  All artifacts are written atomically, embed the tool version and
 the resolved-configuration hash, and are byte-identical for identical
-configurations at a fixed BLAS thread count (the worker count never affects
-output content).
+configurations (the worker count never affects output content); sweeps pin
+BLAS to one thread, the other commands need a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 non-convergence, 5 I/O error.
@@ -160,7 +160,9 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         traj = res.trajectory
         summary = {"mode": "steady", "m_ss": res.m_ss, "tau_s": res.tau,
                    "tau_floored": res.floored, "eps": params.seed_polarization,
-                   "converged": res.converged}
+                   "converged": res.converged, "stop": res.stop,
+                   "steps": res.steps, "nfev": res.nfev, "njev": res.njev,
+                   "nlu": res.nlu}
         nonconverged = not res.converged
     summary["params"] = {"i_over_gamma": args.i, "j_over_gamma": args.j,
                          "h_over_gamma": args.h, "gamma": cfg.gamma(),

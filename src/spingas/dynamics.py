@@ -30,6 +30,13 @@ integrated with the implicit Radau IIA method on the analytic Jacobian of
 those coordinates (:meth:`CompiledModel.jacobian`); the solver's Newton
 systems go straight to LAPACK ``getrf``/``getrs``.
 
+A steady state (:func:`steady_state`) ends as soon as its answer is exact.
+Without a bias field, a symmetric state that is an exact fixed point with a
+negative slow mode is the answer, found without integrating.  Otherwise a
+checked Newton solve near the integrated state ends the run on the fixed
+point it converges to, and the windowed steadiness rule remains the
+fallback.
+
 Projection modes follow the two truncation levels used for the production
 phase diagrams: 'hyperfine' zeros the F=3 <-> F=4 blocks, and
 'hyperfine+zeeman' additionally zeros all off-diagonal elements.  The
@@ -181,13 +188,16 @@ class Trajectory:
 
     times: np.ndarray
     magnetization: np.ndarray
-    final_state: np.ndarray
+    final_state: np.ndarray   # the fixed point when a run stopped on one
     steady: bool
 
-    def response_crossing(self, fraction_of_final: float) -> float | None:
-        """First time |M| crosses ``fraction_of_final`` x |M(final)|,
-        linearly interpolated between accepted steps."""
-        target = fraction_of_final * abs(self.magnetization[-1])
+    def response_crossing(self, fraction_of_final: float,
+                          final: float | None = None) -> float | None:
+        """First time |M| crosses ``fraction_of_final`` x |final| (default:
+        the last recorded M), linearly interpolated between accepted
+        steps."""
+        final = self.magnetization[-1] if final is None else final
+        target = fraction_of_final * abs(final)
         absm = np.abs(self.magnetization)
         above = np.nonzero(absm >= target)[0]
         if len(above) == 0:
@@ -485,13 +495,57 @@ class CompiledModel:
         """The magnetization-free stationary state (coords).
 
         On the even sector the mean-spin feedback vanishes, so the fixed
-        point solves the linear system R_lin s = 0 at unit trace."""
+        point solves the linear system R_lin s = 0 at unit trace.  Where the
+        feedback does not vanish on that solution (the 'hyperfine' mode
+        keeps transverse coherences), it is no fixed point and this raises
+        ``IntegrationError``."""
         u = self.unpolarized_coords()
         a = self.r_lin + np.outer(u, self._tr_row)
         s_star = np.linalg.solve(a, u)
         if abs(self._tr_row @ s_star - 1.0) > 1e-8:
             raise IntegrationError("symmetric fixed point solve lost the trace")
+        residual = float(np.abs(self.rhs_coords(s_star)).max())
+        if residual > FIXED_POINT_RESIDUAL * self.params.gamma:
+            raise IntegrationError("the symmetric state is no fixed point",
+                                   {"residual": residual})
         return s_star
+
+    def _bordered_jacobian(self, s: np.ndarray) -> np.ndarray:
+        """J(s) - Gamma u tr^T.  Since tr^T J = 0 (the trace is conserved)
+        and tr.u = 1, this has the eigenvalues of J with the trace mode's
+        zero moved to -Gamma, and it is regular wherever J is regular on
+        the unit-trace states."""
+        return self.jacobian(s) - self.params.gamma * np.outer(
+            self.unpolarized_coords(), self._tr_row)
+
+    def stable_fixed_point(self, s: np.ndarray) -> np.ndarray | None:
+        """Newton's solution of R(s) = 0 at unit trace, started from ``s``:
+        the bordered step (J - Gamma u tr^T) ds = -(R - Gamma u (tr.s - 1)).
+        Returns it when Newton converges to an exact (max|R| <=
+        FIXED_POINT_RESIDUAL Gamma), unit-trace, positive and linearly
+        stable state, where every eigenvalue but the trace mode's is
+        negative; ``None`` otherwise."""
+        gamma = self.params.gamma
+        u = self.unpolarized_coords()
+        s = s.copy()
+        try:
+            for _ in range(NEWTON_MAX_ITER):
+                f = self.rhs_coords(s) - gamma * (self._tr_row @ s - 1.0) * u
+                ds = np.linalg.solve(self._bordered_jacobian(s), -f)
+                s += ds
+                if np.abs(ds).max() <= NEWTON_STEP_TOL:  # False on NaN
+                    break
+            else:
+                return None
+            stable = (np.linalg.eigvals(self._bordered_jacobian(s)).real < 0).all()
+        except np.linalg.LinAlgError:
+            return None
+        if (not stable
+                or np.abs(self.rhs_coords(s)).max() > FIXED_POINT_RESIDUAL * gamma
+                or abs(self._tr_row @ s - 1.0) > TRACE_TOL
+                or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
+            return None
+        return s
 
     def slow_mode_rate(self) -> float:
         """Largest growth rate of fluctuations about the symmetric state.
@@ -527,6 +581,20 @@ STEADY_STATE_REL = 1e-5
 # Below this |M_ss| a converged point is disordered and reports the dark
 # lifetime T1 as its response time.
 TAU_FLOOR_M = 1e-3
+# A state is an exact fixed point when max|rhs_coords| is at most
+# FIXED_POINT_RESIDUAL Gamma.
+FIXED_POINT_RESIDUAL = 1e-9
+# Fixed-point stop: once the windowed rates fall below NEWTON_GATE (in
+# place of STEADY_REL and STEADY_STATE_REL), at most once per window, a
+# Newton solve from the current state (NEWTON_MAX_ITER iterations, done
+# when a step moves no coordinate by more than NEWTON_STEP_TOL) may end the
+# run on a stable fixed point within NEWTON_DISTANCE / dim_g rms of it.
+NEWTON_GATE = 1e-2
+NEWTON_MAX_ITER = 8
+NEWTON_STEP_TOL = 1e-10
+NEWTON_DISTANCE = 0.1
+# The response time is the crossing of this fraction of |M_ss|.
+RESPONSE_FRACTION = 0.63
 
 
 @lru_cache(maxsize=8)
@@ -590,7 +658,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     ``lu_solve``, whose per-call wrappers cost more than the factorization.
     Trace and positivity are checked on every accepted step.
 
-    Returns (times, magnetizations, s_final, steady_flag, counts), where
+    Returns (times, magnetizations, s_final, stop, counts), where ``stop``
+    is 'fixed-point', 'steady' or 'budget' (``t_end`` reached) and
     ``counts`` holds the accepted ``steps`` and the solver's ``nfev``,
     ``njev`` and ``nlu``.  Steadiness compares the state against
     trailing-window-old snapshots: both the window-averaged magnetization
@@ -598,7 +667,14 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     below threshold.  Averaging over the window keeps the criterion
     meaningful for stiff parameter points, where the instantaneous
     derivative floats on integrator noise; steps are capped at the window
-    so the oldest snapshot stays one window old."""
+    so the oldest snapshot stays one window old.
+
+    The run ends earlier, on the exact fixed point, when
+    :meth:`CompiledModel.stable_fixed_point` finds one near the state (see
+    ``NEWTON_GATE``) whose magnetization M* has the sign of M(t) and which
+    |M(t)| has already brought within RESPONSE_FRACTION of |M*|; then
+    ``s_final`` is that fixed point, while the recorded trajectory ends at
+    the last accepted step."""
     gamma = model.params.gamma
     window = STEADY_WINDOW_T1 / gamma
     abs_rate = STEADY_ABS_RATE * gamma
@@ -611,7 +687,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     times = [0.0]
     mags = [model.magnetization(s0)]
     snapshots = [(0.0, s0.copy(), mags[0])]
-    steady = False
+    stop = "budget"
+    next_newton = 0.0
     n_steps = 0
     s = s0
 
@@ -655,14 +732,27 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
             if t_old <= t - window:
                 span = t - t_old
                 mdot = abs(m - m_old) / span
-                m_ok = mdot <= (STEADY_REL * gamma
-                                * max(abs(m), abs(m_old)) + abs_rate)
+                m_scale = gamma * max(abs(m), abs(m_old))
                 sdot = math.sqrt(float(np.mean((s - s_old) ** 2))) / span
-                s_ok = sdot <= STEADY_STATE_REL * gamma * state_scale
-                if m_ok and s_ok:
-                    steady = True
+                s_scale = gamma * state_scale
+                if (mdot <= STEADY_REL * m_scale + abs_rate
+                        and sdot <= STEADY_STATE_REL * s_scale):
+                    stop = "steady"
                     break
-    return np.array(times), np.array(mags), s.copy(), steady, counts()
+                if (t >= next_newton and mdot <= NEWTON_GATE * m_scale + abs_rate
+                        and sdot <= NEWTON_GATE * s_scale):
+                    next_newton = t + window
+                    s_star = model.stable_fixed_point(s)
+                    if s_star is not None:
+                        m_star = model.magnetization(s_star)
+                        near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
+                                <= NEWTON_DISTANCE * state_scale)
+                        if (near and np.sign(m_star) == np.sign(m)
+                                and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
+                            stop = "fixed-point"
+                            s = s_star
+                            break
+    return np.array(times), np.array(mags), s.copy(), stop, counts()
 
 
 def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
@@ -670,7 +760,9 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
               model: CompiledModel | None = None,
               stop_when_steady: bool = False) -> Trajectory:
     """Integrate the projected dynamics from ``rho0`` (default: seeded
-    unpolarized state) for ``t_end`` seconds."""
+    unpolarized state) for ``t_end`` seconds, or with ``stop_when_steady``
+    until the run is steady or stops on a fixed point (then the
+    ``final_state``; see :func:`_integrate_coords`)."""
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     model = model if model is not None else CompiledModel(params)
@@ -679,19 +771,22 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
         s0 = model.seed_coords(params.seed_polarization)
     else:
         s0 = model.sub.from_matrix(np.asarray(rho0, dtype=complex))
-    times, mags, s, steady, _ = _integrate_coords(model, s0, t_end, controls,
-                                                  stop_when_steady=stop_when_steady)
+    times, mags, s, stop, _ = _integrate_coords(model, s0, t_end, controls,
+                                                stop_when_steady=stop_when_steady)
     return Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), steady=steady)
+                      final_state=model.sub.to_matrix(s), steady=stop != "budget")
 
 
 @dataclass
 class SteadyResult:
-    """A run to steady state and its response time ``tau``: the 63% crossing
-    of |M|, or T1 (``floored``) when |M_ss| < TAU_FLOOR_M; ``None`` when
-    the run did not converge.  ``steps`` counts the accepted steps;
-    ``nfev``, ``njev`` and ``nlu`` are the solver's right-hand-side,
-    Jacobian and LU-factorization counts."""
+    """A run to steady state and its response time ``tau``: the
+    RESPONSE_FRACTION (63%) crossing of |M| against |M_ss|, or T1
+    (``floored``) when |M_ss| < TAU_FLOOR_M; ``None`` when the run did not
+    converge.  ``stop`` says how the run ended: 'symmetric' (classified
+    without integrating), 'fixed-point' (Newton stop), 'steady' (window
+    rule) or 'budget' (``max_time`` reached, not converged).  ``steps``
+    counts the accepted steps; ``nfev``, ``njev`` and ``nlu`` are the
+    solver's right-hand-side, Jacobian and LU-factorization counts."""
 
     m_ss: float
     rho_ss: np.ndarray
@@ -700,37 +795,66 @@ class SteadyResult:
     trajectory: Trajectory
     tau: float | None
     floored: bool
+    stop: str
     steps: int
     nfev: int
     njev: int
     nlu: int
 
 
+def _classified(model: CompiledModel) -> np.ndarray | None:
+    """The symmetric fixed point when it is the run's answer without
+    integrating: no bias field, an exact fixed point, and a negative slow
+    mode, so a small seed relaxes back to it."""
+    bias = model.params.bias
+    if bias is not None and bias.amplitude_sq > 0:
+        return None
+    try:
+        if model.slow_mode_rate() < 0:
+            return model.symmetric_fixed_point()
+    except IntegrationError:  # not a fixed point outside 'hyperfine+zeeman'
+        pass
+    return None
+
+
 def steady_state(params: SimParams, seed: float | None = None,
                  max_time: float | None = None,
                  controls: IntegrationControls | None = None,
                  model: CompiledModel | None = None) -> SteadyResult:
-    """Integrate from the seeded unpolarized state until both the
-    magnetization derivative and the state derivative stay below threshold
-    over a trailing window."""
+    """The steady state reached from the seeded unpolarized state.
+
+    A run ends as soon as its answer is exact: without integrating when
+    the symmetric state is a stable fixed point and no bias field breaks
+    the symmetry ('symmetric'); otherwise on the fixed point of a checked
+    Newton solve once the integration has come close ('fixed-point'); and
+    failing both when the magnetization and state derivatives stay below
+    threshold over a trailing window ('steady')."""
     model = model if model is not None else CompiledModel(params)
     eps = params.seed_polarization if seed is None else seed
     if max_time is None:
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(eps)
-    times, mags, s, steady, counts = _integrate_coords(model, s0, max_time, controls,
-                                                       stop_when_steady=True)
+    s_sym = _classified(model)
+    if s_sym is not None:
+        times, mags = np.zeros(1), np.array([model.magnetization(s0)])
+        s, stop = s_sym, "symmetric"
+        counts = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
+    else:
+        times, mags, s, stop, counts = _integrate_coords(
+            model, s0, max_time, controls, stop_when_steady=True)
+    converged = stop != "budget"
     traj = Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), steady=steady)
-    m_ss = float(mags[-1])
+                      final_state=model.sub.to_matrix(s), steady=converged)
+    m_ss = model.magnetization(s)
     tau, floored = None, False
-    if steady:
+    if converged:
         floored = abs(m_ss) < TAU_FLOOR_M
-        tau = params.t1 if floored else traj.response_crossing(0.63)
+        tau = params.t1 if floored else traj.response_crossing(RESPONSE_FRACTION, m_ss)
     return SteadyResult(m_ss=m_ss, rho_ss=traj.final_state,
-                        t_converge=float(times[-1]), converged=steady,
-                        trajectory=traj, tau=tau, floored=floored, **counts)
+                        t_converge=float(times[-1]), converged=converged,
+                        trajectory=traj, tau=tau, floored=floored, stop=stop,
+                        **counts)
 
 
 def response_time(params: SimParams, seed: float | None = None,

@@ -20,10 +20,15 @@ worker count because cells never share state.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,20 +227,60 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """The thread-count setters of the OpenBLAS libraries that the numpy and
+    scipy wheels bundle (``numpy.libs``, ``scipy.libs``).  Opening a library
+    numpy or scipy has already loaded returns that same library."""
+    setters = []
+    for pkg in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(pkg)
+        libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), pkg + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    setters.append(setter)
+                    break
+    return tuple(setters)
+
+
+def _pin_blas_threads() -> int | None:
+    """Run the bundled OpenBLAS libraries on one thread in this process and
+    the workers it forks, and return that count; ``None``, with a warning,
+    when neither library is found.  Environment variables cannot do this
+    once numpy is imported, and the thread count changes the blocking of
+    the LU factorizations and so the last bits of every cell."""
+    setters = _openblas_thread_setters()
+    if not setters:
+        warnings.warn("no bundled OpenBLAS library found: the BLAS thread count "
+                      "is not pinned", RuntimeWarning, stacklevel=2)
+        return None
+    for setter in setters:
+        setter(1)
+    return 1
+
+
 def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
-               sim_kwargs: dict) -> list:
-    """``_sweep_task`` over the tasks, in a fork pool when there are workers
-    to share them.  One pumped model with the tasks' ``gamma`` and
+               sim_kwargs: dict) -> tuple[int | None, list]:
+    """``_sweep_task`` over the tasks on one BLAS thread, in a fork pool
+    when there are workers to share them; returns the pinned BLAS thread
+    count and the results.  One pumped model with the tasks' ``gamma`` and
     ``sim_kwargs`` is compiled here first, so the workers inherit its cached
     parts and calibrations instead of each building them again."""
+    blas_threads = _pin_blas_threads()
     if workers <= 1 or len(tasks) <= 2:
-        return list(map(_sweep_task, tasks))
+        return blas_threads, list(map(_sweep_task, tasks))
     CompiledModel(SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
                                        gamma=gamma, **sim_kwargs))
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(processes=workers)
     try:
-        return pool.map(_sweep_task, tasks, chunksize=chunksize)
+        return blas_threads, pool.map(_sweep_task, tasks, chunksize=chunksize)
     finally:
         pool.close()
         pool.join()
@@ -269,7 +314,8 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
                       cell_kwargs, max_time, controls))
     ni = len(grid.i_over_gamma)
     cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
-    for ii, jj, cell in _run_tasks(tasks, workers, 4, gamma, cell_kwargs):
+    blas_threads, results = _run_tasks(tasks, workers, 4, gamma, cell_kwargs)
+    for ii, jj, cell in results:
         cells[jj * ni + ii] = cell
     return SweepResult(
         grid=grid, cells=cells,
@@ -285,6 +331,7 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
             "sigma_ex_v": cmap.sigma_ex_v,
             "cell_length": cmap.cell_length,
             "j_convention": cmap.j_convention,
+            "blas_threads": blas_threads,
             "migrations": [],
         })
 
@@ -330,7 +377,7 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
         tasks.append((0, 0, i_ax, j_ax, i_ax, float("nan"), float("nan"),
                       gamma, sim_kwargs, max_time, controls))
     workers = workers if workers is not None else default_workers()
-    results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
+    _, results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
     attr = {"tau": "tau_s", "m_abs": "m_abs"}.get(quantity, "m_signed")
     ys = [getattr(cell, attr) if cell.converged else float("nan")
           for _, _, cell in results]

@@ -149,16 +149,18 @@ class TestCli:
         assert payload["params"]["seed_polarization"] == 2e-4
 
     def test_numerics_tolerances_reach_simulate_and_sweep(self, tmp_path, capsys):
-        def m_ss(*overrides):
+        # m_ss is the exact fixed point at any tolerance; tau follows the run
+        def m_ss_tau(*overrides):
             sets = [a for o in overrides for a in ("--set", o)]
             rc = main(sets + ["simulate", "--i", "2", "--j", "3",
                               "--out", str(tmp_path / "r")])
             assert rc == 0
-            return json.loads((tmp_path / "r_summary.json").read_text())["m_ss"]
+            summary = json.loads((tmp_path / "r_summary.json").read_text())
+            return summary["m_ss"], summary["tau_s"]
 
-        tight = m_ss()
-        loose = m_ss("numerics.rtol=1e-4")
-        assert loose != tight
+        tight = m_ss_tau()
+        loose = m_ss_tau("numerics.rtol=1e-4")
+        assert loose[1] != tight[1]
         assert loose == pytest.approx(tight, rel=1e-3)
 
         from spingas.sweep import ConditionsMap, SweepGrid, run_sweep, save_sweep
@@ -192,15 +194,28 @@ class TestCli:
 
         assert rows("collisions.gamma_c=1 GHz") != rows()
 
-    def test_susceptibility_receives_tolerances(self, tmp_path, capsys):
-        def row(*overrides):
+    def test_susceptibility_receives_tolerances(self, tmp_path, capsys, monkeypatch):
+        # observed on the steady states themselves: each ends on its exact
+        # fixed point, so the written row no longer depends on the tolerance
+        from spingas import critfit
+        real = critfit.steady_state
+        seen = []
+
+        def spy(*args, controls=None, **kwargs):
+            seen.append(controls.rtol)
+            return real(*args, controls=controls, **kwargs)
+        monkeypatch.setattr(critfit, "steady_state", spy)
+
+        def rtols(*overrides):
             sets = [a for o in overrides for a in ("--set", o)]
             out = str(tmp_path / "chi.csv")
+            seen.clear()
             assert main(sets + ["susceptibility", "--j", "2.3", "--i-values", "1.2",
                                 "--out", out]) == 0
-            return open(out).read().splitlines()[2]
+            return list(seen)
 
-        assert row("numerics.rtol=1e-4") != row()
+        assert rtols("numerics.rtol=1e-4") == [1e-4] * 5
+        assert rtols() == [1e-8] * 5
 
     @pytest.mark.parametrize("override", ["fields.pump_detuning=300 MHz",
                                           "fields.bias_detuning=300 MHz"],

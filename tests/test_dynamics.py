@@ -201,6 +201,8 @@ class TestIntegration:
         target_fraction = 0.63 * 0.4 / m[-1]
         crossing = traj.response_crossing(target_fraction)
         assert crossing == pytest.approx(-tau0 * math.log(1 - 0.63), rel=5e-3)
+        # or against the explicit final value
+        assert traj.response_crossing(0.63, final=0.4) == crossing
 
     def test_zero_seed_symmetry(self):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
@@ -283,6 +285,9 @@ class TestResponseTime:
         assert main(["simulate", "--i", str(i), "--j", str(j), "--out", out]) == 0
         summary = json.loads(open(out + "_summary.json").read())
         assert (summary["tau_s"], summary["tau_floored"]) == expected
+        assert summary["stop"] == res.stop == ("symmetric" if floored else "fixed-point")
+        assert [summary[k] for k in ("steps", "nfev", "njev", "nlu")] == [
+            res.steps, res.nfev, res.njev, res.nlu]
 
     def test_unconverged_run_has_no_tau(self):
         res = steady_state(SimParams.from_rates(2.0, 3.0), max_time=0.01)
@@ -558,3 +563,109 @@ class TestNewtonLinearAlgebra:
             assert np.array_equal(ours.y, stock.y)
         assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
         assert lapack_calls == {"getrf", "getrs"}
+
+
+def _trace_exact_integration(model, t_end):
+    """M at ``t_end`` from the seed, integrated with one population
+    eliminated so the trace stays exactly one (the generator's column sums
+    are rounded at about 1e-11 /s, which a long run of the full
+    coordinates turns into a trace drift)."""
+    from scipy.integrate import solve_ivp
+
+    def full(y):
+        return np.append(y, 1.0 - y.sum())
+
+    def rhs(_t, y):
+        return model.rhs_coords(full(y))[:-1]
+
+    def jac(_t, y):
+        jj = model.jacobian(full(y))
+        return jj[:-1, :-1] - jj[:-1, -1:]
+    y0 = model.seed_coords(model.params.seed_polarization)[:-1]
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="Radau", jac=jac,
+                    rtol=1e-10, atol=1e-14)
+    return model.magnetization(full(sol.y[:, -1]))
+
+
+class TestExactStops:
+    """A steady state ends on its exact fixed point where it can: without
+    integrating on a stable symmetric state, and by a checked Newton solve
+    near an ordered one.  These oracles integrate instead."""
+
+    def test_classified_cells_relax_under_the_window_rule(self, monkeypatch):
+        # with the Newton stop off, only the window rule can end a run
+        monkeypatch.setattr(dyn, "NEWTON_GATE", 0.0)
+        axis = np.linspace(0.5, 6.0, 12)
+        classified = 0
+        for i in axis:
+            for j in axis:
+                model = CompiledModel(SimParams.from_rates(i, j))
+                if dyn._classified(model) is None:
+                    continue
+                classified += 1
+                _, mags, _, stop, _ = dyn._integrate_coords(
+                    model, model.seed_coords(1e-4), 2000.0 / GAMMA,
+                    IntegrationControls(), stop_when_steady=True)
+                assert stop == "steady", (i, j)
+                assert abs(mags[-1]) < dyn.TAU_FLOOR_M, (i, j)
+        assert classified >= 30
+
+    def test_classified_run_reports_the_symmetric_state(self):
+        p = SimParams.from_rates(0.3, 1.0)
+        model = CompiledModel(p)
+        res = steady_state(p, model=model)
+        assert res.stop == "symmetric"
+        assert (res.converged, res.floored, res.tau) == (True, True, p.t1)
+        assert (res.steps, res.nfev, res.njev, res.nlu) == (0, 0, 0, 0)
+        assert res.trajectory.times.tolist() == [0.0]
+        s_star = model.symmetric_fixed_point()
+        assert res.m_ss == model.magnetization(s_star)
+        assert np.array_equal(res.rho_ss, model.sub.to_matrix(s_star))
+
+    @pytest.mark.parametrize("i_over_i0, i, j", [(1.04, None, 3.7), (None, 2.0, 3.0)])
+    def test_newton_stop_matches_long_integration(self, i_over_i0, i, j):
+        if i is None:
+            i = i_over_i0 * critical_pump_rate(j)
+        p = SimParams.from_rates(i, j)
+        model = CompiledModel(p)
+        res = steady_state(p, model=model)
+        assert res.stop == "fixed-point"
+        assert res.m_ss == pytest.approx(_trace_exact_integration(model, 40.0), rel=1e-11)
+        # the response time is taken against |M_ss|, inside the recorded run
+        mags = np.abs(res.trajectory.magnetization)
+        assert mags[-1] >= dyn.RESPONSE_FRACTION * abs(res.m_ss)
+        assert res.tau == res.trajectory.response_crossing(dyn.RESPONSE_FRACTION,
+                                                           res.m_ss)
+
+    def test_zero_seed_ordered_run_falls_back_to_the_window_rule(self):
+        # the symmetric state it stays on is a fixed point, but unstable
+        p = SimParams.from_rates(2.0, 3.0, seed_polarization=0.0)
+        model = CompiledModel(p)
+        assert model.stable_fixed_point(model.symmetric_fixed_point()) is None
+        res = steady_state(p, model=model)
+        assert res.stop == "steady"
+        assert res.steps > 0
+        assert abs(res.m_ss) < 1e-9
+
+    def test_hyperfine_symmetric_state_is_no_fixed_point(self):
+        # the linear solve keeps transverse coherences that the feedback
+        # acts on, so neither the slow mode nor the classification applies
+        i0 = critical_pump_rate(2.6)
+        p = SimParams.from_rates(1.15 * i0, 2.6, projection_mode="hyperfine", b_z=1e-4)
+        model = CompiledModel(p)
+        with pytest.raises(IntegrationError, match="no fixed point"):
+            model.symmetric_fixed_point()
+        with pytest.raises(IntegrationError, match="no fixed point"):
+            model.slow_mode_rate()
+        res = steady_state(p, model=model)
+        assert res.stop in ("fixed-point", "steady")
+        assert res.steps > 0
+        assert abs(res.m_ss) > 0.2
+
+    def test_bias_runs_are_never_classified(self):
+        # (0.3, 1) without the bias is classified
+        p = SimParams.from_rates(0.3, 1.0, h_over_gamma=1e-3, seed_polarization=0.0)
+        res = steady_state(p)
+        assert res.stop != "symmetric"
+        assert res.steps > 0
+        assert res.m_ss > 0

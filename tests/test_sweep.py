@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spingas
 from spingas.sweep import (
     CellResult,
     ConditionsMap,
@@ -121,6 +125,26 @@ class TestRunSweep:
         pooled = refine_contour("fixed-J", 3.8, points, workers=2)
         assert serial[1].tobytes() == pooled[1].tobytes()
         assert abs(serial[1][2]) > 0.2
+
+    def test_blas_thread_count_does_not_reach_the_bytes(self, tmp_path):
+        # OpenBLAS reads its thread count at numpy's import; the sweep pins
+        # one thread whatever the environment asked for
+        script = ("import sys\n"
+                  "from spingas.sweep import SweepGrid, run_sweep, save_sweep\n"
+                  "res = run_sweep(SweepGrid.from_rates([2.0], [3.0]), workers=1)\n"
+                  "assert res.provenance['blas_threads'] == 1\n"
+                  "save_sweep(res, sys.argv[1], sys.argv[2])\n")
+        src = os.path.dirname(os.path.dirname(spingas.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            paths = [str(tmp_path / f"{threads}_cells.csv"),
+                     str(tmp_path / f"{threads}_manifest.json")]
+            subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                           check=True, timeout=120)
+            outputs.append([open(path, "rb").read() for path in paths])
+        assert outputs[0] == outputs[1]
 
     def test_roundtrip(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
