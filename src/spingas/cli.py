@@ -3,8 +3,8 @@
 Subcommands: simulate, sweep, contour, susceptibility, fit, table2,
 selftest.  All artifacts are written atomically, embed the tool version and
 the resolved-configuration hash, and are byte-identical for identical
-configurations (the worker count never affects output content); sweeps pin
-BLAS to one thread, the other commands need a fixed BLAS thread count.
+configurations (the worker count never affects output content, and every
+command runs BLAS on one thread).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 non-convergence, 5 I/O error.
@@ -50,6 +50,7 @@ from .optics import AtomSystem, pump_field
 from .sweep import (
     SchemaError,
     SweepGrid,
+    _pin_blas_threads,
     extract_contour,
     gnuplot_matrix,
     load_sweep,
@@ -238,13 +239,19 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
 
 def _cmd_fit(args, cfg: RunConfig) -> int:
     x, y = _read_xy(args.input)
+    divergent = args.form != "delta" and _FORM_RULES[args.form][1] < 0
+    if divergent or args.form == "delta":  # forms with fixed weights
+        scheme = "gamma-cubed" if divergent else "uniform"
+        if args.weights not in (None, scheme):
+            raise ValueError(f"the {args.form} form always uses {scheme} weights")
     if args.form == "delta":
         result = fit_delta(x, y)
-    elif _FORM_RULES[args.form][1] < 0:  # the divergent gamma and znu forms
-        result = _fit_divergent(args.form, x, y, args.exclude)
+    elif divergent:
+        result = _fit_divergent(args.form, x, y,
+                                2 if args.exclude is None else args.exclude)
     else:
-        spec = FitSpec(form=args.form, weights=args.weights,
-                       exclude_near_max=args.exclude)
+        spec = FitSpec(form=args.form, weights=args.weights or "uniform",
+                       exclude_near_max=args.exclude or 0)
         result = three_step_fit(x, y, spec)
     payload = {
         "form": result.form, "exponent": result.exponent,
@@ -336,9 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="critical-exponent fit of a series")
     p.add_argument("--input", required=True, help="CSV with columns x,y")
     p.add_argument("--form", choices=FORMS, required=True)
-    p.add_argument("--weights", choices=WEIGHTS, default="uniform")
-    p.add_argument("--exclude", type=int, default=2,
-                   help="points near the maximum to drop (gamma/znu)")
+    p.add_argument("--weights", choices=WEIGHTS, default=None,
+                   help="residual weights (default: uniform for beta and "
+                        "delta, gamma-cubed for gamma/znu, which allow no other)")
+    p.add_argument("--exclude", type=int, default=None,
+                   help="points near the maximum to drop (default: 0 for "
+                        "beta, 2 for gamma/znu)")
     p.add_argument("--out", default="spingas_fit", help="output prefix")
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -370,6 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _pin_blas_threads()
     try:
         return _COMMANDS[args.command](args, cfg)
     except (SchemaError, OSError, ValueError) as exc:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from .dynamics import (
     GAMMA_BASE,
@@ -186,13 +186,15 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
 
     Stage 1 scans critical-point candidates with the exponent free, stage 2
     pins the exponent and refines the critical point, stage 3 frees all
-    three parameters.  Requires at least 6 points."""
+    three parameters.  Requires at least 6 points at finite, positive x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.form not in _FORM_RULES:
         raise ValueError("use fit_delta for the log-log bias form")
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
+    if not (np.isfinite(x) & (x > 0)).all():
+        raise ValueError("x must be finite and > 0")
     if len(x) < 6:
         raise ValueError("need at least 6 points to fit")
     order = np.argsort(x)
@@ -258,15 +260,9 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
         lo = np.array([1e-12, lo_x0, 1e-3])[idx]
         hi = np.array([np.inf, hi_x0, 50.0])[idx]
         q0 = np.clip(start[idx], lo, hi)
-        try:
-            sol = least_squares(fun, q0, jac=jac, bounds=(lo, hi),
-                                method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-            return pack(sol.x), sol
-        except Exception:
-            res = minimize(lambda q: float(fun(q) @ fun(q)), q0,
-                           method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-            return pack(res.x), None
+        sol = least_squares(fun, q0, jac=jac, bounds=(lo, hi),
+                            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        return pack(sol.x), sol
 
     p_stage2, _ = solve(np.array([True, True, False]), [a1, x01, p1])
     stage_log.append({"stage": 2, "amplitude": p_stage2[0], "x0": p_stage2[1],
@@ -277,11 +273,7 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
 
     r = weighted_residuals(spec.form, p_final, x, y, w)
     r = np.where(np.isfinite(r), r, 0.0)
-    if sol is not None and sol.jac is not None:
-        cov = _covariance(sol.jac, sol.fun)
-        errs = np.sqrt(np.abs(np.diag(cov)))
-    else:
-        errs = np.full(3, np.nan)
+    errs = np.sqrt(np.abs(np.diag(_covariance(sol.jac, sol.fun))))
     return FitResult(
         form=spec.form,
         exponent=float(p_final[2]), x0=float(p_final[1]), amplitude=float(p_final[0]),

@@ -30,12 +30,12 @@ integrated with the implicit Radau IIA method on the analytic Jacobian of
 those coordinates (:meth:`CompiledModel.jacobian`); the solver's Newton
 systems go straight to LAPACK ``getrf``/``getrs``.
 
-A steady state (:func:`steady_state`) ends as soon as its answer is exact.
-Without a bias field, a symmetric state that is an exact fixed point with a
-negative slow mode is the answer, found without integrating.  Otherwise a
-checked Newton solve near the integrated state ends the run on the fixed
-point it converges to, and the windowed steadiness rule remains the
-fallback.
+A steady state (:func:`steady_state`) converges only on an exact fixed
+point.  Without a bias field, a symmetric state that is an exact fixed point
+is the answer, found without integrating, when the seed cannot leave it: the
+seed is zero or the slow mode is negative.  Otherwise a checked Newton solve
+near the integrated state ends the run on the fixed point it converges to,
+and a run that finds none by its time budget has not converged.
 
 Projection modes follow the two truncation levels used for the production
 phase diagrams: 'hyperfine' zeros the F=3 <-> F=4 blocks, and
@@ -537,7 +537,7 @@ class CompiledModel:
                     break
             else:
                 return None
-            stable = (np.linalg.eigvals(self._bordered_jacobian(s)).real < 0).all()
+            stable = self._growth_rate(s) < 0
         except np.linalg.LinAlgError:
             return None
         if (not stable
@@ -547,16 +547,18 @@ class CompiledModel:
             return None
         return s
 
+    def _growth_rate(self, s: np.ndarray) -> float:
+        """Largest real eigenvalue of the bordered Jacobian at ``s``: the
+        slowest mode's rate, since the trace mode sits at -Gamma."""
+        return float(np.linalg.eigvals(self._bordered_jacobian(s)).real.max())
+
     def slow_mode_rate(self) -> float:
         """Largest growth rate of fluctuations about the symmetric state.
 
         Positive values mark the ordered phase; the boundary is the zero
         crossing.  Uses the exact linearization, including the mean-spin
         feedback of the exchange term."""
-        ev = np.linalg.eigvals(self.jacobian(self.symmetric_fixed_point())).real
-        ev.sort()
-        ev = ev[np.abs(ev) > 1e-7 * max(self.params.gamma, 1.0)]
-        return float(ev[-1])
+        return self._growth_rate(self.symmetric_fixed_point())
 
 
 @dataclass
@@ -570,26 +572,21 @@ class IntegrationControls:
 # Invariant checks on every accepted step.
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
-# Steadiness, over a trailing window of STEADY_WINDOW_T1 / Gamma: the
-# window-averaged |dM/dt| against STEADY_REL Gamma |M| + STEADY_ABS_RATE
-# Gamma, and the window-averaged state displacement rate against
-# STEADY_STATE_REL Gamma / dim_g.
-STEADY_WINDOW_T1 = 5.0
-STEADY_REL = 1e-6
-STEADY_ABS_RATE = 1e-9
-STEADY_STATE_REL = 1e-5
 # Below this |M_ss| a converged point is disordered and reports the dark
 # lifetime T1 as its response time.
 TAU_FLOOR_M = 1e-3
 # A state is an exact fixed point when max|rhs_coords| is at most
 # FIXED_POINT_RESIDUAL Gamma.
 FIXED_POINT_RESIDUAL = 1e-9
-# Fixed-point stop: once the windowed rates fall below NEWTON_GATE (in
-# place of STEADY_REL and STEADY_STATE_REL), at most once per window, a
+# Fixed-point stop: once the derivative f at an accepted state is small,
+# |dM/dt| <= NEWTON_GATE Gamma |M| + STEADY_ABS_RATE Gamma and rms(f) <=
+# NEWTON_GATE Gamma / dim_g, at most once per STEADY_WINDOW_T1 / Gamma, a
 # Newton solve from the current state (NEWTON_MAX_ITER iterations, done
 # when a step moves no coordinate by more than NEWTON_STEP_TOL) may end the
 # run on a stable fixed point within NEWTON_DISTANCE / dim_g rms of it.
 NEWTON_GATE = 1e-2
+STEADY_ABS_RATE = 1e-9
+STEADY_WINDOW_T1 = 5.0
 NEWTON_MAX_ITER = 8
 NEWTON_STEP_TOL = 1e-10
 NEWTON_DISTANCE = 0.1
@@ -649,7 +646,7 @@ def _radau(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
 
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                       controls: IntegrationControls,
-                      stop_when_steady: bool = False):
+                      stop_at_fixed_point: bool = False):
     """Radau IIA (order 5) on subspace coordinates, with the analytic
     Jacobian, stepped one accepted step at a time.  An implicit method takes
     steps set by the dynamics rather than by the stiff fast decays.  Its
@@ -659,34 +656,23 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     Trace and positivity are checked on every accepted step.
 
     Returns (times, magnetizations, s_final, stop, counts), where ``stop``
-    is 'fixed-point', 'steady' or 'budget' (``t_end`` reached) and
-    ``counts`` holds the accepted ``steps`` and the solver's ``nfev``,
-    ``njev`` and ``nlu``.  Steadiness compares the state against
-    trailing-window-old snapshots: both the window-averaged magnetization
-    derivative and the window-averaged state displacement rate must fall
-    below threshold.  Averaging over the window keeps the criterion
-    meaningful for stiff parameter points, where the instantaneous
-    derivative floats on integrator noise; steps are capped at the window
-    so the oldest snapshot stays one window old.
+    is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
+    the accepted ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu``.
 
-    The run ends earlier, on the exact fixed point, when
-    :meth:`CompiledModel.stable_fixed_point` finds one near the state (see
-    ``NEWTON_GATE``) whose magnetization M* has the sign of M(t) and which
-    |M(t)| has already brought within RESPONSE_FRACTION of |M*|; then
-    ``s_final`` is that fixed point, while the recorded trajectory ends at
-    the last accepted step."""
+    With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
+    point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
+    state whose magnetization M* has the sign of M(t) and which |M(t)| has
+    already brought within RESPONSE_FRACTION of |M*|; then ``s_final`` is
+    that fixed point, while the recorded trajectory ends at the last
+    accepted step.  The solve is tried once the derivative that Radau has
+    already evaluated at the accepted state is small (see ``NEWTON_GATE``),
+    and at most once per STEADY_WINDOW_T1 / Gamma."""
     gamma = model.params.gamma
-    window = STEADY_WINDOW_T1 / gamma
-    abs_rate = STEADY_ABS_RATE * gamma
     max_step = controls.max_step if controls.max_step is not None else np.inf
-    if stop_when_steady:
-        max_step = min(max_step, window)
     solver = _radau(model, s0, t_end, max_step, controls)
     dim = model.sub.dim
-    state_scale = 1.0 / dim
     times = [0.0]
     mags = [model.magnetization(s0)]
-    snapshots = [(0.0, s0.copy(), mags[0])]
     stop = "budget"
     next_newton = 0.0
     n_steps = 0
@@ -723,46 +709,30 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         m = model.magnetization(s)
         times.append(t)
         mags.append(m)
-        if stop_when_steady:
-            if t - snapshots[-1][0] >= window / 8.0:
-                snapshots.append((t, s.copy(), m))
-            while len(snapshots) >= 2 and snapshots[1][0] <= t - window:
-                snapshots.pop(0)
-            t_old, s_old, m_old = snapshots[0]
-            if t_old <= t - window:
-                span = t - t_old
-                mdot = abs(m - m_old) / span
-                m_scale = gamma * max(abs(m), abs(m_old))
-                sdot = math.sqrt(float(np.mean((s - s_old) ** 2))) / span
-                s_scale = gamma * state_scale
-                if (mdot <= STEADY_REL * m_scale + abs_rate
-                        and sdot <= STEADY_STATE_REL * s_scale):
-                    stop = "steady"
-                    break
-                if (t >= next_newton and mdot <= NEWTON_GATE * m_scale + abs_rate
-                        and sdot <= NEWTON_GATE * s_scale):
-                    next_newton = t + window
-                    s_star = model.stable_fixed_point(s)
-                    if s_star is not None:
-                        m_star = model.magnetization(s_star)
-                        near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
-                                <= NEWTON_DISTANCE * state_scale)
-                        if (near and np.sign(m_star) == np.sign(m)
-                                and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
-                            stop = "fixed-point"
-                            s = s_star
-                            break
+        if stop_at_fixed_point and t >= next_newton:
+            f = solver.f  # rhs_coords(s), evaluated by the accepted step
+            if (abs(model.magnetization(f))
+                    <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
+                    and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
+                next_newton = t + STEADY_WINDOW_T1 / gamma
+                s_star = model.stable_fixed_point(s)
+                if s_star is not None:
+                    m_star = model.magnetization(s_star)
+                    near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
+                            <= NEWTON_DISTANCE / dim)
+                    if (near and np.sign(m_star) == np.sign(m)
+                            and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
+                        stop = "fixed-point"
+                        s = s_star
+                        break
     return np.array(times), np.array(mags), s.copy(), stop, counts()
 
 
 def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
               controls: IntegrationControls | None = None,
-              model: CompiledModel | None = None,
-              stop_when_steady: bool = False) -> Trajectory:
+              model: CompiledModel | None = None) -> Trajectory:
     """Integrate the projected dynamics from ``rho0`` (default: seeded
-    unpolarized state) for ``t_end`` seconds, or with ``stop_when_steady``
-    until the run is steady or stops on a fixed point (then the
-    ``final_state``; see :func:`_integrate_coords`)."""
+    unpolarized state) for ``t_end`` seconds."""
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     model = model if model is not None else CompiledModel(params)
@@ -771,10 +741,9 @@ def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
         s0 = model.seed_coords(params.seed_polarization)
     else:
         s0 = model.sub.from_matrix(np.asarray(rho0, dtype=complex))
-    times, mags, s, stop, _ = _integrate_coords(model, s0, t_end, controls,
-                                                stop_when_steady=stop_when_steady)
+    times, mags, s, _, _ = _integrate_coords(model, s0, t_end, controls)
     return Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), steady=stop != "budget")
+                      final_state=model.sub.to_matrix(s), steady=False)
 
 
 @dataclass
@@ -782,9 +751,9 @@ class SteadyResult:
     """A run to steady state and its response time ``tau``: the
     RESPONSE_FRACTION (63%) crossing of |M| against |M_ss|, or T1
     (``floored``) when |M_ss| < TAU_FLOOR_M; ``None`` when the run did not
-    converge.  ``stop`` says how the run ended: 'symmetric' (classified
-    without integrating), 'fixed-point' (Newton stop), 'steady' (window
-    rule) or 'budget' (``max_time`` reached, not converged).  ``steps``
+    converge.  ``stop`` says how the run ended: on an exact fixed point,
+    'symmetric' (classified without integrating) or 'fixed-point' (Newton
+    stop), or 'budget' (``max_time`` reached, not converged).  ``steps``
     counts the accepted steps; ``nfev``, ``njev`` and ``nlu`` are the
     solver's right-hand-side, Jacobian and LU-factorization counts."""
 
@@ -802,18 +771,20 @@ class SteadyResult:
     nlu: int
 
 
-def _classified(model: CompiledModel) -> np.ndarray | None:
+def _classified(model: CompiledModel, eps: float) -> np.ndarray | None:
     """The symmetric fixed point when it is the run's answer without
-    integrating: no bias field, an exact fixed point, and a negative slow
-    mode, so a small seed relaxes back to it."""
+    integrating: no bias field, an exact fixed point, and a seed ``eps``
+    that cannot leave it, because it is zero (the symmetric sector is
+    invariant) or the slow mode is negative (a small seed relaxes back)."""
     bias = model.params.bias
     if bias is not None and bias.amplitude_sq > 0:
         return None
     try:
-        if model.slow_mode_rate() < 0:
-            return model.symmetric_fixed_point()
+        s_star = model.symmetric_fixed_point()
     except IntegrationError:  # not a fixed point outside 'hyperfine+zeeman'
-        pass
+        return None
+    if eps == 0.0 or model._growth_rate(s_star) < 0:
+        return s_star
     return None
 
 
@@ -823,26 +794,27 @@ def steady_state(params: SimParams, seed: float | None = None,
                  model: CompiledModel | None = None) -> SteadyResult:
     """The steady state reached from the seeded unpolarized state.
 
-    A run ends as soon as its answer is exact: without integrating when
-    the symmetric state is a stable fixed point and no bias field breaks
-    the symmetry ('symmetric'); otherwise on the fixed point of a checked
-    Newton solve once the integration has come close ('fixed-point'); and
-    failing both when the magnetization and state derivatives stay below
-    threshold over a trailing window ('steady')."""
+    A run converges only on an exact fixed point: without integrating when
+    the symmetric state is one that the seed cannot leave and no bias field
+    breaks the symmetry ('symmetric'; see :func:`_classified`), or on the
+    fixed point of a checked Newton solve once the integration has come
+    close ('fixed-point'; see :func:`_integrate_coords`).  A run that
+    reaches ``max_time`` (default 2000/Gamma) first has not converged
+    ('budget')."""
     model = model if model is not None else CompiledModel(params)
     eps = params.seed_polarization if seed is None else seed
     if max_time is None:
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(eps)
-    s_sym = _classified(model)
+    s_sym = _classified(model, eps)
     if s_sym is not None:
         times, mags = np.zeros(1), np.array([model.magnetization(s0)])
         s, stop = s_sym, "symmetric"
         counts = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     else:
         times, mags, s, stop, counts = _integrate_coords(
-            model, s0, max_time, controls, stop_when_steady=True)
+            model, s0, max_time, controls, stop_at_fixed_point=True)
     converged = stop != "budget"
     traj = Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), steady=converged)

@@ -109,7 +109,7 @@ def run_selftest(verbose: bool = True) -> bool:
     # zero-seed symmetry
     p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
                              seed_polarization=0.0)
-    traj = integrate(p, t_end=10 / p.gamma, stop_when_steady=True)
+    traj = integrate(p, t_end=10 / p.gamma)
     worst = float(np.abs(traj.magnetization).max())
     check("zero-seed symmetry", worst < 1e-9, f"max|M| {worst:.2e}")
 

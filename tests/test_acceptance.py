@@ -321,7 +321,7 @@ def test_criterion_7_invariant_suite():
 
     p0 = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
                               seed_polarization=0.0)
-    traj = integrate(p0, t_end=20 / GAMMA, stop_when_steady=True)
+    traj = integrate(p0, t_end=20 / GAMMA)
     worst_sym = float(np.abs(traj.magnetization).max())
     ok_sym = worst_sym < 1e-9
 

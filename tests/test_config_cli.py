@@ -128,6 +128,39 @@ class TestCli:
         assert os.path.exists(prefix + "_residuals.csv")
         assert os.path.exists(prefix + "_loglog.csv")
 
+    @staticmethod
+    def _series(tmp_path, x, y):
+        series = tmp_path / "series.csv"
+        series.write_text("x,y\n" + "\n".join(f"{a},{b}" for a, b in zip(x, y)))
+        return str(series)
+
+    @pytest.mark.parametrize("form, x0, n_excluded, weights", [
+        ("beta", 1.6, 0, "uniform"), ("gamma", 3.4, 2, "gamma-cubed"),
+        ("znu", 0.8, 2, "gamma-cubed")])
+    def test_fit_defaults_follow_the_form(self, tmp_path, form, x0, n_excluded, weights):
+        from spingas.critfit import synthetic_series
+        x = np.linspace(1.0, 3.2, 40)
+        series = self._series(tmp_path, x, synthetic_series(form, 0.6, x0, 0.5, x))
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", form, "--out", prefix]) == 0
+        payload = json.load(open(prefix + "_fit.json"))
+        assert (payload["n_excluded"], payload["weights"]) == (n_excluded, weights)
+
+    @pytest.mark.parametrize("form, weights", [
+        ("gamma", "uniform"), ("znu", "uniform"), ("delta", "gamma-cubed")])
+    def test_fit_rejects_weights_the_form_ignores(self, tmp_path, form, weights):
+        series = self._series(tmp_path, np.linspace(1.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", form,
+                     "--weights", weights, "--out", prefix]) == 2
+        assert not os.path.exists(prefix + "_fit.json")
+
+    def test_fit_rejects_nonpositive_abscissae(self, tmp_path):
+        series = self._series(tmp_path, np.linspace(0.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", "beta", "--out", prefix]) == 2
+        assert not os.path.exists(prefix + "_fit.json")
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = main(["fit", "--input", str(tmp_path / "nope.csv"),
                    "--form", "beta", "--out", str(tmp_path / "f")])

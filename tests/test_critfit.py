@@ -131,6 +131,16 @@ class TestMechanics:
         with pytest.raises(ValueError):
             three_step_fit([1, 2, 3], [0, 1, 2], FitSpec(form="beta"))
 
+    @pytest.mark.parametrize("form, x", [
+        ("znu", np.linspace(-2.0, -0.5, 10)),
+        ("gamma", np.linspace(0.0, 1.8, 10)),
+        ("beta", np.append(np.linspace(1.0, 3.0, 9), np.nan)),
+        ("beta", np.append(np.linspace(1.0, 3.0, 9), np.inf))])
+    def test_rejects_invalid_abscissae(self, form, x):
+        # the fit forms divide by x and live on x > 0
+        with pytest.raises(ValueError, match="finite and > 0"):
+            three_step_fit(x, np.linspace(1.0, 2.0, 10), FitSpec(form=form))
+
     def test_all_zero_series(self):
         x = np.linspace(1, 3, 10)
         with pytest.raises(NoTransitionError):

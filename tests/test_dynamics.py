@@ -207,7 +207,7 @@ class TestIntegration:
     def test_zero_seed_symmetry(self):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
                                  seed_polarization=0.0)
-        traj = integrate(p, t_end=20 / GAMMA, stop_when_steady=True)
+        traj = integrate(p, t_end=20 / GAMMA)
         assert np.abs(traj.magnetization).max() < 1e-9
 
     def test_seed_sign_equivariance(self):
@@ -326,8 +326,7 @@ class TestHelpers:
 
 class TestSteadyDetection:
     def test_stiff_point_converges(self):
-        # extreme exchange rate: the window-averaged criterion must not
-        # float on integrator noise (regression for the instantaneous gate)
+        # extreme exchange rate
         p = SimParams.from_rates(i_over_gamma=0.2, j_over_gamma=150.0,
                                  seed_polarization=0.0)
         res = steady_state(p, max_time=300.0 / GAMMA)
@@ -347,8 +346,7 @@ class TestSteadyDetection:
         assert free.magnetization[-1] == pytest.approx(exact, rel=1e-4)
 
     def test_slow_disordered_cell_converges(self):
-        # slow mode -0.173 /s: with steps longer than the steadiness window
-        # the trailing snapshot is too old and dM/dt is overstated
+        # slow mode -0.173 /s
         res = steady_state(SimParams.from_rates(2.881422, 1.827586))
         assert res.converged
         assert abs(res.m_ss) < 1e-3
@@ -588,26 +586,24 @@ def _trace_exact_integration(model, t_end):
 
 
 class TestExactStops:
-    """A steady state ends on its exact fixed point where it can: without
-    integrating on a stable symmetric state, and by a checked Newton solve
-    near an ordered one.  These oracles integrate instead."""
+    """A steady state converges only on an exact fixed point: without
+    integrating on a symmetric state the seed cannot leave, and by a
+    checked Newton solve near an ordered one.  These oracles integrate
+    instead."""
 
-    def test_classified_cells_relax_under_the_window_rule(self, monkeypatch):
-        # with the Newton stop off, only the window rule can end a run
-        monkeypatch.setattr(dyn, "NEWTON_GATE", 0.0)
+    def test_classified_cells_relax_under_integration(self):
+        # a fixed-horizon run over the whole time budget
         axis = np.linspace(0.5, 6.0, 12)
         classified = 0
         for i in axis:
             for j in axis:
-                model = CompiledModel(SimParams.from_rates(i, j))
-                if dyn._classified(model) is None:
+                p = SimParams.from_rates(i, j)
+                model = CompiledModel(p)
+                if dyn._classified(model, p.seed_polarization) is None:
                     continue
                 classified += 1
-                _, mags, _, stop, _ = dyn._integrate_coords(
-                    model, model.seed_coords(1e-4), 2000.0 / GAMMA,
-                    IntegrationControls(), stop_when_steady=True)
-                assert stop == "steady", (i, j)
-                assert abs(mags[-1]) < dyn.TAU_FLOOR_M, (i, j)
+                traj = integrate(p, t_end=2000.0 / GAMMA, model=model)
+                assert abs(traj.magnetization[-1]) < p.seed_polarization, (i, j)
         assert classified >= 30
 
     def test_classified_run_reports_the_symmetric_state(self):
@@ -637,15 +633,17 @@ class TestExactStops:
         assert res.tau == res.trajectory.response_crossing(dyn.RESPONSE_FRACTION,
                                                            res.m_ss)
 
-    def test_zero_seed_ordered_run_falls_back_to_the_window_rule(self):
-        # the symmetric state it stays on is a fixed point, but unstable
+    def test_zero_seed_ordered_run_is_classified(self):
+        # the symmetric sector is invariant, so a zero seed stays on the
+        # symmetric state, a fixed point that Newton rejects as unstable
         p = SimParams.from_rates(2.0, 3.0, seed_polarization=0.0)
         model = CompiledModel(p)
-        assert model.stable_fixed_point(model.symmetric_fixed_point()) is None
+        s_star = model.symmetric_fixed_point()
+        assert model.stable_fixed_point(s_star) is None
         res = steady_state(p, model=model)
-        assert res.stop == "steady"
-        assert res.steps > 0
-        assert abs(res.m_ss) < 1e-9
+        assert res.stop == "symmetric"
+        assert res.steps == 0
+        assert res.m_ss == model.magnetization(s_star)
 
     def test_hyperfine_symmetric_state_is_no_fixed_point(self):
         # the linear solve keeps transverse coherences that the feedback
@@ -658,7 +656,7 @@ class TestExactStops:
         with pytest.raises(IntegrationError, match="no fixed point"):
             model.slow_mode_rate()
         res = steady_state(p, model=model)
-        assert res.stop in ("fixed-point", "steady")
+        assert res.stop == "fixed-point"
         assert res.steps > 0
         assert abs(res.m_ss) > 0.2
 
@@ -669,3 +667,27 @@ class TestExactStops:
         assert res.stop != "symmetric"
         assert res.steps > 0
         assert res.m_ss > 0
+
+    @pytest.mark.parametrize("i_over_i0, i, j, kwargs", [
+        (None, 0.3, 1.0, {}), (None, 2.0, 3.0, {}), (None, 6.0, 6.0, {}),
+        (1.04, None, 3.7, {}), (None, 0.5, 2.3, {"h_over_gamma": 1e-3}),
+        (1.15, None, 2.6, {"projection_mode": "hyperfine", "b_z": 1e-4})])
+    def test_converged_runs_end_on_an_exact_fixed_point(self, i_over_i0, i, j, kwargs):
+        if i is None:
+            i = i_over_i0 * critical_pump_rate(j)
+        p = SimParams.from_rates(i, j, **kwargs)
+        model = CompiledModel(p)
+        res = steady_state(p, model=model)
+        assert res.converged
+        assert res.stop in ("symmetric", "fixed-point")
+        s = model.sub.from_matrix(res.rho_ss)
+        assert np.abs(model.rhs_coords(s)).max() <= dyn.FIXED_POINT_RESIDUAL * GAMMA
+
+    def test_newton_gate_reads_the_solvers_derivative(self):
+        # the gate takes rhs_coords at the accepted state from the solver
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        solver = dyn._radau(model, model.seed_coords(1e-4), 2000.0 / GAMMA, np.inf,
+                            IntegrationControls())
+        for _ in range(50):
+            solver.step()
+            assert np.array_equal(solver.f, model.rhs_coords(solver.y))

@@ -126,6 +126,20 @@ class TestRunSweep:
         assert serial[1].tobytes() == pooled[1].tobytes()
         assert abs(serial[1][2]) > 0.2
 
+    @staticmethod
+    def _bytes_under_blas_threads(args, paths):
+        """The files at ``paths`` that ``python args`` writes under 1 and
+        under 2 OpenBLAS threads."""
+        src = os.path.dirname(os.path.dirname(spingas.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, *args], env=env, check=True, timeout=120,
+                           stdout=subprocess.DEVNULL)
+            outputs.append([open(path, "rb").read() for path in paths])
+        return outputs
+
     def test_blas_thread_count_does_not_reach_the_bytes(self, tmp_path):
         # OpenBLAS reads its thread count at numpy's import; the sweep pins
         # one thread whatever the environment asked for
@@ -134,17 +148,18 @@ class TestRunSweep:
                   "res = run_sweep(SweepGrid.from_rates([2.0], [3.0]), workers=1)\n"
                   "assert res.provenance['blas_threads'] == 1\n"
                   "save_sweep(res, sys.argv[1], sys.argv[2])\n")
-        src = os.path.dirname(os.path.dirname(spingas.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            paths = [str(tmp_path / f"{threads}_cells.csv"),
-                     str(tmp_path / f"{threads}_manifest.json")]
-            subprocess.run([sys.executable, "-c", script, *paths], env=env,
-                           check=True, timeout=120)
-            outputs.append([open(path, "rb").read() for path in paths])
-        assert outputs[0] == outputs[1]
+        paths = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
+        one, two = self._bytes_under_blas_threads(["-c", script, *paths], paths)
+        assert one == two
+
+    def test_blas_thread_count_does_not_reach_the_cli_bytes(self, tmp_path):
+        # every command pins it, not only the sweep
+        out = str(tmp_path / "run")
+        args = ["-m", "spingas.cli", "simulate", "--i", "1.2", "--j", "3.7",
+                "--trajectory", "--out", out]
+        one, two = self._bytes_under_blas_threads(
+            args, [out + "_summary.json", out + "_trajectory.csv"])
+        assert one == two
 
     def test_roundtrip(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
