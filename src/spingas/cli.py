@@ -153,8 +153,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         traj = integrate(params, t_end=args.t_end, model=model,
                          controls=cfg.controls())
         summary = {"mode": "fixed-horizon", "t_end": args.t_end,
-                   "m_final": float(traj.magnetization[-1]),
-                   "steady": bool(traj.steady)}
+                   "m_final": float(traj.magnetization[-1])}
         nonconverged = False
     else:
         res = steady_state(params, model=model, controls=cfg.controls())

@@ -94,16 +94,17 @@ MODE_HFZ = "hyperfine+zeeman"
 PROJECTION_MODES = (MODE_HFZ, MODE_HF, MODE_FULL)
 
 GAMMA_BASE = 58.0  # 1/s, dark spin-destruction rate at the reference temperature
+GAMMA_SLOPE = 0.35  # 1/s per degree C
+GAMMA_T_REF_C = 75.0  # degrees C, where Gamma = GAMMA_BASE
 
 # Axis calibrations (see module docstring).
 PUMP_AXIS_SCALE = 32.0
 EXCHANGE_AXIS_SCALE = 5.0
 
 
-def gamma_of_temperature(temperature_c: float, gamma0: float = GAMMA_BASE,
-                         slope: float = 0.35, t_ref: float = 75.0) -> float:
+def gamma_of_temperature(temperature_c: float) -> float:
     """Linear temperature law of the dark relaxation rate, 1/s."""
-    return gamma0 + slope * (temperature_c - t_ref)
+    return GAMMA_BASE + GAMMA_SLOPE * (temperature_c - GAMMA_T_REF_C)
 
 
 class IntegrationError(RuntimeError):
@@ -119,7 +120,8 @@ class SimParams:
     Field amplitudes are in the internal intensity unit; use
     :meth:`from_rates` to specify pump, exchange and bias strengths as rates
     in units of Gamma on the calibrated axes.  ``j_exchange`` is the model
-    exchange rate J entering the equation as qJ.
+    exchange rate J entering the equation as qJ.  ``seed_polarization``,
+    M_z of the seeded unpolarized state, is the only seed of every run.
     """
 
     atom: AtomSpec = field(default_factory=cesium)
@@ -153,10 +155,11 @@ class SimParams:
 
     @classmethod
     def from_rates(cls, i_over_gamma: float = 0.0, j_over_gamma: float = 0.0,
-                   h_over_gamma: float = 0.0, bias_sign: int = +1,
-                   gamma: float = GAMMA_BASE, pump_detuning: float | None = None,
+                   h_over_gamma: float = 0.0, gamma: float = GAMMA_BASE,
+                   pump_detuning: float | None = None,
                    bias_detuning: float | None = None, **kwargs) -> "SimParams":
-        """Build parameters from axis-rate ratios I/Gamma, J/Gamma, H/Gamma.
+        """Build parameters from axis-rate ratios I/Gamma, J/Gamma, H/Gamma;
+        the bias beam is sigma+ for H > 0 and sigma- for H < 0.
 
         The pump and bias beams are calibrated at their detunings (angular
         frequencies; ``None`` keeps the defaults of :func:`pump_field` and
@@ -172,8 +175,8 @@ class SimParams:
             pump = shape.scaled(i_over_gamma * gamma / alignment_rate_unit(base, shape))
         bias = None
         if h_over_gamma != 0.0:
-            sign = bias_sign if h_over_gamma > 0 else -bias_sign
-            shape = bias_field(1.0, sign=sign, detuning=bias_detuning)
+            shape = bias_field(1.0, sign=1 if h_over_gamma > 0 else -1,
+                               detuning=bias_detuning)
             bias = shape.scaled(abs(h_over_gamma * gamma) / bias_rate_unit(base, shape))
         return replace(base, pump=pump, bias=bias)
 
@@ -189,7 +192,6 @@ class Trajectory:
     times: np.ndarray
     magnetization: np.ndarray
     final_state: np.ndarray   # the fixed point when a run stopped on one
-    steady: bool
 
     def response_crossing(self, fraction_of_final: float,
                           final: float | None = None) -> float | None:
@@ -566,10 +568,10 @@ class IntegrationControls:
     rtol: float = 1e-8
     atol: float = 1e-10
     max_step: float | None = None
-    max_steps: int = 50_000_000
 
 
-# Invariant checks on every accepted step.
+# Checks on every accepted step: the step budget and the invariants.
+MAX_STEPS = 50_000_000
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 # Below this |M_ss| a converged point is disordered and reports the dark
@@ -592,6 +594,9 @@ NEWTON_STEP_TOL = 1e-10
 NEWTON_DISTANCE = 0.1
 # The response time is the crossing of this fraction of |M_ss|.
 RESPONSE_FRACTION = 0.63
+# The boundary locators bisect an axis rate (/Gamma) to this relative width.
+LOCATOR_BRACKET = (0.05, 40.0)
+LOCATOR_TOL = 1e-3
 
 
 @lru_cache(maxsize=8)
@@ -683,7 +688,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                 "nlu": solver.nlu}
 
     while solver.status == "running":
-        if n_steps >= controls.max_steps:
+        if n_steps >= MAX_STEPS:
             raise IntegrationError("step budget exhausted",
                                    {"t": solver.t, **counts()})
         try:
@@ -728,22 +733,19 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     return np.array(times), np.array(mags), s.copy(), stop, counts()
 
 
-def integrate(params: SimParams, t_end: float, rho0: np.ndarray | None = None,
+def integrate(params: SimParams, t_end: float,
               controls: IntegrationControls | None = None,
               model: CompiledModel | None = None) -> Trajectory:
-    """Integrate the projected dynamics from ``rho0`` (default: seeded
-    unpolarized state) for ``t_end`` seconds."""
+    """Integrate the projected dynamics from the seeded unpolarized state
+    for ``t_end`` seconds."""
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     model = model if model is not None else CompiledModel(params)
     controls = controls or IntegrationControls()
-    if rho0 is None:
-        s0 = model.seed_coords(params.seed_polarization)
-    else:
-        s0 = model.sub.from_matrix(np.asarray(rho0, dtype=complex))
+    s0 = model.seed_coords(params.seed_polarization)
     times, mags, s, _, _ = _integrate_coords(model, s0, t_end, controls)
     return Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), steady=False)
+                      final_state=model.sub.to_matrix(s))
 
 
 @dataclass
@@ -758,9 +760,6 @@ class SteadyResult:
     solver's right-hand-side, Jacobian and LU-factorization counts."""
 
     m_ss: float
-    rho_ss: np.ndarray
-    t_converge: float
-    converged: bool
     trajectory: Trajectory
     tau: float | None
     floored: bool
@@ -769,6 +768,18 @@ class SteadyResult:
     nfev: int
     njev: int
     nlu: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "budget"
+
+    @property
+    def rho_ss(self) -> np.ndarray:
+        return self.trajectory.final_state
+
+    @property
+    def t_converge(self) -> float:
+        return float(self.trajectory.times[-1])
 
 
 def _classified(model: CompiledModel, eps: float) -> np.ndarray | None:
@@ -788,11 +799,11 @@ def _classified(model: CompiledModel, eps: float) -> np.ndarray | None:
     return None
 
 
-def steady_state(params: SimParams, seed: float | None = None,
-                 max_time: float | None = None,
+def steady_state(params: SimParams, max_time: float | None = None,
                  controls: IntegrationControls | None = None,
                  model: CompiledModel | None = None) -> SteadyResult:
-    """The steady state reached from the seeded unpolarized state.
+    """The steady state reached from the unpolarized state seeded with
+    ``params.seed_polarization``.
 
     A run converges only on an exact fixed point: without integrating when
     the symmetric state is one that the seed cannot leave and no bias field
@@ -802,12 +813,11 @@ def steady_state(params: SimParams, seed: float | None = None,
     reaches ``max_time`` (default 2000/Gamma) first has not converged
     ('budget')."""
     model = model if model is not None else CompiledModel(params)
-    eps = params.seed_polarization if seed is None else seed
     if max_time is None:
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls()
-    s0 = model.seed_coords(eps)
-    s_sym = _classified(model, eps)
+    s0 = model.seed_coords(params.seed_polarization)
+    s_sym = _classified(model, params.seed_polarization)
     if s_sym is not None:
         times, mags = np.zeros(1), np.array([model.magnetization(s0)])
         s, stop = s_sym, "symmetric"
@@ -815,28 +825,23 @@ def steady_state(params: SimParams, seed: float | None = None,
     else:
         times, mags, s, stop, counts = _integrate_coords(
             model, s0, max_time, controls, stop_at_fixed_point=True)
-    converged = stop != "budget"
     traj = Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), steady=converged)
+                      final_state=model.sub.to_matrix(s))
     m_ss = model.magnetization(s)
     tau, floored = None, False
-    if converged:
+    if stop != "budget":
         floored = abs(m_ss) < TAU_FLOOR_M
         tau = params.t1 if floored else traj.response_crossing(RESPONSE_FRACTION, m_ss)
-    return SteadyResult(m_ss=m_ss, rho_ss=traj.final_state,
-                        t_converge=float(times[-1]), converged=converged,
-                        trajectory=traj, tau=tau, floored=floored, stop=stop,
-                        **counts)
+    return SteadyResult(m_ss=m_ss, trajectory=traj, tau=tau, floored=floored,
+                        stop=stop, **counts)
 
 
-def response_time(params: SimParams, seed: float | None = None,
-                  max_time: float | None = None,
+def response_time(params: SimParams, max_time: float | None = None,
                   controls: IntegrationControls | None = None,
                   model: CompiledModel | None = None) -> SteadyResult:
-    """The steady state of :func:`steady_state`, raising unless it has a
-    response time ``tau``."""
-    res = steady_state(params, seed=seed, max_time=max_time,
-                       controls=controls, model=model)
+    """The steady state of :func:`steady_state`, seeded from ``params``,
+    raising unless it has a response time ``tau``."""
+    res = steady_state(params, max_time=max_time, controls=controls, model=model)
     if not res.converged:
         raise IntegrationError("no steady state within the time budget",
                                {"t_max": res.t_converge, "m_last": res.m_ss})
@@ -846,17 +851,17 @@ def response_time(params: SimParams, seed: float | None = None,
 
 
 def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
-                     model: CompiledModel | None = None, **kwargs) -> dict:
-    """Response time at scaled symmetry-breaking seeds.
+                     model: CompiledModel | None = None) -> dict:
+    """Response time at the seeds ``params.seed_polarization`` x
+    ``factors``, each run on a copy of ``params`` with that seed (so one
+    beyond 0.01 in magnitude raises ``ValueError``).
 
     Near criticality tau grows logarithmically as the seed shrinks; the
     report carries d tau / d ln(eps) so it can be published next to tau."""
     model = model if model is not None else CompiledModel(params)
     eps0 = params.seed_polarization
-    taus = {}
-    for f in factors:
-        r = response_time(params, seed=eps0 * f, model=model, **kwargs)
-        taus[f] = r.tau
+    taus = {f: response_time(replace(params, seed_polarization=eps0 * f), model=model).tau
+            for f in factors}
     out = {"eps_base": eps0, "tau_by_factor": taus}
     fs = sorted(taus)
     if len(fs) >= 2 and fs[0] != fs[-1]:
@@ -865,22 +870,22 @@ def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
     return out
 
 
-def _critical_rate(axis: str, fixed: float, gamma: float, lo: float, hi: float,
-                   tol: float, kwargs: dict) -> float:
-    """Geometric bisection, to relative width ``tol``, of the zero crossing
-    of the symmetric state's slow-mode growth rate along the axis-rate
-    ``axis`` ('I' or 'J') with the other rate held at ``fixed``."""
+def _critical_rate(axis: str, fixed: float) -> float:
+    """Geometric bisection over LOCATOR_BRACKET, to relative width
+    LOCATOR_TOL, of the zero crossing of the symmetric state's slow-mode
+    growth rate along the axis rate ``axis`` ('I' or 'J') with the other
+    rate held at ``fixed``, for the default parameters."""
     other = "J" if axis == "I" else "I"
+    lo, hi = LOCATOR_BRACKET
 
     def rate(x):
-        rates = {axis: x, other: fixed}
-        p = SimParams.from_rates(i_over_gamma=rates["I"], j_over_gamma=rates["J"],
-                                 gamma=gamma, seed_polarization=0.0, **kwargs)
+        i, j = (x, fixed) if axis == "I" else (fixed, x)
+        p = SimParams.from_rates(i_over_gamma=i, j_over_gamma=j, seed_polarization=0.0)
         return CompiledModel(p).slow_mode_rate()
     if rate(hi) < 0:
         raise ValueError(f"no instability up to {axis}/Gamma = {hi} "
                          f"at {other}/Gamma = {fixed}")
-    while hi / lo > 1.0 + tol:
+    while hi / lo > 1.0 + LOCATOR_TOL:
         mid = math.sqrt(lo * hi)
         if rate(mid) > 0:
             hi = mid
@@ -889,19 +894,17 @@ def _critical_rate(axis: str, fixed: float, gamma: float, lo: float, hi: float,
     return math.sqrt(lo * hi)
 
 
-def critical_pump_rate(j_over_gamma: float, gamma: float = GAMMA_BASE,
-                       lo: float = 0.05, hi: float = 40.0,
-                       tol: float = 1e-3, **kwargs) -> float:
-    """Critical axis rate I/Gamma on a fixed-J contour, from the zero
-    crossing of the symmetric state's slow-mode growth rate."""
-    return _critical_rate("I", j_over_gamma, gamma, lo, hi, tol, kwargs)
+def critical_pump_rate(j_over_gamma: float) -> float:
+    """Critical axis rate I/Gamma on a fixed-J contour: the zero crossing of
+    the symmetric state's slow-mode growth rate, bisected over the fixed
+    LOCATOR_BRACKET to LOCATOR_TOL (see :func:`_critical_rate`)."""
+    return _critical_rate("I", j_over_gamma)
 
 
-def critical_exchange_rate(i_over_gamma: float, gamma: float = GAMMA_BASE,
-                           lo: float = 0.05, hi: float = 40.0,
-                           tol: float = 1e-3, **kwargs) -> float:
-    """Critical axis rate J/Gamma on a fixed-I contour."""
-    return _critical_rate("J", i_over_gamma, gamma, lo, hi, tol, kwargs)
+def critical_exchange_rate(i_over_gamma: float) -> float:
+    """Critical axis rate J/Gamma on a fixed-I contour, located as by
+    :func:`critical_pump_rate`."""
+    return _critical_rate("J", i_over_gamma)
 
 
 # --- rate calibrations -------------------------------------------------------

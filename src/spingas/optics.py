@@ -74,12 +74,12 @@ class OpticalField:
     alignment), while the circular bias keeps the full far-detuned coupling
     so strong bias pumping can empty every non-stretched state.
 
-    ``symmetrize_z`` removes the residual effective circularity a linearly
-    polarized beam acquires from the Zeeman splitting of the optical
+    A linearly polarized beam ('x' or 'y') is symmetrized
+    (:meth:`wants_symmetrization`): that removes the residual effective
+    circularity it acquires from the Zeeman splitting of the optical
     denominators (the channel is averaged with its 180-degree-about-x
     rotation, the numerical analogue of actively zeroing the beam's circular
-    component).  ``None`` resolves to True for linear and False for circular
-    polarizations.
+    component).  Circular and explicit-vector polarizations are not.
     """
 
     amplitude_sq: float
@@ -87,11 +87,8 @@ class OpticalField:
     detuning: float
     reference_transition: tuple[Fraction, Fraction]
     restrict_to_reference: bool = True
-    symmetrize_z: bool | None = None
 
     def wants_symmetrization(self) -> bool:
-        if self.symmetrize_z is not None:
-            return self.symmetrize_z
         return isinstance(self.polarization, str) and self.polarization in ("x", "y")
 
     def __post_init__(self):
@@ -184,12 +181,11 @@ class DopplerSpec:
         return self.width * t, wts / math.sqrt(math.pi)
 
 
-def doppler_width(temperature_c: float = 87.0, wavelength_m: float = D1_WAVELENGTH_M,
-                  mass_kg: float = CS_MASS_KG) -> float:
-    """1/e half-width of k.v for a thermal vapor, rad/s."""
+def doppler_width(temperature_c: float = 87.0) -> float:
+    """1/e half-width of k.v for a cesium vapor on the D1 line, rad/s."""
     t_k = temperature_c + 273.15
-    v = math.sqrt(2.0 * BOLTZMANN_J_PER_K * t_k / mass_kg)
-    return 2.0 * math.pi / wavelength_m * v
+    v = math.sqrt(2.0 * BOLTZMANN_J_PER_K * t_k / CS_MASS_KG)
+    return 2.0 * math.pi / D1_WAVELENGTH_M * v
 
 
 def cesium_doppler(temperature_c: float = 87.0, order: int = 40) -> DopplerSpec:
@@ -401,7 +397,8 @@ class FieldAction:
 
     Only the dim_e^2 solve depends on a other than through a factor, and it
     runs against the columns of B T alone.  A linearly polarized field is
-    averaged with its pi-about-x rotation C (``symmetrize_z``): the second
+    averaged with its pi-about-x rotation C
+    (:meth:`OpticalField.wants_symmetrization`): the second
     half of the columns is B C T and of the rows F C^-1.
     """
 

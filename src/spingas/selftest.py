@@ -7,6 +7,8 @@ conservation laws, and short dynamical invariant runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dynamics import (
@@ -115,8 +117,8 @@ def run_selftest(verbose: bool = True) -> bool:
 
     # seed sign equivariance
     model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-    mp = steady_state(model.params, seed=+1e-4, model=model).m_ss
-    mm = steady_state(model.params, seed=-1e-4, model=model).m_ss
+    mp = steady_state(replace(model.params, seed_polarization=+1e-4), model=model).m_ss
+    mm = steady_state(replace(model.params, seed_polarization=-1e-4), model=model).m_ss
     check("seed sign equivariance", abs(mp + mm) < 1e-6, f"|M+ + M-| {abs(mp + mm):.2e}")
 
     ok = all(flag for _, flag, _ in checks)

@@ -47,19 +47,17 @@ from .dynamics import (
 
 SCHEMA_VERSION = 1
 
+# The pressure-broadened absorption line: peak cross-section (cm^2), HWHM.
+LINE_PEAK_CM2 = 2.2e-11
+LINE_HWHM = units.frequency("137 MHz")
 
-def lorentzian_cross_section(detuning: float | None = None,
-                             hwhm: float | None = None,
-                             peak_cm2: float = 2.2e-11) -> float:
-    """Absorption cross-section in the Lorentzian wing, cm^2.
 
-    ``peak_cm2`` is the pressure-broadened on-resonance value; the default
-    numbers give roughly 8e-13 cm^2 at the pump detuning."""
+def lorentzian_cross_section(detuning: float | None = None) -> float:
+    """Absorption cross-section in the Lorentzian wing, cm^2: roughly
+    8e-13 cm^2 at the default pump detuning."""
     if detuning is None:
         detuning = units.frequency("700 MHz")
-    if hwhm is None:
-        hwhm = units.frequency("137 MHz")
-    return peak_cm2 * hwhm ** 2 / (detuning ** 2 + hwhm ** 2)
+    return LINE_PEAK_CM2 * LINE_HWHM ** 2 / (detuning ** 2 + LINE_HWHM ** 2)
 
 
 @dataclass(frozen=True)
@@ -221,9 +219,7 @@ def _sweep_task(args):
 
 
 def default_workers() -> int:
-    env = os.environ.get("SPINGAS_WORKERS")
-    if env:
-        return max(1, int(env))
+    """Pool size when the caller names none: the core count, at most 8."""
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -361,16 +357,17 @@ def extract_contour(result: SweepResult, axis: str, value: float,
 
 def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
                    quantity: str = "m_signed", workers: int | None = None,
+                   max_time: float | None = None,
+                   controls: IntegrationControls | None = None,
                    **sim_kwargs) -> tuple[np.ndarray, np.ndarray]:
     """Dense 1-D series computed directly (no 2-D sweep), for fitting.
 
     ``axis='fixed-J'`` varies I/Gamma over ``points`` at J/Gamma = value;
     ``axis='fixed-I'`` varies J/Gamma.  ``quantity`` is 'm_signed', 'm_abs'
     or 'tau'; it is NaN wherever the cell did not converge, so a fit never
-    consumes a partial magnetization."""
+    consumes a partial magnetization.  ``max_time`` and ``controls`` reach
+    every point's :func:`steady_state` as in :func:`run_sweep`."""
     points = [float(x) for x in points]
-    max_time = sim_kwargs.pop("max_time", None)
-    controls = sim_kwargs.pop("controls", None)
     tasks = []
     for x in points:
         i_ax, j_ax = (x, value) if axis == "fixed-J" else (value, x)

@@ -11,6 +11,7 @@ printed for the record.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -327,8 +328,8 @@ def test_criterion_7_invariant_suite():
 
     p1 = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
     model = CompiledModel(p1)
-    mp = steady_state(p1, seed=+1e-4, model=model).m_ss
-    mm = steady_state(p1, seed=-1e-4, model=model).m_ss
+    mp = steady_state(replace(p1, seed_polarization=+1e-4), model=model).m_ss
+    mm = steady_state(replace(p1, seed_polarization=-1e-4), model=model).m_ss
     ok_eq = abs(mp + mm) < 1e-6
 
     ok = ok_dyn and ok_ex and ok_sym and ok_eq

@@ -97,6 +97,7 @@ class TestCli:
         payload = json.loads(first)
         assert payload["tool_version"]
         assert payload["config_hash"]
+        assert payload["mode"] == "fixed-horizon" and "steady" not in payload
 
     def test_sweep_contour_pipeline(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"

@@ -195,8 +195,7 @@ class TestIntegration:
         tau0 = 0.1
         t = np.linspace(0, 1.0, 4000)
         m = 0.4 * (1 - np.exp(-t / tau0))
-        traj = Trajectory(times=t, magnetization=m, final_state=np.eye(16) / 16,
-                          steady=True)
+        traj = Trajectory(times=t, magnetization=m, final_state=np.eye(16) / 16)
         # 63% of the final value of this trace, mapped back to the time axis
         target_fraction = 0.63 * 0.4 / m[-1]
         crossing = traj.response_crossing(target_fraction)
@@ -213,8 +212,8 @@ class TestIntegration:
     def test_seed_sign_equivariance(self):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
         model = CompiledModel(p)
-        plus = steady_state(p, seed=+1e-4, model=model)
-        minus = steady_state(p, seed=-1e-4, model=model)
+        plus = steady_state(replace(p, seed_polarization=+1e-4), model=model)
+        minus = steady_state(replace(p, seed_polarization=-1e-4), model=model)
         assert plus.m_ss > 0.1
         assert abs(plus.m_ss + minus.m_ss) < 1e-6
 
@@ -227,10 +226,11 @@ class TestIntegration:
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-9
 
-    def test_step_budget_enforced(self):
+    def test_step_budget_enforced(self, monkeypatch):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
+        monkeypatch.setattr(dyn, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError) as info:
-            integrate(p, t_end=1.0, controls=IntegrationControls(max_steps=5))
+            integrate(p, t_end=1.0)
         diag = info.value.diagnostics
         assert diag["steps"] == 5
         assert diag["nfev"] >= 5 and diag["njev"] > 0 and diag["nlu"] > 0
@@ -295,12 +295,21 @@ class TestResponseTime:
         assert abs(res.m_ss) < dyn.TAU_FLOOR_M
         assert res.tau is None
         assert res.floored is False
+        assert res.stop == "budget"
+        assert res.t_converge == res.trajectory.times[-1]
+        assert res.rho_ss is res.trajectory.final_state
 
     def test_seed_sensitivity_report(self):
         p = SimParams.from_rates(1.5, 3.7)
         rep = seed_sensitivity(p, factors=(1.0, 0.1))
         assert rep["tau_by_factor"][0.1] > rep["tau_by_factor"][1.0]
         assert rep["dtau_dlog_eps"] < 0
+
+    def test_seed_sensitivity_validates_every_seed(self):
+        # 200 x the default seed 1e-4 is 0.02, beyond |seed| <= 0.01
+        p = SimParams.from_rates(1.06 * critical_pump_rate(3.7), 3.7)
+        with pytest.raises(ValueError, match="seed_polarization"):
+            seed_sensitivity(p, factors=(1.0, 200.0))
 
 
 class TestHelpers:
