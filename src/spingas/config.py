@@ -81,8 +81,8 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("doppler", "width"): (units.frequency, ""),
     ("doppler", "temperature_c"): (units.plain_number, "87"),
     ("doppler", "quadrature_order"): (int, "40"),
-    ("numerics", "rtol"): (float, "1e-8"),
-    ("numerics", "atol"): (float, "1e-10"),
+    ("numerics", "rtol"): (float, "1e-10"),
+    ("numerics", "atol"): (float, "1e-14"),
     ("numerics", "projection_mode"): (str, "hyperfine+zeeman"),
     ("numerics", "seed_polarization"): (float, "1e-4"),
     ("numerics", "light_shift"): (lambda s: s.lower() in ("1", "true", "yes"), "false"),

@@ -26,9 +26,11 @@ only through the excited-level solve, so a field's a-independent parts are
 cached too and a new point costs one dim_e^2 solve per field
 (:class:`spingas.optics.FieldAction`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
-integrated with the implicit Radau IIA method on the analytic Jacobian of
-those coordinates (:meth:`CompiledModel.jacobian`); the solver's Newton
-systems go straight to LAPACK ``getrf``/``getrs``.
+integrated with LSODA, which switches to BDF where the problem is stiff, on
+the analytic Jacobian of those coordinates (:meth:`CompiledModel.jacobian`),
+at rtol 1e-10 and atol 1e-14 by default (:class:`IntegrationControls`).
+LSODA steps the departure from the fully mixed state in a basis led by the
+M direction, so that its tolerance applies to M itself (:func:`_lsoda`).
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -63,10 +65,9 @@ exponents, or any other dimensionless prediction.
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -349,6 +350,7 @@ class _GroundParts:
     active_j: tuple
     fz_row: np.ndarray
     tr_row: np.ndarray
+    m_basis: np.ndarray    # orthonormal columns, the first along fz_row
     f_max: float
 
 
@@ -378,10 +380,11 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     fz_row = np.real(fz.T.reshape(-1) @ t_map) / f_max
     tr_row = np.zeros(n)
     tr_row[:dg] = 1.0
+    m_basis = np.linalg.qr(np.column_stack([fz_row, np.eye(n)]))[0]
     return _GroundParts(system, sub, _frozen(t_map), _frozen(f_map), _frozen(r_h),
                         _frozen(r_gamma), _frozen(r_phi), _frozen(m_rows),
                         tuple(map(_frozen, q_mats)), active_j, _frozen(fz_row),
-                        _frozen(tr_row), f_max)
+                        _frozen(tr_row), _frozen(m_basis), f_max)
 
 
 @lru_cache(maxsize=16)
@@ -415,7 +418,8 @@ class CompiledModel:
         self.s_ops = self.system.ops_g["S"]
         self.qj = params.coll.q_slowdown * params.j_exchange
         self.m_rows, self.q_mats, self.fz_row = parts.m_rows, parts.q_mats, parts.fz_row
-        self._active_j, self._tr_row = parts.active_j, parts.tr_row
+        self._active_j, self.tr_row = parts.active_j, parts.tr_row
+        self.m_basis = parts.m_basis
 
         r_lin = parts.r_h + params.gamma * parts.r_gamma
         if self.qj > 0:
@@ -502,9 +506,9 @@ class CompiledModel:
         keeps transverse coherences), it is no fixed point and this raises
         ``IntegrationError``."""
         u = self.unpolarized_coords()
-        a = self.r_lin + np.outer(u, self._tr_row)
+        a = self.r_lin + np.outer(u, self.tr_row)
         s_star = np.linalg.solve(a, u)
-        if abs(self._tr_row @ s_star - 1.0) > 1e-8:
+        if abs(self.tr_row @ s_star - 1.0) > 1e-8:
             raise IntegrationError("symmetric fixed point solve lost the trace")
         residual = float(np.abs(self.rhs_coords(s_star)).max())
         if residual > FIXED_POINT_RESIDUAL * self.params.gamma:
@@ -518,7 +522,7 @@ class CompiledModel:
         zero moved to -Gamma, and it is regular wherever J is regular on
         the unit-trace states."""
         return self.jacobian(s) - self.params.gamma * np.outer(
-            self.unpolarized_coords(), self._tr_row)
+            self.unpolarized_coords(), self.tr_row)
 
     def stable_fixed_point(self, s: np.ndarray) -> np.ndarray | None:
         """Newton's solution of R(s) = 0 at unit trace, started from ``s``:
@@ -532,7 +536,7 @@ class CompiledModel:
         s = s.copy()
         try:
             for _ in range(NEWTON_MAX_ITER):
-                f = self.rhs_coords(s) - gamma * (self._tr_row @ s - 1.0) * u
+                f = self.rhs_coords(s) - gamma * (self.tr_row @ s - 1.0) * u
                 ds = np.linalg.solve(self._bordered_jacobian(s), -f)
                 s += ds
                 if np.abs(ds).max() <= NEWTON_STEP_TOL:  # False on NaN
@@ -544,7 +548,7 @@ class CompiledModel:
             return None
         if (not stable
                 or np.abs(self.rhs_coords(s)).max() > FIXED_POINT_RESIDUAL * gamma
-                or abs(self._tr_row @ s - 1.0) > TRACE_TOL
+                or abs(self.tr_row @ s - 1.0) > TRACE_TOL
                 or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
             return None
         return s
@@ -565,12 +569,18 @@ class CompiledModel:
 
 @dataclass
 class IntegrationControls:
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    """Tolerances and step cap of the integrator.  The defaults are the
+    loosest rtol, at atol 1e-14, at which LSODA meets the dark decay's
+    analytic answer to 1e-9 relative with a capped step
+    (``tests/test_dynamics.py``); at rtol 1e-9 it is off by 1.2e-9."""
+
+    rtol: float = 1e-10
+    atol: float = 1e-14
     max_step: float | None = None
 
 
-# Checks on every accepted step: the step budget and the invariants.
+# Checks on every accepted step: the step budget, a finite state and the
+# invariants.
 MAX_STEPS = 50_000_000
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
@@ -580,9 +590,9 @@ TAU_FLOOR_M = 1e-3
 # A state is an exact fixed point when max|rhs_coords| is at most
 # FIXED_POINT_RESIDUAL Gamma.
 FIXED_POINT_RESIDUAL = 1e-9
-# Fixed-point stop: once the derivative f at an accepted state is small,
-# |dM/dt| <= NEWTON_GATE Gamma |M| + STEADY_ABS_RATE Gamma and rms(f) <=
-# NEWTON_GATE Gamma / dim_g, at most once per STEADY_WINDOW_T1 / Gamma, a
+# Fixed-point stop: when the derivative f at the first accepted state of a
+# STEADY_WINDOW_T1 / Gamma window is small, |dM/dt| <= NEWTON_GATE Gamma |M|
+# + STEADY_ABS_RATE Gamma and rms(f) <= NEWTON_GATE Gamma / dim_g, a
 # Newton solve from the current state (NEWTON_MAX_ITER iterations, done
 # when a step moves no coordinate by more than NEWTON_STEP_TOL) may end the
 # run on a stable fixed point within NEWTON_DISTANCE / dim_g rms of it.
@@ -599,82 +609,56 @@ LOCATOR_BRACKET = (0.05, 40.0)
 LOCATOR_TOL = 1e-3
 
 
-@lru_cache(maxsize=8)
-def _lapack(name: str, dtype: np.dtype):
-    from scipy.linalg import get_lapack_funcs  # imported on first use
-    return get_lapack_funcs((name,), dtype=dtype)[0]
-
-
-def _lu_factor(solver, a: np.ndarray):
-    """``scipy.linalg.lu_factor(a, overwrite_a=True)`` without its batching
-    wrappers, counting ``solver.nlu`` as Radau's own factorization does."""
-    solver.nlu += 1
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _lapack("getrf", a.dtype)(a, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-    if info > 0:
-        from scipy.linalg import LinAlgWarning
-        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                      LinAlgWarning, stacklevel=2)
-    return lu, piv
-
-
-def _lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.lu_solve(lu_piv, b, overwrite_b=True)`` for a ``b`` of
-    the factor's dtype, without its finite check: Radau checks the stage
-    derivatives that its right-hand sides are built from."""
-    lu, piv = lu_piv
-    x, info = _lapack("getrs", lu.dtype)(lu, piv, b, overwrite_b=True)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
-
-
-def _radau(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
+def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
            controls: IntegrationControls):
-    """``scipy.integrate.Radau`` on ``model`` with the LAPACK helpers as its
-    Newton factorization and solve."""
-    from scipy.integrate import Radau  # imported on first use: ~28 ms
+    """``scipy.integrate.LSODA`` on ``model`` with its analytic Jacobian, in
+    the coordinates z = Q^T (s - u) of the departure from the fully mixed
+    state u in the basis Q = ``model.m_basis``, whose first vector is along
+    M.  LSODA weighs each coordinate's error by its own size, so this way
+    its rtol bounds the error of M relative to |M|, not to the populations
+    near 1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4,
+    tau at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in
+    the populations themselves.  The state is s = Q z + u."""
+    from scipy.integrate import LSODA  # imported on first use
 
     # The solver is a reference cycle; a weak proxy keeps it from pinning
     # the compiled model until the next full garbage collection.
     weak = weakref.proxy(model)
-    solver = Radau(lambda _t, y: weak.rhs_coords(y), 0.0, s0, t_end,
-                   max_step=max_step, rtol=controls.rtol, atol=controls.atol,
-                   jac=lambda _t, y: weak.jacobian(y))
-    solver.lu = partial(_lu_factor, solver)
-    solver.solve_lu = _lu_solve
-    return solver
+    q, u = model.m_basis, model.unpolarized_coords()
+    return LSODA(lambda _t, z: q.T @ weak.rhs_coords(q @ z + u), 0.0, q.T @ (s0 - u),
+                 t_end, max_step=max_step, rtol=controls.rtol, atol=controls.atol,
+                 jac=lambda _t, z: q.T @ weak.jacobian(q @ z + u) @ q)
 
 
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                       controls: IntegrationControls,
                       stop_at_fixed_point: bool = False):
-    """Radau IIA (order 5) on subspace coordinates, with the analytic
-    Jacobian, stepped one accepted step at a time.  An implicit method takes
-    steps set by the dynamics rather than by the stiff fast decays.  Its
-    Newton systems (16x16 in the production mode) go straight to LAPACK
-    ``getrf``/``getrs``, the routines behind ``scipy.linalg.lu_factor`` and
-    ``lu_solve``, whose per-call wrappers cost more than the factorization.
-    Trace and positivity are checked on every accepted step.
+    """LSODA on the state's departure from the fully mixed state (see
+    :func:`_lsoda`), with the analytic Jacobian, stepped one accepted step
+    at a time.  LSODA switches between Adams and BDF methods as the problem
+    turns stiff, so its steps are set by the dynamics rather than by the
+    fast decays, and its Newton iterations run in compiled code.  Every
+    accepted step is checked against the step budget, for a finite state,
+    and for trace and positivity; a failed step or a non-finite state
+    raises ``IntegrationError("solver failed: ...")``.
 
     Returns (times, magnetizations, s_final, stop, counts), where ``stop``
     is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
-    the accepted ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu``.
+    the accepted ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu``
+    as ``int`` (LSODA factorizes once per Jacobian, so ``njev == nlu``).
 
     With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
     point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
     state whose magnetization M* has the sign of M(t) and which |M(t)| has
     already brought within RESPONSE_FRACTION of |M*|; then ``s_final`` is
     that fixed point, while the recorded trajectory ends at the last
-    accepted step.  The solve is tried once the derivative that Radau has
-    already evaluated at the accepted state is small (see ``NEWTON_GATE``),
-    and at most once per STEADY_WINDOW_T1 / Gamma."""
+    accepted step.  The solve is tried when the derivative at the accepted
+    state is small (see ``NEWTON_GATE``); that gate is read at the first
+    accepted step of each STEADY_WINDOW_T1 / Gamma window."""
     gamma = model.params.gamma
     max_step = controls.max_step if controls.max_step is not None else np.inf
-    solver = _radau(model, s0, t_end, max_step, controls)
+    solver = _lsoda(model, s0, t_end, max_step, controls)
+    q, u = model.m_basis, model.unpolarized_coords()
     dim = model.sub.dim
     times = [0.0]
     mags = [model.magnetization(s0)]
@@ -684,26 +668,21 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     s = s0
 
     def counts():
-        return {"steps": n_steps, "nfev": solver.nfev, "njev": solver.njev,
-                "nlu": solver.nlu}
+        return {"steps": n_steps, "nfev": int(solver.nfev), "njev": int(solver.njev),
+                "nlu": int(solver.nlu)}
 
     while solver.status == "running":
         if n_steps >= MAX_STEPS:
             raise IntegrationError("step budget exhausted",
                                    {"t": solver.t, **counts()})
-        try:
-            message = solver.step()
-            failed = solver.status == "failed"
-        except ValueError as exc:  # a non-finite Newton matrix
-            message, failed = str(exc), True
-        if failed:
-            raise IntegrationError(f"solver failed: {message}",
-                                   {"t": solver.t, "h": solver.step_size,
-                                    **counts()})
+        message = solver.step()
+        s = q @ solver.y + u
+        if solver.status == "failed" or not np.isfinite(s).all():
+            raise IntegrationError(f"solver failed: {message or 'non-finite state'}",
+                                   {"t": solver.t, "h": solver.step_size, **counts()})
         t = solver.t
-        s = solver.y
         n_steps += 1
-        trace = float(np.sum(s[:dim]))
+        trace = float(model.tr_row @ s)
         if abs(trace - 1.0) > TRACE_TOL:
             raise IntegrationError("trace drift beyond tolerance",
                                    {"t": t, "trace": trace})
@@ -715,11 +694,11 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         times.append(t)
         mags.append(m)
         if stop_at_fixed_point and t >= next_newton:
-            f = solver.f  # rhs_coords(s), evaluated by the accepted step
+            next_newton = t + STEADY_WINDOW_T1 / gamma
+            f = model.rhs_coords(s)
             if (abs(model.magnetization(f))
                     <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
                     and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
-                next_newton = t + STEADY_WINDOW_T1 / gamma
                 s_star = model.stable_fixed_point(s)
                 if s_star is not None:
                     m_star = model.magnetization(s_star)
@@ -733,14 +712,25 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     return np.array(times), np.array(mags), s.copy(), stop, counts()
 
 
+def _model_for(params: SimParams, model: CompiledModel | None) -> CompiledModel:
+    """``model``, which must be compiled for ``params`` up to the seed, or
+    a new model of ``params``."""
+    if model is None:
+        return CompiledModel(params)
+    if replace(model.params, seed_polarization=params.seed_polarization) != params:
+        raise ValueError("the model was compiled for other parameters")
+    return model
+
+
 def integrate(params: SimParams, t_end: float,
               controls: IntegrationControls | None = None,
               model: CompiledModel | None = None) -> Trajectory:
     """Integrate the projected dynamics from the seeded unpolarized state
-    for ``t_end`` seconds."""
+    for ``t_end`` seconds.  A ``model`` must be compiled for ``params``
+    up to the seed, or this raises ``ValueError``."""
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
-    model = model if model is not None else CompiledModel(params)
+    model = _model_for(params, model)
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(params.seed_polarization)
     times, mags, s, _, _ = _integrate_coords(model, s0, t_end, controls)
@@ -757,7 +747,8 @@ class SteadyResult:
     'symmetric' (classified without integrating) or 'fixed-point' (Newton
     stop), or 'budget' (``max_time`` reached, not converged).  ``steps``
     counts the accepted steps; ``nfev``, ``njev`` and ``nlu`` are the
-    solver's right-hand-side, Jacobian and LU-factorization counts."""
+    solver's right-hand-side, Jacobian and LU-factorization counts (LSODA
+    factorizes once per Jacobian, so ``njev == nlu``)."""
 
     m_ss: float
     trajectory: Trajectory
@@ -811,8 +802,9 @@ def steady_state(params: SimParams, max_time: float | None = None,
     fixed point of a checked Newton solve once the integration has come
     close ('fixed-point'; see :func:`_integrate_coords`).  A run that
     reaches ``max_time`` (default 2000/Gamma) first has not converged
-    ('budget')."""
-    model = model if model is not None else CompiledModel(params)
+    ('budget').  A ``model`` must be compiled for ``params`` up to the
+    seed, or this raises ``ValueError``."""
+    model = _model_for(params, model)
     if max_time is None:
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls()
@@ -858,7 +850,7 @@ def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
 
     Near criticality tau grows logarithmically as the seed shrinks; the
     report carries d tau / d ln(eps) so it can be published next to tau."""
-    model = model if model is not None else CompiledModel(params)
+    model = _model_for(params, model)
     eps0 = params.seed_polarization
     taus = {f: response_time(replace(params, seed_polarization=eps0 * f), model=model).tau
             for f in factors}

@@ -249,7 +249,7 @@ class TestCli:
             return list(seen)
 
         assert rtols("numerics.rtol=1e-4") == [1e-4] * 5
-        assert rtols() == [1e-8] * 5
+        assert rtols() == [1e-10] * 5
 
     @pytest.mark.parametrize("override", ["fields.pump_detuning=300 MHz",
                                           "fields.bias_detuning=300 MHz"],

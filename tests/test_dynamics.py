@@ -1,9 +1,9 @@
 import gc
 import json
 import math
+import sys
 import weakref
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +36,26 @@ from spingas.sweep import SweepGrid, run_sweep
 from conftest import random_density
 
 GAMMA = 58.0
+
+
+@pytest.fixture()
+def solvers(monkeypatch):
+    """Every LSODA solver that ``_integrate_coords`` builds, in order."""
+    made = []
+    build = dyn._lsoda
+
+    def spy(*args):
+        made.append(build(*args))
+        return made[-1]
+    monkeypatch.setattr(dyn, "_lsoda", spy)
+    return made
+
+
+def assert_solver_counts(counts, solver):
+    """The reported counts are the solver's own, as ``int``."""
+    reported = [counts[k] for k in ("nfev", "njev", "nlu")]
+    assert reported == [solver.nfev, solver.njev, solver.nlu]
+    assert all(type(c) is int for c in reported)
 
 
 def project_superop(sub, sop):
@@ -156,7 +176,7 @@ class TestCompiledModel:
             assert feedback > 1.0
             assert np.abs(jac - fd).max() < 1e-4 * feedback
             # trace conservation: the trace row of the Jacobian vanishes
-            assert np.abs(model._tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
+            assert np.abs(model.tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
 
     def test_rhs_traceless(self, rng):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)
@@ -226,14 +246,17 @@ class TestIntegration:
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-9
 
-    def test_step_budget_enforced(self, monkeypatch):
+    def test_step_budget_enforced(self, monkeypatch, solvers):
+        # by step 1000 LSODA has switched from Adams, which uses no
+        # Jacobian, to BDF (at about step 860)
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)
-        monkeypatch.setattr(dyn, "MAX_STEPS", 5)
+        monkeypatch.setattr(dyn, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError) as info:
             integrate(p, t_end=1.0)
         diag = info.value.diagnostics
-        assert diag["steps"] == 5
-        assert diag["nfev"] >= 5 and diag["njev"] > 0 and diag["nlu"] > 0
+        assert diag["steps"] == 1000
+        assert_solver_counts(diag, solvers[-1])
+        assert diag["nfev"] >= 1000 and diag["njev"] > 0 and diag["nlu"] > 0
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -304,6 +327,18 @@ class TestResponseTime:
         rep = seed_sensitivity(p, factors=(1.0, 0.1))
         assert rep["tau_by_factor"][0.1] > rep["tau_by_factor"][1.0]
         assert rep["dtau_dlog_eps"] < 0
+
+    @pytest.mark.parametrize("run", [
+        lambda p, model: steady_state(p, model=model),
+        lambda p, model: response_time(p, model=model),
+        lambda p, model: seed_sensitivity(p, model=model),
+        lambda p, model: integrate(p, t_end=0.01, model=model)],
+        ids=["steady_state", "response_time", "seed_sensitivity", "integrate"])
+    def test_model_of_other_parameters_is_rejected(self, run):
+        # with the (2, 3) model this point would end at M_ss = 0.546
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        with pytest.raises(ValueError, match="other parameters"):
+            run(SimParams.from_rates(0.3, 1.0), model)
 
     def test_seed_sensitivity_validates_every_seed(self):
         # 200 x the default seed 1e-4 is 0.02, beyond |seed| <= 0.01
@@ -449,35 +484,37 @@ class TestCachedParts:
 
 
 class TestSolverCounts:
-    def test_steady_state_reports_solver_counts(self):
+    def test_steady_state_reports_solver_counts(self, solvers):
         res = steady_state(SimParams.from_rates(2.0, 3.0))
         assert res.steps == len(res.trajectory.times) - 1
+        assert_solver_counts(vars(res), solvers[-1])
         assert res.nlu > 0
         assert res.njev > 0
         assert res.nfev >= res.steps
 
-    def test_failure_diagnostics_carry_counts(self):
-        # a right-hand side that turns non-finite after a few steps: every
-        # Newton iteration fails until the step falls below its minimum
+    def test_failure_diagnostics_carry_counts(self, solvers):
+        # a right-hand side that turns non-finite once LSODA runs BDF (from
+        # about the 1,350th call): the first non-finite state fails the run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
         calls = []
 
         def rhs(s):
             calls.append(1)
-            return np.full_like(s, np.nan) if len(calls) > 50 else model.r_lin @ s
+            return np.full_like(s, np.nan) if len(calls) > 1600 else model.r_lin @ s
         model.rhs_coords = rhs
-        with pytest.raises(IntegrationError, match="solver failed") as info:
+        with (pytest.raises(IntegrationError, match="solver failed") as info,
+              np.errstate(invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
                                   IntegrationControls())
         diag = info.value.diagnostics
         assert diag["steps"] > 0
         assert diag["nfev"] == len(calls)
+        assert_solver_counts(diag, solvers[-1])
         assert diag["njev"] > 0 and diag["nlu"] > 0
 
-    def test_nonfinite_rhs_is_an_integration_error(self):
-        # NaN from the fourth call: Radau halves the step until its Newton
-        # matrix overflows, and the factorization's non-finite check must
-        # surface as IntegrationError, which a sweep cell catches
+    def test_nonfinite_rhs_is_an_integration_error(self, solvers):
+        # NaN from the fourth call: the first non-finite state must surface
+        # at once as IntegrationError, which a sweep cell catches
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
         calls = []
 
@@ -491,85 +528,9 @@ class TestSolverCounts:
                                   IntegrationControls())
         diag = info.value.diagnostics
         assert set(diag) == {"t", "h", "steps", "nfev", "njev", "nlu"}
-        assert diag["nfev"] == len(calls)
-        assert diag["nlu"] > 0
-
-
-class TestNewtonLinearAlgebra:
-    """Radau's Newton factorizations and solves go straight to LAPACK and
-    must stay exactly what scipy's ``lu_factor``/``lu_solve`` give."""
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_helpers_match_scipy_bitwise(self, dtype, rng):
-        from scipy.linalg import lu_factor, lu_solve
-        a = rng.normal(size=(16, 16)).astype(dtype)
-        b = rng.normal(size=16).astype(dtype)
-        if dtype is complex:
-            a += 1j * rng.normal(size=(16, 16))
-            b += 1j * rng.normal(size=16)
-        solver = SimpleNamespace(nlu=0)
-        lu_piv = dyn._lu_factor(solver, a.copy())
-        ref = lu_factor(a.copy(), overwrite_a=True)
-        assert solver.nlu == 1
-        assert np.array_equal(lu_piv[0], ref[0]) and np.array_equal(lu_piv[1], ref[1])
-        assert np.array_equal(dyn._lu_solve(lu_piv, b.copy()),
-                              lu_solve(ref, b.copy(), overwrite_b=True))
-
-    def test_singular_matrix_warns_like_scipy(self):
-        from scipy.linalg import LinAlgWarning, lu_factor
-        a = np.eye(16)
-        a[5, 5] = 0.0
-        solver = SimpleNamespace(nlu=0)
-        with pytest.warns(LinAlgWarning, match="Diagonal number 6"):
-            lu, piv = dyn._lu_factor(solver, a.copy())
-        with pytest.warns(LinAlgWarning):
-            ref = lu_factor(a.copy())
-        assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
-
-    def test_bad_input_raises_value_error(self, monkeypatch):
-        solver = SimpleNamespace(nlu=0)
-        bad = np.eye(16)
-        bad[2, 3] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            dyn._lu_factor(solver, bad)
-        lu_piv = dyn._lu_factor(solver, np.eye(16))
-
-        # LAPACK reports an illegal second argument
-        illegal = {"getrf": lambda a, **_: (a, np.arange(16, dtype=np.int32), -2),
-                   "getrs": lambda lu, piv, b, **_: (b, -2)}
-        monkeypatch.setattr(dyn, "_lapack", lambda name, _dtype: illegal[name])
-        with pytest.raises(ValueError, match="2th argument of internal getrf"):
-            dyn._lu_factor(solver, np.eye(16))
-        with pytest.raises(ValueError, match="2th argument of internal getrs"):
-            dyn._lu_solve(lu_piv, np.ones(16))
-
-    def test_lockstep_with_stock_radau(self, monkeypatch):
-        # the package solver must take scipy's own steps, bit for bit
-        from scipy.integrate import Radau
-        i0 = critical_pump_rate(3.7)
-        model = CompiledModel(SimParams.from_rates(1.06 * i0, 3.7))
-        s0 = model.seed_coords(1e-4)
-        controls = IntegrationControls()
-        t_end, max_step = 2000.0 / GAMMA, 5.0 / GAMMA
-        lapack_calls = set()
-        lapack = dyn._lapack
-
-        def counted(name, dtype):
-            lapack_calls.add(name)
-            return lapack(name, dtype)
-        monkeypatch.setattr(dyn, "_lapack", counted)
-        ours = dyn._radau(model, s0, t_end, max_step, controls)
-        assert ours.solve_lu is dyn._lu_solve
-        assert ours.lu.func is dyn._lu_factor
-        stock = Radau(lambda _t, y: model.rhs_coords(y), 0.0, s0, t_end,
-                      max_step=max_step, rtol=controls.rtol, atol=controls.atol,
-                      jac=lambda _t, y: model.jacobian(y))
-        for _ in range(300):
-            assert ours.step() is None and stock.step() is None
-            assert ours.t == stock.t
-            assert np.array_equal(ours.y, stock.y)
-        assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
-        assert lapack_calls == {"getrf", "getrs"}
+        assert diag["nfev"] == len(calls) <= 10
+        # still in LSODA's Adams mode, which makes no Jacobian
+        assert_solver_counts(diag, solvers[-1])
 
 
 def _trace_exact_integration(model, t_end):
@@ -642,6 +603,44 @@ class TestExactStops:
         assert res.tau == res.trajectory.response_crossing(dyn.RESPONSE_FRACTION,
                                                            res.m_ss)
 
+    @pytest.mark.parametrize("i_over_i0, i, j", [(None, 2.0, 3.0), (1.06, None, 3.7)])
+    def test_response_time_matches_stock_radau(self, i_over_i0, i, j):
+        # an independent integrator: scipy's Radau IIA at rtol 1e-12, with
+        # the 63% crossing root-found on its dense output
+        from scipy.integrate import solve_ivp
+        if i is None:
+            i = i_over_i0 * critical_pump_rate(j)
+        p = SimParams.from_rates(i, j)
+        model = CompiledModel(p)
+        res = steady_state(p, model=model)
+
+        def crossing(_t, y):
+            return abs(model.magnetization(y)) - dyn.RESPONSE_FRACTION * abs(res.m_ss)
+        crossing.terminal = True
+        sol = solve_ivp(lambda _t, y: model.rhs_coords(y), (0.0, 2000.0 / GAMMA),
+                        model.seed_coords(p.seed_polarization), method="Radau",
+                        jac=lambda _t, y: model.jacobian(y), rtol=1e-12, atol=1e-14,
+                        events=crossing)
+        assert res.tau == pytest.approx(sol.t_events[0][0], rel=1e-6)
+
+    @pytest.mark.parametrize("i_over_i0, i, j", [(None, 2.0, 3.0), (1.06, None, 3.7),
+                                                 (None, 1.417, 2.333)])
+    def test_loose_tolerance_keeps_the_response_time(self, i_over_i0, i, j):
+        # the solver's rtol applies to M itself, not to the populations
+        # near 1/16 beside which the 1e-4 seed is a small difference, so even
+        # rtol 1e-4 resolves the seed's growth (3e-2 to 8e-2 off otherwise)
+        if i is None:
+            i = i_over_i0 * critical_pump_rate(j)
+        p = SimParams.from_rates(i, j)
+        model = CompiledModel(p)
+        assert np.allclose(model.m_basis.T @ model.m_basis, np.eye(model.sub.n))
+        assert abs(model.fz_row @ model.m_basis[:, 0]) == pytest.approx(
+            np.linalg.norm(model.fz_row))
+        tight = steady_state(p, model=model)
+        loose = steady_state(p, model=model, controls=IntegrationControls(rtol=1e-4))
+        assert loose.steps < tight.steps
+        assert loose.tau == pytest.approx(tight.tau, rel=1e-3)
+
     def test_zero_seed_ordered_run_is_classified(self):
         # the symmetric sector is invariant, so a zero seed stays on the
         # symmetric state, a fixed point that Newton rejects as unstable
@@ -692,11 +691,29 @@ class TestExactStops:
         s = model.sub.from_matrix(res.rho_ss)
         assert np.abs(model.rhs_coords(s)).max() <= dyn.FIXED_POINT_RESIDUAL * GAMMA
 
-    def test_newton_gate_reads_the_solvers_derivative(self):
-        # the gate takes rhs_coords at the accepted state from the solver
+    def test_newton_gate_reads_the_solvers_derivative(self, solvers):
+        # the gate evaluates rhs_coords at the solver's accepted state, once,
+        # at the first accepted step of each STEADY_WINDOW_T1 / Gamma window;
+        # the solver's own calls come from its right-hand-side callback
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        solver = dyn._radau(model, model.seed_coords(1e-4), 2000.0 / GAMMA, np.inf,
-                            IntegrationControls())
-        for _ in range(50):
-            solver.step()
-            assert np.array_equal(solver.f, model.rhs_coords(solver.y))
+        rhs_coords = model.rhs_coords
+        reads = []
+
+        def rhs(s):
+            if sys._getframe(1).f_code is dyn._integrate_coords.__code__:
+                solver = solvers[-1]
+                accepted = model.m_basis @ solver.y + model.unpolarized_coords()
+                assert np.array_equal(s, accepted)
+                reads.append(solver.t)
+            return rhs_coords(s)
+        model.rhs_coords = rhs
+        model.stable_fixed_point = lambda _s: None  # never stops the run
+        times, *_ = dyn._integrate_coords(model, model.seed_coords(1e-4), 40.0 / GAMMA,
+                                          IntegrationControls(), stop_at_fixed_point=True)
+        expected, due = [], 0.0
+        for t in times[1:]:
+            if t >= due:
+                expected.append(t)
+                due = t + dyn.STEADY_WINDOW_T1 / GAMMA
+        assert reads == expected
+        assert len(reads) >= 7
