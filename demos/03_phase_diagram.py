@@ -24,7 +24,7 @@ result = run_sweep(grid, cmap=cmap)
 save_sweep(result, os.path.join(OUT, "phase_diagram_cells.csv"),
            os.path.join(OUT, "phase_diagram_manifest.json"))
 
-mat = result.m_abs_matrix()
+mat = result.matrix("m_abs")
 shades = " .:-=+*#%@"
 print("|M| map (rows: J/Gamma rising upward; columns: I/Gamma rising right)")
 for jj in reversed(range(mat.shape[0])):

@@ -34,8 +34,10 @@ from scipy.optimize import least_squares
 
 from .dynamics import (
     GAMMA_BASE,
+    CompiledModel,
     IntegrationControls,
     SimParams,
+    _classified,
     steady_state,
 )
 
@@ -302,9 +304,17 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
 
     Runs the +/- bias pair with a zero symmetry-breaking seed so only the
     bias selects the sign, and reports the change of the estimate when the
-    step doubles (Richardson consistency).  Ordered-phase points, where the
-    spontaneous magnetization dominates the bias response, are flagged.
-    ``controls`` apply to every steady state."""
+    step doubles (Richardson consistency).  With ``check_ordered``, points
+    where the +/- runs may land on spontaneous branches, so that the
+    quotient measures M_spont/dH rather than a response, are flagged: those
+    whose unbiased symmetric state a seed would leave, by the rule with
+    which :func:`steady_state` classifies runs.  In 'hyperfine+zeeman' mode
+    that is the boundary locators' rule, a positive slow-mode rate, which
+    flags every point beyond the locator's I0, also those just beyond it
+    whose spontaneous |M| is still small (on J = 2.3, I = 1.43, 1.435 and
+    1.44 against I0 = 1.4287).  Where the symmetric state is no fixed point
+    (see :meth:`CompiledModel.symmetric_fixed_point`), every point is
+    flagged.  ``controls`` apply to every steady state."""
     if dh_over_gamma <= 0:
         raise ValueError("dh must be > 0")
     sim_kwargs = dict(sim_kwargs)
@@ -317,20 +327,11 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
         return steady_state(p, controls=controls).m_ss
 
     dh = dh_over_gamma * gamma
-    m_plus = m_at(dh_over_gamma)
-    chi = (m_plus - m_at(-dh_over_gamma)) / (2 * dh)
+    chi = (m_at(dh_over_gamma) - m_at(-dh_over_gamma)) / (2 * dh)
     chi2 = (m_at(2 * dh_over_gamma) - m_at(-2 * dh_over_gamma)) / (4 * dh)
-    ordered = False
-    if check_ordered:
-        seeded = dict(sim_kwargs)
-        seeded["seed_polarization"] = 1e-4
-        p0 = SimParams.from_rates(i_over_gamma=i_over_gamma,
-                                  j_over_gamma=j_over_gamma, gamma=gamma,
-                                  **seeded)
-        m_spont = abs(steady_state(p0, controls=controls).m_ss)
-        # in the ordered phase the +/- runs land on the spontaneous branches
-        # and the difference quotient measures M_spont/dH, not a response
-        ordered = m_spont > 1e-3 and m_spont >= 0.5 * abs(m_plus)
+    ordered = check_ordered and _classified(CompiledModel(SimParams.from_rates(
+        i_over_gamma=i_over_gamma, j_over_gamma=j_over_gamma, gamma=gamma,
+        **sim_kwargs)), eps=1e-4) is None
     return SusceptibilityResult(
         chi=float(chi), chi_coarse=float(chi2),
         richardson_change=float(abs(chi2 - chi) / abs(chi)) if chi != 0 else float("nan"),

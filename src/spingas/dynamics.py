@@ -45,19 +45,25 @@ phase diagrams: 'hyperfine' zeros the F=3 <-> F=4 blocks, and
 reported magnetization is M_z = Tr(rho F_z) / F_max, normalized so the
 stretched states give +/-1.
 
-Rate axes.  The pump intensity knob I and the exchange knob J are expressed
-in calibrated axis units chosen to reproduce the reference experiment's
-phase-diagram coordinates (critical pump rate near 1.4 Gamma on the
-J = 2.3 Gamma contour, left knee near J = 1.7 Gamma):
+Rate axes.  The pump intensity knob I, the exchange knob J and the bias
+knob H are expressed in calibrated axis units; those of I and J are chosen
+to reproduce the reference experiment's phase-diagram coordinates
+(critical pump rate near 1.4 Gamma on the J = 2.3 Gamma contour, left knee
+near J = 1.7 Gamma):
 
 * one axis unit of I corresponds to ``PUMP_AXIS_SCALE`` photon absorptions
   per second per unpolarized atom;
 * one axis unit of J corresponds to ``EXCHANGE_AXIS_SCALE`` units of the
   model's exchange rate (the electron-spin collision rate is q_slowdown
-  times that).
+  times that);
+* the bias rate H is the beam's pumping rate dM/dt on the fully mixed
+  state, which makes the weak-bias response at I = 0 exactly
+  dM/dH = 1/Gamma (:func:`bias_rate_unit`).
 
-Both constants are package-level calibration conventions, playing the same
-role as the empirical intensity-to-rate coefficients used to label the
+Both beams are calibrated on the fully mixed state through the same cached
+field action that :class:`CompiledModel` uses (:func:`_mixed_state_rates`).
+The two constants are package-level calibration conventions, playing the
+same role as the empirical intensity-to-rate coefficients used to label the
 measured diagrams; they rescale the axes only and do not affect topology,
 exponents, or any other dimensionless prediction.
 """
@@ -351,6 +357,7 @@ class _GroundParts:
     fz_row: np.ndarray
     tr_row: np.ndarray
     m_basis: np.ndarray    # orthonormal columns, the first along fz_row
+    u: np.ndarray          # the fully mixed state
     f_max: float
 
 
@@ -381,10 +388,11 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     tr_row = np.zeros(n)
     tr_row[:dg] = 1.0
     m_basis = np.linalg.qr(np.column_stack([fz_row, np.eye(n)]))[0]
+    u = sub.from_matrix(np.eye(dg) / dg)
     return _GroundParts(system, sub, _frozen(t_map), _frozen(f_map), _frozen(r_h),
                         _frozen(r_gamma), _frozen(r_phi), _frozen(m_rows),
                         tuple(map(_frozen, q_mats)), active_j, _frozen(fz_row),
-                        _frozen(tr_row), _frozen(m_basis), f_max)
+                        _frozen(tr_row), _frozen(m_basis), _frozen(u), f_max)
 
 
 @lru_cache(maxsize=16)
@@ -419,7 +427,7 @@ class CompiledModel:
         self.qj = params.coll.q_slowdown * params.j_exchange
         self.m_rows, self.q_mats, self.fz_row = parts.m_rows, parts.q_mats, parts.fz_row
         self._active_j, self.tr_row = parts.active_j, parts.tr_row
-        self.m_basis = parts.m_basis
+        self.m_basis, self._u = parts.m_basis, parts.u
 
         r_lin = parts.r_h + params.gamma * parts.r_gamma
         if self.qj > 0:
@@ -487,7 +495,8 @@ class CompiledModel:
         return float(self.fz_row @ s)
 
     def unpolarized_coords(self) -> np.ndarray:
-        return self.sub.from_matrix(np.eye(self.sub.dim) / self.sub.dim)
+        """The fully mixed state (read-only coords)."""
+        return self._u
 
     def seed_coords(self, eps: float) -> np.ndarray:
         """Fully mixed state displaced along z so that M_z(0) = eps."""
@@ -901,32 +910,29 @@ def critical_exchange_rate(i_over_gamma: float) -> float:
 
 # --- rate calibrations -------------------------------------------------------
 
-def _rho0_action(atom: AtomSpec, b_z: float, shape: OpticalField,
-                 coll: CollisionParams, doppler: DopplerSpec,
-                 light_shift: bool) -> FieldAction:
-    """The unit-intensity field acting on the fully mixed state alone."""
-    system = atom_system(atom, b_z)
-    dg = system.dim_g
-    coupling = couple_field(shape, system, coll, doppler)
-    rho0 = (np.eye(dg) / dg).reshape(-1, 1)
-    return FieldAction(system, coupling, coll, light_shift, t_map=rho0)
-
-
-@lru_cache(maxsize=64)
-def _absorption_unit(atom: AtomSpec, b_z: float, shape: OpticalField,
-                     coll: CollisionParams, doppler: DopplerSpec,
-                     light_shift: bool) -> float:
-    # gamma_q Tr(rho_e); the first column is the unrotated excited matrix
-    rho_e = _rho0_action(atom, b_z, shape, coll, doppler, light_shift).excited(1.0)[:, 0]
-    de = atom_system(atom, b_z).dim_e
-    return float(coll.gamma_q * np.trace(rho_e.reshape(de, de)).real)
+@lru_cache(maxsize=16)
+def _mixed_state_rates(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
+                       coll: CollisionParams, doppler: DopplerSpec,
+                       light_shift: bool) -> tuple[float, float]:
+    """The photon absorption rate gamma_q Tr(rho_e) and the pumping rate
+    dM/dt of a unit-intensity field on the fully mixed state u, read off the
+    field's cached :func:`_field_action`."""
+    ground = _ground_parts(atom, b_z, mode)
+    action = _field_action(atom, b_z, mode, shape, coll, doppler, light_shift)
+    superop, x = action.superop(1.0)
+    de = ground.system.dim_e
+    # the first n columns are the unrotated excited matrices
+    rho_e = (x[:, :ground.sub.n] @ ground.u).reshape(de, de)
+    absorption = float(coll.gamma_q * np.trace(rho_e).real)
+    return absorption, float(ground.fz_row @ (np.real(superop) @ ground.u))
 
 
 def absorption_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
     """Photon absorption rate of the fully mixed state per unit intensity."""
     shape = shape if shape is not None else pump_field(1.0)
-    return _absorption_unit(params.atom, params.b_z, shape.scaled(1.0), params.coll,
-                            params.doppler, params.light_shift)
+    return _mixed_state_rates(params.atom, params.b_z, params.projection_mode,
+                              shape.scaled(1.0), params.coll, params.doppler,
+                              params.light_shift)[0]
 
 
 def alignment_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
@@ -937,37 +943,19 @@ def alignment_rate_unit(params: SimParams, shape: OpticalField | None = None) ->
     return absorption_rate_unit(params, shape) / PUMP_AXIS_SCALE
 
 
-@lru_cache(maxsize=64)
-def _bias_unit(atom: AtomSpec, b_z: float, shape: OpticalField,
-               coll: CollisionParams, doppler: DopplerSpec, light_shift: bool,
-               gamma: float, j_exchange: float) -> float:
-    system = atom_system(atom, b_z)
-    dg = system.dim_g
-    l_h, l_gamma, l_phi = _ground_superops(atom, b_z)
-    lin = l_h + gamma * l_gamma
-    qj = coll.q_slowdown * j_exchange
-    if qj > 0:
-        lin = lin + qj * l_phi
-        # linearized mean-spin feedback at the fully mixed state
-        for s in system.ops_g["S"].matrices:
-            lin += (qj / 4.0) * np.outer(s.reshape(-1), s.T.reshape(-1))
-    vec_id = np.eye(dg).reshape(-1)
-    source = _rho0_action(atom, b_z, shape, coll, doppler, light_shift).superop(1.0)[0][:, 0]
-    solver = lin + np.outer(vec_id / dg, vec_id)
-    delta = np.linalg.solve(solver, -source).reshape(dg, dg)
-    fz = system.ops_g["F"].z.matrix
-    f_max = float(max(f for f, _ in system.basis_g.states))
-    m1 = float(np.trace(delta @ fz).real) / f_max
-    unit = gamma * abs(m1)
+def bias_rate_unit(params: SimParams, shape: OpticalField) -> float:
+    """Bias rate H per unit intensity, fixed by the disordered-limit pumping
+    law dM/dH = 1/Gamma of the linearized steady response at I = 0.
+
+    That response needs no solve.  At the fully mixed state u the
+    Hamiltonian commutes with F_z, exchange and its linearized feedback
+    conserve Tr(F_z rho), and Tr F_z = 0, so spin destruction alone moves
+    M: the response delta to a field's pumping rate D obeys
+    Gamma fz.delta = fz.D u.  So H := Gamma dM/d(intensity) is |dM/dt| of
+    the unit field at u, for every Gamma and J."""
+    unit = abs(_mixed_state_rates(params.atom, params.b_z, params.projection_mode,
+                                  shape.scaled(1.0), params.coll, params.doppler,
+                                  params.light_shift)[1])
     if unit == 0:
         raise RuntimeError("bias calibration produced a vanishing rate")
     return unit
-
-
-def bias_rate_unit(params: SimParams, shape: OpticalField) -> float:
-    """Bias rate H per unit intensity, fixed by the disordered-limit pumping
-    law: the linearized steady response at I=0 must satisfy dM/dH = 1/Gamma,
-    so H := Gamma * dM/d(intensity)."""
-    return _bias_unit(params.atom, params.b_z, shape.scaled(1.0), params.coll,
-                      params.doppler, params.light_shift, params.gamma,
-                      params.j_exchange)

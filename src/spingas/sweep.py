@@ -186,13 +186,13 @@ class SweepResult:
     def cell(self, ii: int, jj: int) -> CellResult:
         return self.cells[jj * len(self.grid.i_over_gamma) + ii]
 
-    def m_abs_matrix(self) -> np.ndarray:
+    def matrix(self, quantity: str) -> np.ndarray:
+        """The (J, I) map of 'm_abs' or 'tau'; any other name raises ValueError."""
+        attr = {"m_abs": "m_abs", "tau": "tau_s"}.get(quantity)
+        if attr is None:
+            raise ValueError(f"quantity must be 'm_abs' or 'tau', not {quantity!r}")
         ni, nj = len(self.grid.i_over_gamma), len(self.grid.j_over_gamma)
-        return np.array([c.m_abs for c in self.cells]).reshape(nj, ni)
-
-    def tau_matrix(self) -> np.ndarray:
-        ni, nj = len(self.grid.i_over_gamma), len(self.grid.j_over_gamma)
-        return np.array([c.tau_s for c in self.cells]).reshape(nj, ni)
+        return np.array([getattr(c, attr) for c in self.cells]).reshape(nj, ni)
 
 
 def _sweep_task(args):
@@ -341,7 +341,7 @@ def extract_contour(result: SweepResult, axis: str, value: float,
     lines is attempted (nearest-grid-line semantics)."""
     gi = np.array(result.grid.i_over_gamma)
     gj = np.array(result.grid.j_over_gamma)
-    mat = result.m_abs_matrix() if quantity == "m_abs" else result.tau_matrix()
+    mat = result.matrix(quantity)
     if axis == "fixed-J":
         if not gj[0] <= value <= gj[-1]:
             raise ValueError(f"J/Gamma = {value} outside grid range")
@@ -367,6 +367,9 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
     or 'tau'; it is NaN wherever the cell did not converge, so a fit never
     consumes a partial magnetization.  ``max_time`` and ``controls`` reach
     every point's :func:`steady_state` as in :func:`run_sweep`."""
+    attr = {"m_signed": "m_signed", "m_abs": "m_abs", "tau": "tau_s"}.get(quantity)
+    if attr is None:
+        raise ValueError(f"quantity must be 'm_signed', 'm_abs' or 'tau', not {quantity!r}")
     points = [float(x) for x in points]
     tasks = []
     for x in points:
@@ -375,7 +378,6 @@ def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
                       gamma, sim_kwargs, max_time, controls))
     workers = workers if workers is not None else default_workers()
     _, results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
-    attr = {"tau": "tau_s", "m_abs": "m_abs"}.get(quantity, "m_signed")
     ys = [getattr(cell, attr) if cell.converged else float("nan")
           for _, _, cell in results]
     return np.array(points), np.array(ys)
@@ -487,7 +489,7 @@ def gnuplot_matrix(result: SweepResult, quantity: str = "m_abs") -> str:
     """Nonuniform-matrix text block for gnuplot heat maps."""
     gi = result.grid.i_over_gamma
     gj = result.grid.j_over_gamma
-    mat = result.m_abs_matrix() if quantity == "m_abs" else result.tau_matrix()
+    mat = result.matrix(quantity)
     lines = [" ".join([str(len(gi))] + [f"{x:.10g}" for x in gi])]
     for jj, j in enumerate(gj):
         lines.append(" ".join([f"{j:.10g}"] + [f"{v:.10g}" for v in mat[jj]]))

@@ -165,7 +165,7 @@ def test_criterion_4_phase_diagram_topology(desk_sweep):
     n_conv = sum(c.converged for c in desk_sweep.cells)
     frac_conv = n_conv / len(desk_sweep.cells)
     assert frac_conv >= 0.99, f"only {frac_conv:.1%} of cells converged"
-    mat = desk_sweep.m_abs_matrix()
+    mat = desk_sweep.matrix("m_abs")
     assert np.isfinite(mat).all(), "sweep lost magnetization values"
     ordered = mat > 0.01
     n_comp = _connected_components(ordered)

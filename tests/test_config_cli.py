@@ -248,8 +248,8 @@ class TestCli:
                                 "--out", out]) == 0
             return list(seen)
 
-        assert rtols("numerics.rtol=1e-4") == [1e-4] * 5
-        assert rtols() == [1e-10] * 5
+        assert rtols("numerics.rtol=1e-4") == [1e-4] * 4
+        assert rtols() == [1e-10] * 4
 
     @pytest.mark.parametrize("override", ["fields.pump_detuning=300 MHz",
                                           "fields.bias_detuning=300 MHz"],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spingas import critfit
 from spingas.critfit import (
     FitError,
     FitSpec,
@@ -180,6 +181,23 @@ class TestSusceptibility:
     def test_ordered_flagged(self):
         r = susceptibility(2.5, 3.5, dh_over_gamma=1e-3)
         assert r.ordered_flag
+
+    @pytest.mark.parametrize("i, kwargs, ordered", [
+        (1.42, {}, False), (1.44, {}, True),
+        # a symmetric state that is no fixed point
+        (0.5, {"projection_mode": "hyperfine", "b_z": 1e-4}, True)])
+    def test_ordered_flag_needs_no_steady_state(self, monkeypatch, i, kwargs, ordered):
+        # the slow-mode sign on either side of I0(2.3) = 1.4287, with the
+        # four runs of the finite differences and no other steady state
+        runs = []
+        run = critfit.steady_state
+
+        def counted(*args, **kw):
+            runs.append(args)
+            return run(*args, **kw)
+        monkeypatch.setattr(critfit, "steady_state", counted)
+        assert susceptibility(i, 2.3, **kwargs).ordered_flag is ordered
+        assert len(runs) == 4
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):

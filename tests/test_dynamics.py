@@ -10,11 +10,14 @@ import pytest
 
 from spingas import dynamics as dyn
 from spingas.dynamics import (
+    PROJECTION_MODES,
     CompiledModel,
     IntegrationControls,
     IntegrationError,
     SimParams,
     Trajectory,
+    absorption_rate_unit,
+    bias_rate_unit,
     critical_pump_rate,
     gamma_of_temperature,
     integrate,
@@ -26,9 +29,13 @@ from spingas.dynamics import (
 )
 from spingas.optics import (
     DopplerSpec,
+    FieldAction,
     OpticalChannel,
+    atom_system,
+    bias_field,
     cesium_collisions,
     couple_field,
+    excited_quasi_steady,
     pump_field,
 )
 from spingas.cli import main
@@ -467,7 +474,8 @@ class TestCachedParts:
 
     def test_cached_arrays_are_read_only(self):
         model = CompiledModel(SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0))
-        for arr in (model.q_mats[0], model.m_rows, model.fz_row, model.system.h_g):
+        for arr in (model.q_mats[0], model.m_rows, model.fz_row, model.system.h_g,
+                    model.unpolarized_coords()):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         # the point's own generator is a fresh array
@@ -481,6 +489,65 @@ class TestCachedParts:
         s = model.sub.from_matrix(random_density(rng))
         d_ref = model.sub.from_matrix(model.rhs_matrix(model.sub.to_matrix(s)))
         assert np.abs(model.rhs_coords(s) - d_ref).max() < 1e-9 * np.abs(d_ref).max()
+
+
+def full_space_bias_unit(p: SimParams, shape) -> float:
+    """Gamma |dM/d(intensity)| of the linear response at the fully mixed
+    state rho0, solved on the full dim_g^2 generator with the linearized
+    mean-spin feedback: (L + rho0 tr^T) delta = -D rho0 for the unit
+    field's action D."""
+    system = atom_system(p.atom, p.b_z)
+    dg = system.dim_g
+    l_h, l_gamma, l_phi = dyn._ground_superops(p.atom, p.b_z)
+    qj = p.coll.q_slowdown * p.j_exchange
+    lin = l_h + p.gamma * l_gamma + qj * l_phi
+    for s in system.ops_g["S"].matrices:
+        lin = lin + (qj / 4.0) * np.outer(s.reshape(-1), s.T.reshape(-1))
+    vec_id = np.eye(dg).reshape(-1)
+    rho0 = vec_id / dg
+    action = FieldAction(system, couple_field(shape, system, p.coll, p.doppler),
+                         p.coll, p.light_shift, t_map=rho0[:, None])
+    source = action.superop(1.0)[0][:, 0]
+    delta = np.linalg.solve(lin + np.outer(rho0, vec_id), -source).reshape(dg, dg)
+    f_max = max(f for f, _ in system.basis_g.states)
+    return p.gamma * abs(np.trace(delta @ system.ops_g["F"].z.matrix).real) / f_max
+
+
+class TestCalibrations:
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bias_unit_is_the_full_space_linear_response(self, mode, sign):
+        shape = bias_field(1.0, sign=sign)
+        for gamma in (40.0, 58.0):
+            for j in (0.0, 2.3, 3.7):
+                p = SimParams(gamma=gamma, j_exchange=dyn.EXCHANGE_AXIS_SCALE * j * gamma,
+                              projection_mode=mode)
+                ref = full_space_bias_unit(p, shape)
+                assert bias_rate_unit(p, shape) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    def test_pump_unit_is_the_mixed_state_absorption(self, mode):
+        p = SimParams(projection_mode=mode)
+        system = atom_system(p.atom, p.b_z)
+        for shape in (pump_field(1.0), bias_field(1.0)):
+            coupling = couple_field(shape, system, p.coll, p.doppler)
+            rho_e = excited_quasi_steady(np.eye(system.dim_g) / system.dim_g,
+                                         [coupling], system, p.coll)
+            ref = p.coll.gamma_q * np.trace(rho_e).real
+            assert absorption_rate_unit(p, shape) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_one_field_action_per_beam(self, monkeypatch):
+        # a b_z of no other test, so that no cache holds these beams yet
+        built = []
+        init = FieldAction.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[1].field)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(FieldAction, "__init__", counted)
+        for j in (0.0, 1.0, 2.3, 3.7):
+            CompiledModel(SimParams.from_rates(2.0, j, 0.1, b_z=0.77))
+        assert len(built) == 2
 
 
 class TestSolverCounts:

@@ -241,6 +241,14 @@ class TestContours:
         with pytest.raises(ValueError):
             extract_contour(tiny_sweep, "fixed-J", 9.0)
 
+    def test_unknown_quantity_is_rejected(self, tiny_sweep):
+        for call in (lambda: extract_contour(tiny_sweep, "fixed-J", 0.8, quantity="m_signed"),
+                     lambda: gnuplot_matrix(tiny_sweep, "M_abs"),
+                     lambda: refine_contour("fixed-J", 3.8, [0.4], workers=1,
+                                            quantity="tau_s")):
+            with pytest.raises(ValueError, match="quantity"):
+                call()
+
     def test_refine_contour(self):
         xs, ys = refine_contour("fixed-J", 3.8, [0.4, 2.0], workers=1)
         assert abs(ys[0]) < 1e-6
