@@ -27,10 +27,12 @@ cached too and a new point costs one dim_e^2 solve per field
 (:class:`spingas.optics.FieldAction`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
 integrated with LSODA, which switches to BDF where the problem is stiff, on
-the analytic Jacobian of those coordinates (:meth:`CompiledModel.jacobian`),
-at rtol 1e-10 and atol 1e-14 by default (:class:`IntegrationControls`).
-LSODA steps the departure from the fully mixed state in a basis led by the
-M direction, so that its tolerance applies to M itself (:func:`_lsoda`).
+the analytic Jacobian (:meth:`CompiledModel.jacobian`), at rtol 1e-10 and
+atol 1e-14 by default (:class:`IntegrationControls`).  LSODA steps the
+departure from the fully mixed state in a basis led by the M direction, so
+that its tolerance applies to M itself (:func:`_lsoda`); the generator and
+its Jacobian are rotated into those coordinates once per integrated model
+(:class:`DepartureOperators`).
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -71,7 +73,6 @@ exponents, or any other dimensionless prediction.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -462,6 +463,11 @@ class CompiledModel:
             lin = lin + self.channel.ground_superop
         return lin
 
+    @cached_property
+    def departure(self) -> "DepartureOperators":
+        """The generator in LSODA's coordinates, built on first use."""
+        return DepartureOperators(self)
+
     def rhs_coords(self, s: np.ndarray) -> np.ndarray:
         out = self.r_lin @ s
         if self.qj > 0:
@@ -576,6 +582,55 @@ class CompiledModel:
         return self._growth_rate(self.symmetric_fixed_point())
 
 
+class DepartureOperators:
+    """A model's generator in the coordinates z = Q^T (s - u) that LSODA
+    steps: the departure from the fully mixed state u in the M-led basis
+    Q = ``m_basis`` (see :func:`_lsoda`).
+
+    One stacked product v = W z + w yields the linear part and both factors
+    of each bilinear feedback term.  W stacks Q^T r_lin Q, the rows m_j Q
+    and the blocks qJ Q^T Q_j Q for each active j, and w stacks the same
+    maps applied to u, so that
+
+        dz/dt = v_lin + sum_j v_mj v_Qj.
+
+    ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
+    arrays, so a solver does not pin the model.  ``readout @ z +
+    readout_offset`` gives the trace, M and, in 'hyperfine+zeeman', the
+    populations, the quantities every accepted step is checked on."""
+
+    def __init__(self, model: CompiledModel):
+        q, u, n = model.m_basis, model.unpolarized_coords(), model.sub.n
+        active = model._active_j if model.qj > 0 else ()
+        k = len(active)
+        # rows acting on s; W and w are these applied to Q and to u
+        left = np.vstack([q.T @ model.r_lin]
+                         + [model.m_rows[j][None, :] for j in active]
+                         + [model.qj * (q.T @ model.q_mats[j]) for j in active])
+        w_mat, w_off = left @ q, left @ u
+        lin = w_mat[:n]
+        m_q = w_mat[n:n + k]
+        qj_flat = w_mat[n + k:].reshape(k, n * n)
+
+        def rhs(_t, z):
+            v = w_mat @ z
+            v += w_off
+            return v[:n] + v[n:n + k] @ v[n + k:].reshape(k, n)
+
+        def jac(_t, z):
+            v = w_mat @ z
+            v += w_off
+            return (lin + (v[n:n + k] @ qj_flat).reshape(n, n)
+                    + v[n + k:].reshape(k, n).T @ m_q)
+
+        self.rhs, self.jac = rhs, jac
+        rows = [model.tr_row, model.fz_row]
+        if model.sub.mode == MODE_HFZ:
+            rows.extend(np.eye(n)[:model.sub.dim])
+        rows = np.array(rows)
+        self.readout, self.readout_offset = rows @ q, rows @ u
+
+
 @dataclass
 class IntegrationControls:
     """Tolerances and step cap of the integrator.  The defaults are the
@@ -589,8 +644,12 @@ class IntegrationControls:
 
 
 # Checks on every accepted step: the step budget, a finite state and the
-# invariants.
+# invariants.  From BUDGET_PROJECTION_STEPS accepted steps on, a run also
+# fails once its steps, extrapolated to t_end at its mean step, exceed
+# MAX_STEPS: a run that resolves the Zeeman precession of the 'hyperfine'
+# and 'none' modes at b_z = 1 G would need about 1.7e9 steps.
 MAX_STEPS = 50_000_000
+BUDGET_PROJECTION_STEPS = 20_000
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 # Below this |M_ss| a converged point is disordered and reports the dark
@@ -627,16 +686,15 @@ def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
     its rtol bounds the error of M relative to |M|, not to the populations
     near 1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4,
     tau at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in
-    the populations themselves.  The state is s = Q z + u."""
+    the populations themselves.  The callbacks are those of
+    ``model.departure`` (:class:`DepartureOperators`), which evaluate the
+    generator in z directly; the state is s = Q z + u."""
     from scipy.integrate import LSODA  # imported on first use
 
-    # The solver is a reference cycle; a weak proxy keeps it from pinning
-    # the compiled model until the next full garbage collection.
-    weak = weakref.proxy(model)
-    q, u = model.m_basis, model.unpolarized_coords()
-    return LSODA(lambda _t, z: q.T @ weak.rhs_coords(q @ z + u), 0.0, q.T @ (s0 - u),
-                 t_end, max_step=max_step, rtol=controls.rtol, atol=controls.atol,
-                 jac=lambda _t, z: q.T @ weak.jacobian(q @ z + u) @ q)
+    ops = model.departure
+    z0 = model.m_basis.T @ (s0 - model.unpolarized_coords())
+    return LSODA(ops.rhs, 0.0, z0, t_end, max_step=max_step, rtol=controls.rtol,
+                 atol=controls.atol, jac=ops.jac)
 
 
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
@@ -647,9 +705,14 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     at a time.  LSODA switches between Adams and BDF methods as the problem
     turns stiff, so its steps are set by the dynamics rather than by the
     fast decays, and its Newton iterations run in compiled code.  Every
-    accepted step is checked against the step budget, for a finite state,
-    and for trace and positivity; a failed step or a non-finite state
-    raises ``IntegrationError("solver failed: ...")``.
+    accepted step is checked against the step budget (see
+    ``BUDGET_PROJECTION_STEPS``), for a finite state, and for trace and
+    positivity; a failed step or a non-finite state raises
+    ``IntegrationError("solver failed: ...")``.  The trace, M and, in
+    'hyperfine+zeeman', the populations come from one readout product on
+    the solver's state z; s = Q z + u is formed only for the eigenvalue
+    positivity check of the other modes, a Newton attempt and the final
+    state.
 
     Returns (times, magnetizations, s_final, stop, counts), where ``stop``
     is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
@@ -663,51 +726,60 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     that fixed point, while the recorded trajectory ends at the last
     accepted step.  The solve is tried when the derivative at the accepted
     state is small (see ``NEWTON_GATE``); that gate is read at the first
-    accepted step of each STEADY_WINDOW_T1 / Gamma window."""
+    accepted step of each STEADY_WINDOW_T1 / Gamma window, on the solver's
+    derivative dz/dt, whose rms equals that of ds/dt since Q is
+    orthonormal."""
     gamma = model.params.gamma
     max_step = controls.max_step if controls.max_step is not None else np.inf
     solver = _lsoda(model, s0, t_end, max_step, controls)
+    ops = model.departure
     q, u = model.m_basis, model.unpolarized_coords()
+    populations = model.sub.mode == MODE_HFZ
     dim = model.sub.dim
     times = [0.0]
     mags = [model.magnetization(s0)]
     stop = "budget"
     next_newton = 0.0
     n_steps = 0
-    s = s0
 
     def counts():
         return {"steps": n_steps, "nfev": int(solver.nfev), "njev": int(solver.njev),
                 "nlu": int(solver.nlu)}
 
     while solver.status == "running":
-        if n_steps >= MAX_STEPS:
+        if n_steps >= MAX_STEPS or (n_steps >= BUDGET_PROJECTION_STEPS
+                                    and n_steps * t_end > MAX_STEPS * solver.t):
             raise IntegrationError("step budget exhausted",
-                                   {"t": solver.t, **counts()})
+                                   {"t": solver.t,
+                                    "projected_steps": n_steps * t_end / solver.t,
+                                    **counts()})
         message = solver.step()
-        s = q @ solver.y + u
-        if solver.status == "failed" or not np.isfinite(s).all():
+        z = solver.y
+        if solver.status == "failed" or not np.isfinite(z).all():
             raise IntegrationError(f"solver failed: {message or 'non-finite state'}",
                                    {"t": solver.t, "h": solver.step_size, **counts()})
         t = solver.t
         n_steps += 1
-        trace = float(model.tr_row @ s)
+        readout = ops.readout @ z + ops.readout_offset
+        trace = float(readout[0])
         if abs(trace - 1.0) > TRACE_TOL:
             raise IntegrationError("trace drift beyond tolerance",
                                    {"t": t, "trace": trace})
-        min_eig = model.sub.min_eigenvalue(s)
+        min_eig = (float(readout[2:].min()) if populations
+                   else model.sub.min_eigenvalue(q @ z + u))
         if min_eig < -POSITIVITY_TOL:
             raise IntegrationError("state lost positivity",
                                    {"t": t, "min_eig": min_eig})
-        m = model.magnetization(s)
+        m = float(readout[1])
         times.append(t)
         mags.append(m)
         if stop_at_fixed_point and t >= next_newton:
             next_newton = t + STEADY_WINDOW_T1 / gamma
-            f = model.rhs_coords(s)
-            if (abs(model.magnetization(f))
+            f = ops.rhs(t, z)
+            if (abs(float(ops.readout[1] @ f))
                     <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
                     and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
+                s = q @ z + u
                 s_star = model.stable_fixed_point(s)
                 if s_star is not None:
                     m_star = model.magnetization(s_star)
@@ -718,7 +790,9 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                         stop = "fixed-point"
                         s = s_star
                         break
-    return np.array(times), np.array(mags), s.copy(), stop, counts()
+    if stop == "budget":
+        s = q @ solver.y + u
+    return np.array(times), np.array(mags), s, stop, counts()
 
 
 def _model_for(params: SimParams, model: CompiledModel | None) -> CompiledModel:

@@ -185,6 +185,28 @@ class TestCompiledModel:
             # trace conservation: the trace row of the Jacobian vanishes
             assert np.abs(model.tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
 
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    @pytest.mark.parametrize("j_over_gamma", [0.0, 3.0])
+    def test_departure_operators_are_the_rotated_generator(self, mode, j_over_gamma, rng):
+        # the solver's callbacks and readout against the s-coordinate model
+        p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=j_over_gamma,
+                                 h_over_gamma=0.4, projection_mode=mode)
+        model = CompiledModel(p)
+        ops = model.departure
+        q, u = model.m_basis, model.unpolarized_coords()
+        for _ in range(2):
+            z = q.T @ (model.sub.from_matrix(random_density(rng)) - u)
+            s = q @ z + u
+            rhs = q.T @ model.rhs_coords(s)
+            assert np.abs(ops.rhs(0.0, z) - rhs).max() <= 1e-12 * np.abs(rhs).max()
+            jac = q.T @ model.jacobian(s) @ q
+            assert np.abs(ops.jac(0.0, z) - jac).max() <= 1e-12 * np.abs(jac).max()
+            readout = [model.tr_row @ s, model.fz_row @ s]
+            if mode == "hyperfine+zeeman":
+                readout.extend(s[:model.sub.dim])
+            assert np.abs(ops.readout @ z + ops.readout_offset - readout).max() <= 1e-12
+        assert model.departure is ops
+
     def test_rhs_traceless(self, rng):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)
         model = CompiledModel(p)
@@ -264,6 +286,18 @@ class TestIntegration:
         assert diag["steps"] == 1000
         assert_solver_counts(diag, solvers[-1])
         assert diag["nfev"] >= 1000 and diag["njev"] > 0 and diag["nlu"] > 0
+
+    def test_unresolvable_run_fails_fast(self):
+        # 'hyperfine' keeps the Zeeman coherences, whose precession at
+        # b_z = 1 G sets LSODA's step: 2000/Gamma would take ~1.7e9 steps
+        p = SimParams.from_rates(0.5, 2.3, projection_mode="hyperfine")
+        with pytest.raises(IntegrationError, match="step budget exhausted") as info:
+            steady_state(p)
+        diag = info.value.diagnostics
+        assert diag["steps"] == dyn.BUDGET_PROJECTION_STEPS
+        assert diag["projected_steps"] == pytest.approx(
+            diag["steps"] * 2000.0 / GAMMA / diag["t"])
+        assert diag["projected_steps"] > 1e9 > dyn.MAX_STEPS
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -560,15 +594,18 @@ class TestSolverCounts:
         assert res.nfev >= res.steps
 
     def test_failure_diagnostics_carry_counts(self, solvers):
-        # a right-hand side that turns non-finite once LSODA runs BDF (from
-        # about the 1,350th call): the first non-finite state fails the run
+        # a linear right-hand side that turns non-finite once LSODA runs BDF
+        # (from about the 1,350th call): the first non-finite state fails
+        # the run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        q, u = model.m_basis, model.unpolarized_coords()
         calls = []
 
-        def rhs(s):
+        def rhs(_t, z):
             calls.append(1)
-            return np.full_like(s, np.nan) if len(calls) > 1600 else model.r_lin @ s
-        model.rhs_coords = rhs
+            return (np.full_like(z, np.nan) if len(calls) > 1600
+                    else q.T @ (model.r_lin @ (q @ z + u)))
+        model.departure.rhs = rhs
         with (pytest.raises(IntegrationError, match="solver failed") as info,
               np.errstate(invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
@@ -583,12 +620,14 @@ class TestSolverCounts:
         # NaN from the fourth call: the first non-finite state must surface
         # at once as IntegrationError, which a sweep cell catches
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        ops = model.departure
+        solver_rhs = ops.rhs
         calls = []
 
-        def rhs(s):
+        def rhs(t, z):
             calls.append(1)
-            return np.full_like(s, np.nan) if len(calls) >= 4 else model.r_lin @ s
-        model.rhs_coords = rhs
+            return np.full_like(z, np.nan) if len(calls) >= 4 else solver_rhs(t, z)
+        ops.rhs = rhs
         with (pytest.raises(IntegrationError, match="solver failed") as info,
               np.errstate(over="ignore", invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
@@ -759,21 +798,22 @@ class TestExactStops:
         assert np.abs(model.rhs_coords(s)).max() <= dyn.FIXED_POINT_RESIDUAL * GAMMA
 
     def test_newton_gate_reads_the_solvers_derivative(self, solvers):
-        # the gate evaluates rhs_coords at the solver's accepted state, once,
-        # at the first accepted step of each STEADY_WINDOW_T1 / Gamma window;
-        # the solver's own calls come from its right-hand-side callback
+        # the gate evaluates the solver's callback at the accepted state,
+        # once, at the first accepted step of each STEADY_WINDOW_T1 / Gamma
+        # window; the solver's own calls come through scipy's wrapper
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        rhs_coords = model.rhs_coords
+        ops = model.departure
+        solver_rhs = ops.rhs
         reads = []
 
-        def rhs(s):
+        def rhs(t, z):
             if sys._getframe(1).f_code is dyn._integrate_coords.__code__:
                 solver = solvers[-1]
-                accepted = model.m_basis @ solver.y + model.unpolarized_coords()
-                assert np.array_equal(s, accepted)
+                assert t == solver.t
+                assert np.array_equal(z, solver.y)
                 reads.append(solver.t)
-            return rhs_coords(s)
-        model.rhs_coords = rhs
+            return solver_rhs(t, z)
+        ops.rhs = rhs
         model.stable_fixed_point = lambda _s: None  # never stops the run
         times, *_ = dyn._integrate_coords(model, model.seed_coords(1e-4), 40.0 / GAMMA,
                                           IntegrationControls(), stop_at_fixed_point=True)
