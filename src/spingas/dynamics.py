@@ -23,7 +23,7 @@ b_z, projection mode): it is projected once into subspace coordinates,
 Re(F L T) with fixed maps T (coords -> vec rho) and F (vec rho -> coords),
 and cached with the feedback parts.  R_opt depends on the field intensity a
 only through the excited-level solve, so a field's a-independent parts are
-cached too and a new point costs one dim_e^2 solve per field
+cached too and a new point costs one real dim_e^2 solve per field
 (:class:`spingas.optics.FieldAction`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
 integrated with LSODA, which switches to BDF where the problem is stiff, on
@@ -32,7 +32,9 @@ atol 1e-14 by default (:class:`IntegrationControls`).  LSODA steps the
 departure from the fully mixed state in a basis led by the M direction, so
 that its tolerance applies to M itself (:func:`_lsoda`); the generator and
 its Jacobian are rotated into those coordinates once per integrated model
-(:class:`DepartureOperators`).
+(:class:`DepartureOperators`).  The loop of :func:`_integrate_coords`
+drives scipy's ``lsoda`` integrator one step at a time itself, on work
+arrays reused from run to run.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -73,6 +75,7 @@ exponents, or any other dimensionless prediction.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -642,6 +645,12 @@ class IntegrationControls:
     atol: float = 1e-14
     max_step: float | None = None
 
+    def __post_init__(self):
+        if self.atol < 0:
+            raise ValueError("atol must be >= 0")
+        if self.max_step is not None and self.max_step <= 0:
+            raise ValueError("max_step must be > 0")
+
 
 # Checks on every accepted step: the step budget, a finite state and the
 # invariants.  From BUDGET_PROJECTION_STEPS accepted steps on, a run also
@@ -677,9 +686,35 @@ LOCATOR_BRACKET = (0.05, 40.0)
 LOCATOR_TOL = 1e-3
 
 
-def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
+# Work arrays lent to LSODA runs, by their sizes.  scipy's C runner keeps a
+# reference to the rwork and iwork it is handed on every call, so arrays
+# made for each run would stay in memory for good; runs borrow these instead.
+_LSODA_WORK: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+
+@contextmanager
+def _lent_work_arrays(lsoda):
+    """Lend the ``lsoda`` integrator a pair of work arrays of its sizes
+    from ``_LSODA_WORK``, holding the contents its ``reset()`` made, and
+    take the pair back when the run ends, also on a raise; a nested or
+    concurrent run borrows another pair.  Yields the lent iwork."""
+    free = _LSODA_WORK.setdefault((lsoda.rwork.size, lsoda.iwork.size), [])
+    try:
+        rwork, iwork = free.pop()
+    except IndexError:
+        rwork, iwork = np.empty_like(lsoda.rwork), np.empty_like(lsoda.iwork)
+    rwork[:], iwork[:] = lsoda.rwork, lsoda.iwork
+    lsoda.rwork = lsoda.call_args[4] = rwork
+    lsoda.iwork = lsoda.call_args[5] = iwork
+    try:
+        yield iwork
+    finally:
+        free.append((rwork, iwork))
+
+
+def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
            controls: IntegrationControls):
-    """``scipy.integrate.LSODA`` on ``model`` with its analytic Jacobian, in
+    """scipy's ODEPACK LSODA on ``model`` with its analytic Jacobian, in
     the coordinates z = Q^T (s - u) of the departure from the fully mixed
     state u in the basis Q = ``model.m_basis``, whose first vector is along
     M.  LSODA weighs each coordinate's error by its own size, so this way
@@ -688,13 +723,23 @@ def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float, max_step: float,
     tau at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in
     the populations themselves.  The callbacks are those of
     ``model.departure`` (:class:`DepartureOperators`), which evaluate the
-    generator in z directly; the state is s = Q z + u."""
-    from scipy.integrate import LSODA  # imported on first use
+    generator in z directly; the state is s = Q z + u.
+
+    Returns the ``scipy.integrate.ode`` at z(0), its ``lsoda`` integrator
+    set, as ``scipy.integrate.LSODA`` sets it, to LSODA's one-step task
+    (itask 5) with the critical time ``t_end`` in rwork[0], so that each
+    call of its ``run`` takes one step and never passes ``t_end``."""
+    from scipy.integrate import ode  # imported on first use
 
     ops = model.departure
-    z0 = model.m_basis.T @ (s0 - model.unpolarized_coords())
-    return LSODA(ops.rhs, 0.0, z0, t_end, max_step=max_step, rtol=controls.rtol,
-                 atol=controls.atol, jac=ops.jac)
+    solver = ode(ops.rhs, ops.jac).set_integrator(
+        "lsoda", rtol=controls.rtol, atol=controls.atol,
+        max_step=controls.max_step or 0.0)  # LSODA's 0 is no cap
+    solver.set_initial_value(model.m_basis.T @ (s0 - model.unpolarized_coords()), 0.0)
+    lsoda = solver._integrator
+    lsoda.rwork[0] = t_end
+    lsoda.call_args[2] = 5
+    return solver
 
 
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
@@ -704,10 +749,16 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     :func:`_lsoda`), with the analytic Jacobian, stepped one accepted step
     at a time.  LSODA switches between Adams and BDF methods as the problem
     turns stiff, so its steps are set by the dynamics rather than by the
-    fast decays, and its Newton iterations run in compiled code.  Every
-    accepted step is checked against the step budget (see
-    ``BUDGET_PROJECTION_STEPS``), for a finite state, and for trace and
-    positivity; a failed step or a non-finite state raises
+    fast decays, and its Newton iterations run in compiled code.
+
+    The loop calls the integrator's ``run`` itself, with the unwrapped
+    callbacks: the C calls and arguments of ``scipy.integrate.LSODA``
+    without its per-step and per-call Python layers, so the trajectory is
+    the same to the bit.  The run borrows its work arrays from a module
+    free list (:func:`_lent_work_arrays`), since the C runner would keep
+    fresh ones alive.  Every accepted step is checked against the step
+    budget (see ``BUDGET_PROJECTION_STEPS``), for a finite state, and for
+    trace and positivity; a failed step or a non-finite state raises
     ``IntegrationError("solver failed: ...")``.  The trace, M and, in
     'hyperfine+zeeman', the populations come from one readout product on
     the solver's state z; s = Q z + u is formed only for the eigenvalue
@@ -717,7 +768,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     Returns (times, magnetizations, s_final, stop, counts), where ``stop``
     is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
     the accepted ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu``
-    as ``int`` (LSODA factorizes once per Jacobian, so ``njev == nlu``).
+    as ``int``, read from LSODA's iwork (LSODA factorizes once per
+    Jacobian, so ``njev == nlu``).
 
     With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
     point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
@@ -730,8 +782,9 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     derivative dz/dt, whose rms equals that of ds/dt since Q is
     orthonormal."""
     gamma = model.params.gamma
-    max_step = controls.max_step if controls.max_step is not None else np.inf
-    solver = _lsoda(model, s0, t_end, max_step, controls)
+    solver = _lsoda(model, s0, t_end, controls)
+    lsoda = solver._integrator
+    run, rhs, jac = lsoda.run, solver.f, solver.jac
     ops = model.departure
     q, u = model.m_basis, model.unpolarized_coords()
     populations = model.sub.mode == MODE_HFZ
@@ -741,58 +794,60 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     stop = "budget"
     next_newton = 0.0
     n_steps = 0
+    z, t, h = solver.y, 0.0, None
+    with _lent_work_arrays(lsoda) as iwork:
 
-    def counts():
-        return {"steps": n_steps, "nfev": int(solver.nfev), "njev": int(solver.njev),
-                "nlu": int(solver.nlu)}
+        def counts():
+            return {"steps": n_steps, "nfev": int(iwork[11]), "njev": int(iwork[12]),
+                    "nlu": int(iwork[12])}
 
-    while solver.status == "running":
-        if n_steps >= MAX_STEPS or (n_steps >= BUDGET_PROJECTION_STEPS
-                                    and n_steps * t_end > MAX_STEPS * solver.t):
-            raise IntegrationError("step budget exhausted",
-                                   {"t": solver.t,
-                                    "projected_steps": n_steps * t_end / solver.t,
-                                    **counts()})
-        message = solver.step()
-        z = solver.y
-        if solver.status == "failed" or not np.isfinite(z).all():
-            raise IntegrationError(f"solver failed: {message or 'non-finite state'}",
-                                   {"t": solver.t, "h": solver.step_size, **counts()})
-        t = solver.t
-        n_steps += 1
-        readout = ops.readout @ z + ops.readout_offset
-        trace = float(readout[0])
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise IntegrationError("trace drift beyond tolerance",
-                                   {"t": t, "trace": trace})
-        min_eig = (float(readout[2:].min()) if populations
-                   else model.sub.min_eigenvalue(q @ z + u))
-        if min_eig < -POSITIVITY_TOL:
-            raise IntegrationError("state lost positivity",
-                                   {"t": t, "min_eig": min_eig})
-        m = float(readout[1])
-        times.append(t)
-        mags.append(m)
-        if stop_at_fixed_point and t >= next_newton:
-            next_newton = t + STEADY_WINDOW_T1 / gamma
-            f = ops.rhs(t, z)
-            if (abs(float(ops.readout[1] @ f))
-                    <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
-                    and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
-                s = q @ z + u
-                s_star = model.stable_fixed_point(s)
-                if s_star is not None:
-                    m_star = model.magnetization(s_star)
-                    near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
-                            <= NEWTON_DISTANCE / dim)
-                    if (near and np.sign(m_star) == np.sign(m)
-                            and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
-                        stop = "fixed-point"
-                        s = s_star
-                        break
-    if stop == "budget":
-        s = q @ solver.y + u
-    return np.array(times), np.array(mags), s, stop, counts()
+        while t < t_end:
+            if n_steps >= MAX_STEPS or (n_steps >= BUDGET_PROJECTION_STEPS
+                                        and n_steps * t_end > MAX_STEPS * t):
+                raise IntegrationError("step budget exhausted",
+                                       {"t": t, "projected_steps": n_steps * t_end / t,
+                                        **counts()})
+            z, t_next = run(rhs, jac, z, t, t_end, (), ())
+            if lsoda.success:
+                h, t = t_next - t, t_next
+            if not lsoda.success or not np.isfinite(z).all():
+                message = "non-finite state" if lsoda.success else "Unexpected istate in LSODA."
+                raise IntegrationError(f"solver failed: {message}",
+                                       {"t": t, "h": h, **counts()})
+            n_steps += 1
+            readout = ops.readout @ z + ops.readout_offset
+            trace = float(readout[0])
+            if abs(trace - 1.0) > TRACE_TOL:
+                raise IntegrationError("trace drift beyond tolerance",
+                                       {"t": t, "trace": trace})
+            min_eig = (float(readout[2:].min()) if populations
+                       else model.sub.min_eigenvalue(q @ z + u))
+            if min_eig < -POSITIVITY_TOL:
+                raise IntegrationError("state lost positivity",
+                                       {"t": t, "min_eig": min_eig})
+            m = float(readout[1])
+            times.append(t)
+            mags.append(m)
+            if stop_at_fixed_point and t >= next_newton:
+                next_newton = t + STEADY_WINDOW_T1 / gamma
+                f = ops.rhs(t, z)
+                if (abs(float(ops.readout[1] @ f))
+                        <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
+                        and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
+                    s = q @ z + u
+                    s_star = model.stable_fixed_point(s)
+                    if s_star is not None:
+                        m_star = model.magnetization(s_star)
+                        near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
+                                <= NEWTON_DISTANCE / dim)
+                        if (near and np.sign(m_star) == np.sign(m)
+                                and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
+                            stop = "fixed-point"
+                            s = s_star
+                            break
+        if stop == "budget":
+            s = q @ z + u
+        return np.array(times), np.array(mags), s, stop, counts()
 
 
 def _model_for(params: SimParams, model: CompiledModel | None) -> CompiledModel:

@@ -20,8 +20,13 @@ non-addressed manifold exactly dark.
 
 All of this is linear in rho_g.  :class:`FieldAction` assembles one field's
 ground-level action between fixed input and output maps, as a function of
-the field intensity; :class:`OpticalChannel` is its identity-map case, the
-whole ground-level action as one superoperator.
+the field intensity; :class:`OpticalChannel` is the whole ground-level
+action as one superoperator, assembled from it.
+
+Every map involved takes Hermitian matrices to Hermitian matrices, so the
+excited-level solve runs in real arithmetic: a Hermitian d x d matrix has
+the real coordinates of its d diagonal entries and of the real and
+imaginary parts of its d(d-1)/2 upper entries (:func:`_hermitian_rows`).
 """
 
 from __future__ import annotations
@@ -318,6 +323,46 @@ def _sop_sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
+# --- real Hermitian coordinates of a d x d matrix in row-major vec form ---
+
+@lru_cache(maxsize=4)
+def _hermitian_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec positions of the diagonal, of the upper entries (i < j) and of
+    the lower entries (j, i) in the same order."""
+    i, j = np.triu_indices(dim, 1)
+    return tuple(_frozen(a) for a in (np.arange(dim) * (dim + 1), i * dim + j, j * dim + i))
+
+
+def _hermitian_rows(vecs: np.ndarray, dim: int) -> np.ndarray:
+    """Real coordinates of the columns ``vecs``, vec forms of Hermitian
+    matrices: the diagonal, then the real and imaginary upper parts."""
+    diag, up, _ = _hermitian_index(dim)
+    return np.concatenate([vecs[diag].real, vecs[up].real, vecs[up].imag])
+
+
+def _hermitian_vecs(coords: np.ndarray, dim: int) -> np.ndarray:
+    """The inverse of :func:`_hermitian_rows`: complex vec forms."""
+    diag, up, lo = _hermitian_index(dim)
+    k = len(up)
+    out = np.empty((dim * dim,) + coords.shape[1:], dtype=complex)
+    out[diag] = coords[:dim]
+    out[up] = coords[dim:dim + k] + 1j * coords[dim + k:]
+    out[lo] = out[up].conj()
+    return out
+
+
+def _hermitian_block(sop: np.ndarray, dim: int) -> np.ndarray:
+    """The real matrix, in Hermitian coordinates, of a superoperator that
+    maps Hermitian matrices to Hermitian matrices: the coordinates of its
+    images of the basis matrices e_kk, e_ij + e_ji and i (e_ij - e_ji),
+    gathered from the diagonal and upper rows."""
+    diag, up, lo = _hermitian_index(dim)
+    rows = sop[np.concatenate([diag, up])]
+    cols = np.concatenate([rows[:, diag], rows[:, up] + rows[:, lo],
+                           1j * (rows[:, up] - rows[:, lo])], axis=1)
+    return np.concatenate([cols.real, cols[dim:].imag])
+
+
 def _stimulated_drain(coupling: FieldCoupling, de: int) -> np.ndarray:
     g_e = coupling.x @ coupling.w.conj().T
     return -1j * (_sop_left(g_e, de) - _sop_right(g_e.conj().T, de))
@@ -376,11 +421,9 @@ def repopulation(rho_e: np.ndarray, dipole: VectorOperator,
     return (2.0 * coll.gamma_q / 3.0) * out
 
 
-def _mul(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
-    """Matrix product in which None stands for the identity."""
-    if a is None:
-        return b
-    return a if b is None else a @ b
+def _mul(f: np.ndarray | None, b: np.ndarray) -> np.ndarray:
+    """``f @ b``, where an ``f`` of None stands for the identity."""
+    return b if f is None else f @ b
 
 
 class FieldAction:
@@ -400,15 +443,23 @@ class FieldAction:
     averaged with its pi-about-x rotation C
     (:meth:`OpticalField.wants_symmetrization`): the second
     half of the columns is B C T and of the rows F C^-1.
+
+    The solve is real.  A0 + a S maps Hermitian matrices to Hermitian
+    matrices, and so does B, so B T and B C T have Hermitian columns when
+    the columns of ``t_map`` are Hermitian; then A0, S and the columns are
+    kept in the real Hermitian coordinates of the excited matrix, and X(a)
+    is one real solve scattered back to complex vec form.  A ``t_map``
+    whose source columns are not Hermitian raises ``ValueError``.
     """
 
     def __init__(self, system: AtomSystem, coupling: FieldCoupling,
-                 coll: CollisionParams, light_shift: bool = False,
-                 t_map: np.ndarray | None = None, f_map: np.ndarray | None = None):
+                 coll: CollisionParams, light_shift: bool = False, *,
+                 t_map: np.ndarray, f_map: np.ndarray | None = None):
         dg, de = system.dim_g, system.dim_e
         x, w = coupling.x, coupling.w
-        self.a0 = _frozen(excited_superoperator(system, [], coll))
-        self.drain = _frozen(_stimulated_drain(coupling, de))
+        self._de = de
+        self._a0 = _frozen(_hermitian_block(excited_superoperator(system, [], coll), de))
+        self._drain = _frozen(_hermitian_block(_stimulated_drain(coupling, de), de))
         g = x.conj().T @ w
         herm = 0.5 * (g + g.conj().T)
         anti = (g - g.conj().T) / 2j
@@ -421,13 +472,18 @@ class FieldAction:
         t_maps, self._f_maps = [t_map], [f_map]
         if coupling.field.wants_symmetrization():
             u = system.ground_pi_rotation_x()
-            t_maps.append(_mul(np.kron(u, u.conj()), t_map))
+            t_maps.append(np.kron(u, u.conj()) @ t_map)
             self._f_maps.append(_mul(f_map, np.kron(u.conj().T, u.T)))
         self.weight = 1.0 / len(t_maps)
         src = excited_source([coupling])
-        self.source = _frozen(np.hstack([_mul(src, t) for t in t_maps]))
+        cols = np.hstack([src @ t for t in t_maps])
+        diag, up, lo = _hermitian_index(de)
+        skew = max(np.abs(cols[diag].imag).max(), np.abs(cols[up] - cols[lo].conj()).max())
+        if skew > 1e-12 * np.abs(cols).max():
+            raise ValueError("the source columns B t_map are not Hermitian")
+        self._source = _frozen(_hermitian_rows(cols, de))
         self.depletion = _frozen(self.weight * sum(
-            _mul(f, _mul(dep, t)) for f, t in zip(self._f_maps, t_maps)))
+            _mul(f, dep @ t) for f, t in zip(self._f_maps, t_maps)))
 
     @cached_property
     def _left(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -436,11 +492,13 @@ class FieldAction:
                 for f in self._f_maps]
 
     def excited(self, a: float) -> np.ndarray:
-        """X(a), the quasi-steady excited matrices of the source columns."""
+        """X(a), the quasi-steady excited matrices of the source columns,
+        in complex vec form."""
         try:
-            return a * np.linalg.solve(self.a0 + a * self.drain, -self.source)
+            coords = np.linalg.solve(self._a0 + a * self._drain, -self._source)
         except np.linalg.LinAlgError as exc:
             raise OpticsError("quasi-steady excited solve is singular") from exc
+        return _hermitian_vecs(a * coords, self._de)
 
     def superop(self, a: float) -> tuple[np.ndarray, np.ndarray]:
         """The ground-level action at intensity scale a, and X(a)."""
@@ -458,9 +516,12 @@ class OpticalChannel:
     through the quasi-steady excited solve) is linear in rho_g, so it is
     assembled once into ``ground_superop`` (dim_g^2 x dim_g^2) plus the map
     ``excited_map`` giving the quasi-steady excited matrix: the sum of the
-    fields' :class:`FieldAction` with identity maps.  ``light_shift`` adds
-    the coherent (Hermitian) part of the depletion kernel, which is dropped
-    by default so that only dissipative channels act on the ground level.
+    fields' :class:`FieldAction`, taken on a Hermitian basis H of the ground
+    matrices (which spans every complex matrix) and multiplied by H^-1, so
+    that each is the field's complex-linear map on vec(rho_g).
+    ``light_shift`` adds the coherent (Hermitian) part of the depletion
+    kernel, which is dropped by default so that only dissipative channels
+    act on the ground level.
     """
 
     def __init__(self, system: AtomSystem, couplings: list[FieldCoupling],
@@ -475,12 +536,14 @@ class OpticalChannel:
         # ones by the same pump-rate/gamma_q factor, i.e. negligible), which
         # keeps every per-field channel exactly atom-conserving and lets a
         # linearly polarized channel be parity-symmetrized on its own.
+        basis = _hermitian_vecs(np.eye(dg * dg), dg)
+        inverse = basis.conj().T / np.sum(np.abs(basis) ** 2, axis=0)[:, None]
         self.ground_superop = np.zeros((dg * dg, dg * dg), dtype=complex)
         self.excited_map = np.zeros((de * de, dg * dg), dtype=complex)
         for c in couplings:
-            g_sop, x = FieldAction(system, c, coll, light_shift).superop(1.0)
-            self.ground_superop += g_sop
-            self.excited_map += x[:, :dg * dg]
+            g_sop, x = FieldAction(system, c, coll, light_shift, t_map=basis).superop(1.0)
+            self.ground_superop += g_sop @ inverse
+            self.excited_map += x[:, :dg * dg] @ inverse
 
     def rho_e(self, rho_g: np.ndarray) -> np.ndarray:
         vec = self.excited_map @ np.asarray(rho_g, dtype=complex).reshape(-1)

@@ -2,6 +2,8 @@ import gc
 import json
 import math
 import sys
+import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -45,15 +47,38 @@ from conftest import random_density
 GAMMA = 58.0
 
 
+class LsodaRun:
+    """One run of the LSODA driver, seen through its integrator's ``run``:
+    the time and state of the last accepted step, and LSODA's own counts
+    (iwork[11] is nfev, iwork[12] njev, which equals nlu), read after
+    every call."""
+
+    def __init__(self, solver):
+        lsoda = solver._integrator
+        run = lsoda.run
+        self.t, self.y = solver.t, solver.y.copy()
+        self.nfev = self.njev = self.nlu = 0
+
+        def spy(*args):
+            y, t = run(*args)
+            if lsoda.success:
+                self.t, self.y = t, y.copy()
+            self.nfev, self.njev = int(lsoda.iwork[11]), int(lsoda.iwork[12])
+            self.nlu = self.njev
+            return y, t
+        lsoda.run = spy
+
+
 @pytest.fixture()
 def solvers(monkeypatch):
-    """Every LSODA solver that ``_integrate_coords`` builds, in order."""
+    """Every LSODA run that ``_integrate_coords`` makes, in order."""
     made = []
     build = dyn._lsoda
 
     def spy(*args):
-        made.append(build(*args))
-        return made[-1]
+        solver = build(*args)
+        made.append(LsodaRun(solver))
+        return solver
     monkeypatch.setattr(dyn, "_lsoda", spy)
     return made
 
@@ -638,6 +663,52 @@ class TestSolverCounts:
         # still in LSODA's Adams mode, which makes no Jacobian
         assert_solver_counts(diag, solvers[-1])
 
+    def test_work_arrays_do_not_accumulate(self):
+        # scipy's C runner keeps a reference to the rwork and iwork of each
+        # call, so a pair made per run would never be freed
+        p = SimParams.from_rates(2.0, 3.0)
+        model = CompiledModel(p)
+        integrate(p, t_end=0.002, model=model)
+        n = model.sub.n
+        one_run = 8 * (22 + 9 * n + n * n) + 4 * (20 + n)  # LSODA's lrw, liw
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(200):
+                integrate(p, t_end=0.002, model=model)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        ode_py = [tracemalloc.Filter(True, "*scipy/integrate/_ode.py")]
+        growth = sum(stat.size_diff for stat in after.filter_traces(ode_py).compare_to(
+            before.filter_traces(ode_py), "filename"))
+        assert growth < one_run
+
+    def test_concurrent_runs_borrow_their_own_work_arrays(self):
+        # runs in threads interleave their steps; a shared pair of work
+        # arrays would mix their LSODA states
+        p = SimParams.from_rates(2.0, 3.0)
+        model = CompiledModel(p)
+        ref = integrate(p, t_end=0.002, model=model).magnetization
+        results = [None] * 4
+
+        def run(k):
+            results[k] = integrate(p, t_end=0.002, model=model).magnetization
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for mags in results:
+            assert np.array_equal(mags, ref)
+
 
 def _trace_exact_integration(model, t_end):
     """M at ``t_end`` from the seed, integrated with one population
@@ -800,7 +871,7 @@ class TestExactStops:
     def test_newton_gate_reads_the_solvers_derivative(self, solvers):
         # the gate evaluates the solver's callback at the accepted state,
         # once, at the first accepted step of each STEADY_WINDOW_T1 / Gamma
-        # window; the solver's own calls come through scipy's wrapper
+        # window; the solver's own calls come from its integrator's run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
         ops = model.departure
         solver_rhs = ops.rhs

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from spingas import optics
+from spingas.dynamics import PROJECTION_MODES, SimParams, Subspace
 from spingas.optics import (
     DopplerSpec,
+    FieldAction,
     OpticalChannel,
     OpticalField,
     bias_field,
@@ -14,6 +16,8 @@ from spingas.optics import (
     coherence_fraction,
     couple_field,
     excited_quasi_steady,
+    excited_source,
+    excited_superoperator,
     field_coupling_matrix,
     pump_field,
     repopulation,
@@ -93,6 +97,36 @@ class TestExcitedQuasiSteady:
             rho_e = excited_quasi_steady(random_density(rng), [cpl], system, collisions)
             assert np.abs(rho_e - rho_e.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(rho_e).min() >= -1e-9
+
+
+class TestFieldAction:
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    @pytest.mark.parametrize("beam", ["pump", "bias"])
+    def test_real_solve_matches_the_complex_solve(self, system, collisions, doppler,
+                                                  mode, beam):
+        # oracle: X(a) = solve(A0 + a S, -a B T) in complex arithmetic, from
+        # the beam at intensity a, whose drain is a S and source a B
+        field = getattr(SimParams.from_rates(2.0, 3.0, 0.1), beam)
+        sub = Subspace(mode, system.basis_g)
+        t_map = np.stack([sub.to_matrix(e).reshape(-1) for e in np.eye(sub.n)], axis=1)
+        t_maps = [t_map]
+        if field.wants_symmetrization():
+            u = system.ground_pi_rotation_x()
+            t_maps.append(np.kron(u, u.conj()) @ t_map)
+        action = FieldAction(system, couple_field(field.scaled(1.0), system, collisions,
+                                                  doppler), collisions, t_map=t_map)
+        for a in (field.amplitude_sq, 30.0 * field.amplitude_sq):
+            cpl = couple_field(field.scaled(a), system, collisions, doppler)
+            ref = np.linalg.solve(excited_superoperator(system, [cpl], collisions),
+                                  -excited_source([cpl]) @ np.hstack(t_maps))
+            got = action.excited(a)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_non_hermitian_t_map_raises(self, system, collisions, doppler):
+        cpl = couple_field(pump_field(1.0), system, collisions, doppler)
+        for t_map in (np.eye(256), np.eye(256)[:, [1]]):  # the identity; vec(e_01) alone
+            with pytest.raises(ValueError, match="not Hermitian"):
+                FieldAction(system, cpl, collisions, t_map=t_map)
 
 
 class TestRepopulation:
