@@ -34,7 +34,8 @@ that its tolerance applies to M itself (:func:`_lsoda`); the generator and
 its Jacobian are rotated into those coordinates once per integrated model
 (:class:`DepartureOperators`).  The loop of :func:`_integrate_coords`
 drives scipy's ``lsoda`` integrator one step at a time itself, on work
-arrays reused from run to run.
+arrays reused from run to run; it checks the trace of each accepted step
+and reads M and positivity for a block of steps at a time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -656,8 +657,10 @@ class IntegrationControls:
 # invariants.  From BUDGET_PROJECTION_STEPS accepted steps on, a run also
 # fails once its steps, extrapolated to t_end at its mean step, exceed
 # MAX_STEPS: a run that resolves the Zeeman precession of the 'hyperfine'
-# and 'none' modes at b_z = 1 G would need about 1.7e9 steps.
+# and 'none' modes at b_z = 1 G would need about 1.7e9 steps.  Positivity
+# and M are read for up to CHECK_BLOCK accepted steps at a time.
 MAX_STEPS = 50_000_000
+CHECK_BLOCK = 256
 BUDGET_PROJECTION_STEPS = 20_000
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
@@ -756,14 +759,20 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     without its per-step and per-call Python layers, so the trajectory is
     the same to the bit.  The run borrows its work arrays from a module
     free list (:func:`_lent_work_arrays`), since the C runner would keep
-    fresh ones alive.  Every accepted step is checked against the step
-    budget (see ``BUDGET_PROJECTION_STEPS``), for a finite state, and for
-    trace and positivity; a failed step or a non-finite state raises
-    ``IntegrationError("solver failed: ...")``.  The trace, M and, in
-    'hyperfine+zeeman', the populations come from one readout product on
-    the solver's state z; s = Q z + u is formed only for the eigenvalue
-    positivity check of the other modes, a Newton attempt and the final
-    state.
+    fresh ones alive.
+
+    Every accepted step is checked against the step budget (see
+    ``BUDGET_PROJECTION_STEPS``) and on its trace, one dot product with the
+    solver's state z that also catches a non-finite state (0 * NaN and
+    0 * inf are NaN); a failed step or a non-finite state raises
+    ``IntegrationError("solver failed: ...")``.  M and positivity (the
+    populations in 'hyperfine+zeeman', else the least eigenvalue of
+    s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
+    readout product: when the block is full, at a Newton gate, at the end
+    of the run and before any raise.  So the first step to lose positivity
+    is reported, at most CHECK_BLOCK steps late but before any later
+    step's failure.  s is formed otherwise only for a Newton attempt and
+    the final state.
 
     Returns (times, magnetizations, s_final, stop, counts), where ``stop``
     is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
@@ -786,6 +795,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     lsoda = solver._integrator
     run, rhs, jac = lsoda.run, solver.f, solver.jac
     ops = model.departure
+    tr_q, tr_off = ops.readout[0], float(ops.readout_offset[0])
+    rows_t, offsets = ops.readout[1:].T, ops.readout_offset[1:]
     q, u = model.m_basis, model.unpolarized_coords()
     populations = model.sub.mode == MODE_HFZ
     dim = model.sub.dim
@@ -795,6 +806,23 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     next_newton = 0.0
     n_steps = 0
     z, t, h = solver.y, 0.0, None
+    block, block_t = np.empty((CHECK_BLOCK, z.size)), []
+
+    def flush():
+        """Check the pending steps for positivity, in order, and record
+        their times and M."""
+        z_block = block[:len(block_t)]
+        values = z_block @ rows_t + offsets
+        min_eigs = (values[:, 1:].min(axis=1) if populations
+                    else np.array([model.sub.min_eigenvalue(q @ zk + u) for zk in z_block]))
+        lost = np.flatnonzero(min_eigs < -POSITIVITY_TOL)
+        if lost.size:
+            raise IntegrationError("state lost positivity",
+                                   {"t": block_t[lost[0]], "min_eig": float(min_eigs[lost[0]])})
+        times.extend(block_t)
+        mags.extend(values[:, 0].tolist())
+        block_t.clear()
+
     with _lent_work_arrays(lsoda) as iwork:
 
         def counts():
@@ -804,31 +832,33 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         while t < t_end:
             if n_steps >= MAX_STEPS or (n_steps >= BUDGET_PROJECTION_STEPS
                                         and n_steps * t_end > MAX_STEPS * t):
+                flush()
                 raise IntegrationError("step budget exhausted",
                                        {"t": t, "projected_steps": n_steps * t_end / t,
                                         **counts()})
             z, t_next = run(rhs, jac, z, t, t_end, (), ())
-            if lsoda.success:
-                h, t = t_next - t, t_next
-            if not lsoda.success or not np.isfinite(z).all():
-                message = "non-finite state" if lsoda.success else "Unexpected istate in LSODA."
-                raise IntegrationError(f"solver failed: {message}",
+            if not lsoda.success:
+                flush()
+                raise IntegrationError("solver failed: Unexpected istate in LSODA.",
                                        {"t": t, "h": h, **counts()})
-            n_steps += 1
-            readout = ops.readout @ z + ops.readout_offset
-            trace = float(readout[0])
-            if abs(trace - 1.0) > TRACE_TOL:
+            h, t = t_next - t, t_next
+            # 0 * NaN and 0 * inf are NaN, so a non-finite z fails this too
+            trace = float(tr_q @ z) + tr_off
+            if not abs(trace - 1.0) <= TRACE_TOL:
+                flush()
+                if not np.isfinite(z).all():
+                    raise IntegrationError("solver failed: non-finite state",
+                                           {"t": t, "h": h, **counts()})
                 raise IntegrationError("trace drift beyond tolerance",
                                        {"t": t, "trace": trace})
-            min_eig = (float(readout[2:].min()) if populations
-                       else model.sub.min_eigenvalue(q @ z + u))
-            if min_eig < -POSITIVITY_TOL:
-                raise IntegrationError("state lost positivity",
-                                       {"t": t, "min_eig": min_eig})
-            m = float(readout[1])
-            times.append(t)
-            mags.append(m)
+            n_steps += 1
+            block[len(block_t)] = z  # a copy: the runner updates z in place
+            block_t.append(t)
+            if len(block_t) == CHECK_BLOCK:
+                flush()
             if stop_at_fixed_point and t >= next_newton:
+                flush()
+                m = mags[-1]
                 next_newton = t + STEADY_WINDOW_T1 / gamma
                 f = ops.rhs(t, z)
                 if (abs(float(ops.readout[1] @ f))
@@ -845,6 +875,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                             stop = "fixed-point"
                             s = s_star
                             break
+        flush()
         if stop == "budget":
             s = q @ z + u
         return np.array(times), np.array(mags), s, stop, counts()

@@ -426,6 +426,19 @@ def _mul(f: np.ndarray | None, b: np.ndarray) -> np.ndarray:
     return b if f is None else f @ b
 
 
+@lru_cache(maxsize=8)
+def _excited_parts(spec: AtomSpec, b_z: float,
+                   coll: CollisionParams) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of a field action that no field enters, shared read-only:
+    the excited generator A0 in real Hermitian coordinates and the quench
+    repopulation P (see :class:`FieldAction`)."""
+    system = atom_system(spec, b_z)
+    a0 = _hermitian_block(excited_superoperator(system, [], coll), system.dim_e)
+    repop = (2.0 * coll.gamma_q / 3.0) * sum(
+        _sop_sandwich(d.conj().T, d) for d in system.dipole.matrices)
+    return _frozen(a0), _frozen(repop)
+
+
 class FieldAction:
     """Action of one field on the ground level as a function of its
     intensity, between fixed maps: ``t_map`` takes its columns to vec(rho_g)
@@ -439,7 +452,9 @@ class FieldAction:
         F [a D + (a K + P) X(a)] T,    P = quench repopulation.
 
     Only the dim_e^2 solve depends on a other than through a factor, and it
-    runs against the columns of B T alone.  A linearly polarized field is
+    runs against the columns of B T alone.  A0 and P involve no field, so
+    every action of one atom system and set of collisions shares them
+    (:func:`_excited_parts`).  A linearly polarized field is
     averaged with its pi-about-x rotation C
     (:meth:`OpticalField.wants_symmetrization`): the second
     half of the columns is B C T and of the rows F C^-1.
@@ -458,7 +473,7 @@ class FieldAction:
         dg, de = system.dim_g, system.dim_e
         x, w = coupling.x, coupling.w
         self._de = de
-        self._a0 = _frozen(_hermitian_block(excited_superoperator(system, [], coll), de))
+        self._a0, self._repop = _excited_parts(system.spec, system.b_z, coll)
         self._drain = _frozen(_hermitian_block(_stimulated_drain(coupling, de), de))
         g = x.conj().T @ w
         herm = 0.5 * (g + g.conj().T)
@@ -467,8 +482,6 @@ class FieldAction:
         if light_shift:
             dep += 1j * (_sop_left(herm, dg) - _sop_right(herm, dg))
         self._ret = 1j * (_sop_sandwich(w.conj().T, x) - _sop_sandwich(x.conj().T, w))
-        self._repop = (2.0 * coll.gamma_q / 3.0) * sum(
-            _sop_sandwich(d.conj().T, d) for d in system.dipole.matrices)
         t_maps, self._f_maps = [t_map], [f_map]
         if coupling.field.wants_symmetrization():
             u = system.ground_pi_rotation_x()

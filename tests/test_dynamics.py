@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spingas import dynamics as dyn
+from spingas import optics
 from spingas.dynamics import (
     PROJECTION_MODES,
     CompiledModel,
@@ -49,35 +50,55 @@ GAMMA = 58.0
 
 class LsodaRun:
     """One run of the LSODA driver, seen through its integrator's ``run``:
-    the time and state of the last accepted step, and LSODA's own counts
-    (iwork[11] is nfev, iwork[12] njev, which equals nlu), read after
-    every call."""
+    the time and state of every accepted step, from t = 0, and LSODA's own
+    counts (iwork[11] is nfev, iwork[12] njev, which equals nlu), read after
+    every call.  ``faults`` maps the number of an accepted step (the first
+    is 1) to a function that writes a fault into the state LSODA returned
+    there, in place, before the driver sees it."""
 
-    def __init__(self, solver):
+    def __init__(self, solver, faults):
         lsoda = solver._integrator
         run = lsoda.run
-        self.t, self.y = solver.t, solver.y.copy()
+        self.times, self.states = [solver.t], [solver.y.copy()]
         self.nfev = self.njev = self.nlu = 0
 
         def spy(*args):
             y, t = run(*args)
             if lsoda.success:
-                self.t, self.y = t, y.copy()
+                self.times.append(t)
+                fault = faults.get(len(self.times) - 1)
+                if fault:
+                    fault(y)
+                self.states.append(y.copy())
             self.nfev, self.njev = int(lsoda.iwork[11]), int(lsoda.iwork[12])
             self.nlu = self.njev
             return y, t
         lsoda.run = spy
 
+    @property
+    def t(self):
+        return self.times[-1]
+
+    @property
+    def y(self):
+        return self.states[-1]
+
 
 @pytest.fixture()
-def solvers(monkeypatch):
+def faults():
+    """Faults for the runs of ``solvers`` (see :class:`LsodaRun`)."""
+    return {}
+
+
+@pytest.fixture()
+def solvers(monkeypatch, faults):
     """Every LSODA run that ``_integrate_coords`` makes, in order."""
     made = []
     build = dyn._lsoda
 
     def spy(*args):
         solver = build(*args)
-        made.append(LsodaRun(solver))
+        made.append(LsodaRun(solver, faults))
         return solver
     monkeypatch.setattr(dyn, "_lsoda", spy)
     return made
@@ -608,6 +629,34 @@ class TestCalibrations:
             CompiledModel(SimParams.from_rates(2.0, j, 0.1, b_z=0.77))
         assert len(built) == 2
 
+    def test_beams_share_their_field_independent_parts(self, monkeypatch):
+        # a b_z of no other test, so that no cache holds these parts yet
+        generators = []
+        build = optics.excited_superoperator
+
+        def counted(system, couplings, coll):
+            if not couplings:
+                generators.append(system.b_z)
+            return build(system, couplings, coll)
+        monkeypatch.setattr(optics, "excited_superoperator", counted)
+        misses = optics._excited_parts.cache_info().misses
+        p = SimParams.from_rates(2.0, 3.0, 0.1, b_z=0.66)
+        CompiledModel(p)
+        assert generators == [0.66]
+        assert optics._excited_parts.cache_info().misses == misses + 1
+        ground = dyn._ground_parts(p.atom, p.b_z, p.projection_mode)
+        # each beam's action against one that builds A0 and P for itself
+        cached = [dyn._field_action(p.atom, p.b_z, p.projection_mode, f.scaled(1.0),
+                                    p.coll, p.doppler, p.light_shift) for f in p.fields()]
+        assert cached[0]._a0 is cached[1]._a0 and cached[0]._repop is cached[1]._repop
+        monkeypatch.setattr(optics, "_excited_parts", optics._excited_parts.__wrapped__)
+        for f, action in zip(p.fields(), cached):
+            own = FieldAction(ground.system,
+                              couple_field(f.scaled(1.0), ground.system, p.coll, p.doppler),
+                              p.coll, p.light_shift, t_map=ground.t_map, f_map=ground.f_map)
+            for part, ref in zip(action.superop(f.amplitude_sq), own.superop(f.amplitude_sq)):
+                assert np.array_equal(part, ref)
+
 
 class TestSolverCounts:
     def test_steady_state_reports_solver_counts(self, solvers):
@@ -708,6 +757,147 @@ class TestSolverCounts:
         assert not any(thread.is_alive() for thread in threads)
         for mags in results:
             assert np.array_equal(mags, ref)
+
+
+def _shift(model, delta_s):
+    """A fault that adds ``delta_s``, in subspace coordinates, to the state."""
+    shift = model.m_basis.T @ delta_s
+
+    def fault(z):
+        z += shift
+    return fault
+
+
+def _trace_drift(model, amount=3e-9):
+    """A fault that raises the trace by ``amount``, spread evenly over the
+    populations."""
+    return _shift(model, amount * model.tr_row / (model.tr_row @ model.tr_row))
+
+
+def _negative_population(model, amount=3e-9):
+    """A fault that moves population 0, and ``amount`` more, onto
+    population 1: the trace stays and population 0 becomes -amount."""
+    q, u = model.m_basis, model.unpolarized_coords()
+
+    def fault(z):
+        move = q[0] @ z + u[0] + amount
+        delta = np.zeros(model.sub.n)
+        delta[0], delta[1] = -move, move
+        z += q.T @ delta
+    return fault
+
+
+def _non_finite(model, value):
+    """A fault that writes ``value`` into the coordinate of least weight in
+    the trace (an exact zero)."""
+    k = int(np.argmin(np.abs(model.departure.readout[0])))
+
+    def fault(z):
+        z[k] = value
+    return fault
+
+
+def _fault_model(mode):
+    """A point that takes over 1,000 steps in 0.5 s in either mode."""
+    kwargs = {} if mode == "hyperfine+zeeman" else {"b_z": 1e-4}
+    return CompiledModel(SimParams.from_rates(2.0, 3.0, projection_mode=mode, **kwargs))
+
+
+def _run(model, t_end=0.5, **kwargs):
+    return dyn._integrate_coords(model, model.seed_coords(1e-4), t_end,
+                                 IntegrationControls(), **kwargs)
+
+
+class TestBlockChecks:
+    """Positivity and M are read for a block of accepted steps at a time.
+    The trajectory is still every accepted step, and each failure is the
+    one, at the step, that a check of each step in turn would raise."""
+
+    @pytest.mark.parametrize("t_end, stop_at_fixed_point, stop", [
+        (3.0, True, "fixed-point"), (0.5, False, "budget")])
+    def test_trajectory_is_every_accepted_step(self, solvers, t_end, stop_at_fixed_point,
+                                               stop):
+        model = _fault_model("hyperfine+zeeman")
+        times, mags, _, end, counts = _run(model, t_end,
+                                           stop_at_fixed_point=stop_at_fixed_point)
+        run = solvers[-1]
+        assert end == stop
+        assert counts["steps"] % dyn.CHECK_BLOCK != 0  # a partly filled last block
+        assert times.tolist() == run.times
+        assert len(times) == counts["steps"] + 1
+        # M of each accepted step, as one readout row of its state would give it
+        ops = model.departure
+        ref = [ops.readout[1] @ z + ops.readout_offset[1] for z in run.states[1:]]
+        assert np.abs(mags[1:] - ref).max() <= 1e-17
+
+    def test_budget_raise_after_a_partly_filled_block(self, monkeypatch, solvers):
+        monkeypatch.setattr(dyn, "MAX_STEPS", 300)
+        model = _fault_model("hyperfine+zeeman")
+        with pytest.raises(IntegrationError, match="step budget exhausted") as info:
+            _run(model)
+        run = solvers[-1]
+        diag = info.value.diagnostics
+        assert diag["steps"] == len(run.times) - 1 == 300
+        assert diag["t"] == run.t
+        assert_solver_counts(diag, run)
+
+    @pytest.mark.parametrize("step", [5, 256, 300])
+    def test_trace_drift_raises_at_its_step(self, solvers, faults, step):
+        model = _fault_model("hyperfine+zeeman")
+        faults[step] = _trace_drift(model)
+        with pytest.raises(IntegrationError, match="trace drift beyond tolerance") as info:
+            _run(model)
+        diag = info.value.diagnostics
+        assert set(diag) == {"t", "trace"}
+        assert diag["t"] == solvers[-1].times[step]
+        assert diag["trace"] == pytest.approx(1.0 + 3e-9, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("mode", ["hyperfine+zeeman", "hyperfine"])
+    @pytest.mark.parametrize("step", [5, 256, 300])
+    def test_positivity_loss_raises_at_its_step(self, solvers, faults, mode, step):
+        model = _fault_model(mode)
+        faults[step] = _negative_population(model)
+        with pytest.raises(IntegrationError, match="state lost positivity") as info:
+            _run(model)
+        run = solvers[-1]
+        diag = info.value.diagnostics
+        assert set(diag) == {"t", "min_eig"}
+        assert diag["t"] == run.times[step]
+        s = model.m_basis @ run.states[step] + model.unpolarized_coords()
+        assert diag["min_eig"] == pytest.approx(model.sub.min_eigenvalue(s), rel=0, abs=1e-15)
+        assert diag["min_eig"] < -dyn.POSITIVITY_TOL
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", [5, 300])
+    def test_non_finite_state_raises_at_its_step(self, solvers, faults, value, step):
+        model = _fault_model("hyperfine+zeeman")
+        faults[step] = _non_finite(model, value)
+        with (pytest.raises(IntegrationError, match="solver failed: non-finite state") as info,
+              np.errstate(invalid="ignore")):
+            _run(model)
+        run = solvers[-1]
+        diag = info.value.diagnostics
+        assert set(diag) == {"t", "h", "steps", "nfev", "njev", "nlu"}
+        assert (diag["t"], diag["h"]) == (run.times[step],
+                                          run.times[step] - run.times[step - 1])
+        assert diag["steps"] == step - 1
+        assert_solver_counts(diag, run)
+
+    @pytest.mark.parametrize("later", ["trace", "non-finite", "budget"])
+    def test_positivity_loss_is_raised_before_a_later_failure(
+            self, monkeypatch, solvers, faults, later):
+        model = _fault_model("hyperfine+zeeman")
+        faults[300] = _negative_population(model)
+        if later == "trace":
+            faults[303] = _trace_drift(model)
+        elif later == "non-finite":
+            faults[303] = _non_finite(model, np.nan)
+        else:
+            monkeypatch.setattr(dyn, "MAX_STEPS", 303)
+        with (pytest.raises(IntegrationError, match="state lost positivity") as info,
+              np.errstate(invalid="ignore")):
+            _run(model)
+        assert info.value.diagnostics["t"] == solvers[-1].times[300]
 
 
 def _trace_exact_integration(model, t_end):
