@@ -599,7 +599,11 @@ class DepartureOperators:
         dz/dt = v_lin + sum_j v_mj v_Qj.
 
     ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
-    arrays, so a solver does not pin the model.  ``readout @ z +
+    arrays, so a solver does not pin the model.  Each call works in arrays
+    of its own, so concurrent runs share no scratch buffer.  With the one
+    feedback component of every 'hyperfine+zeeman' model with J > 0, they
+    form v_lin + v_m v_Q (and its Jacobian) in place, in the order of the
+    sums of the general form, so the two agree to the bit.  ``readout @ z +
     readout_offset`` gives the trace, M and, in 'hyperfine+zeeman', the
     populations, the quantities every accepted step is checked on."""
 
@@ -613,19 +617,43 @@ class DepartureOperators:
                          + [model.qj * (q.T @ model.q_mats[j]) for j in active])
         w_mat, w_off = left @ q, left @ u
         lin = w_mat[:n]
-        m_q = w_mat[n:n + k]
-        qj_flat = w_mat[n + k:].reshape(k, n * n)
+        dot = w_mat.dot
+        if k == 1:
+            m_q, q_q = w_mat[n], w_mat[n + 1:]
 
-        def rhs(_t, z):
-            v = w_mat @ z
-            v += w_off
-            return v[:n] + v[n:n + k] @ v[n + k:].reshape(k, n)
+            def rhs(_t, z):
+                v = dot(z)
+                v += w_off
+                out = v[n + 1:]
+                out *= v[n]
+                out += v[:n]
+                return out
 
-        def jac(_t, z):
-            v = w_mat @ z
-            v += w_off
-            return (lin + (v[n:n + k] @ qj_flat).reshape(n, n)
-                    + v[n + k:].reshape(k, n).T @ m_q)
+            def jac(_t, z):
+                v = dot(z)
+                v += w_off
+                out = q_q * v[n]
+                out += lin
+                out += np.outer(v[n + 1:], m_q)
+                return out
+        else:
+            m_q = w_mat[n:n + k]
+            qj_flat = w_mat[n + k:].reshape(k, n * n)
+
+            def rhs(_t, z):
+                v = dot(z)
+                v += w_off
+                out = v[n:n + k] @ v[n + k:].reshape(k, n)
+                out += v[:n]
+                return out
+
+            def jac(_t, z):
+                v = dot(z)
+                v += w_off
+                out = (v[n:n + k] @ qj_flat).reshape(n, n)
+                out += lin
+                out += v[n + k:].reshape(k, n).T @ m_q
+                return out
 
         self.rhs, self.jac = rhs, jac
         rows = [model.tr_row, model.fz_row]

@@ -253,6 +253,38 @@ class TestCompiledModel:
             assert np.abs(ops.readout @ z + ops.readout_offset - readout).max() <= 1e-12
         assert model.departure is ops
 
+    @pytest.mark.parametrize("mode, j_over_gamma, b_z, k", [
+        ("hyperfine+zeeman", 0.0, 1.0, 0),
+        ("hyperfine+zeeman", 3.0, 1.0, 1),
+        ("hyperfine", 3.0, 1e-4, 3),
+        ("none", 3.0, 1e-4, 3),
+    ])
+    def test_callbacks_equal_the_stacked_product_to_the_bit(self, mode, j_over_gamma,
+                                                            b_z, k, rng):
+        # the callbacks against the generic form for any number k of
+        # feedback components: v = W z + w, then v_lin + sum_j v_mj v_Qj
+        # and its Jacobian, with W and w stacked as DepartureOperators does
+        model = CompiledModel(SimParams.from_rates(1.5, j_over_gamma, 0.4,
+                                                   projection_mode=mode, b_z=b_z))
+        q, u, n = model.m_basis, model.unpolarized_coords(), model.sub.n
+        active = model._active_j if model.qj > 0 else ()
+        assert len(active) == k
+        left = np.vstack([q.T @ model.r_lin]
+                         + [model.m_rows[j][None, :] for j in active]
+                         + [model.qj * (q.T @ model.q_mats[j]) for j in active])
+        w_mat, w_off = left @ q, left @ u
+        ops = model.departure
+        for _ in range(3):
+            z = q.T @ (model.sub.from_matrix(random_density(rng)) - u)
+            v = w_mat @ z
+            v += w_off
+            rhs = v[:n] + v[n:n + k] @ v[n + k:].reshape(k, n)
+            jac = (w_mat[:n] + (v[n:n + k] @ w_mat[n + k:].reshape(k, n * n)).reshape(n, n)
+                   + v[n + k:].reshape(k, n).T @ w_mat[n:n + k])
+            for got, ref in ((ops.rhs(0.0, z), rhs), (ops.jac(0.0, z), jac)):
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
     def test_rhs_traceless(self, rng):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)
         model = CompiledModel(p)
