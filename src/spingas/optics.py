@@ -27,6 +27,8 @@ Every map involved takes Hermitian matrices to Hermitian matrices, so the
 excited-level solve runs in real arithmetic: a Hermitian d x d matrix has
 the real coordinates of its d diagonal entries and of the real and
 imaginary parts of its d(d-1)/2 upper entries (:func:`_hermitian_rows`).
+Rotation about z splits that solve into independent blocks
+(:class:`FieldAction`).
 """
 
 from __future__ import annotations
@@ -219,8 +221,8 @@ class AtomSystem:
                     + zeeman_hamiltonian(self.spec, self.b_z, self.basis_e, EXCITED).matrix)
         self.dipole = dipole_operator(self.basis_g, self.basis_e)
         self.dipole_sph = spherical_components(self.dipole)
-        self._eig_g = np.linalg.eigh(self.h_g)
-        self._eig_e = np.linalg.eigh(self.h_e)
+        self._eig_g = _block_eigh(self.h_g)
+        self._eig_e = _block_eigh(self.h_e)
 
     def ground_projector(self, f) -> np.ndarray:
         p = np.zeros((self.dim_g, self.dim_g))
@@ -229,10 +231,13 @@ class AtomSystem:
         return p.astype(complex)
 
     def ground_pi_rotation_x(self) -> np.ndarray:
-        """Unitary of a 180-degree rotation about x on the ground level."""
-        fx = self.ops_g["F"].x.matrix
-        lam, v = np.linalg.eigh(fx)
-        return v @ np.diag(np.exp(-1j * math.pi * lam)) @ v.conj().T
+        """Unitary of a 180-degree rotation about x on the ground level,
+        exp(-i pi F_x) |F, m> = exp(-i pi F) |F, -m>, with its zeros exact."""
+        basis = self.basis_g
+        u = np.zeros((self.dim_g, self.dim_g), dtype=complex)
+        for k, (f, m) in enumerate(basis.states):
+            u[basis.index(f, -m), k] = (1, -1j, -1, 1j)[int(2 * f) % 4]
+        return u
 
     def hyperfine_offset(self, f_g, f_e) -> float:
         """Hyperfine-level separation of a named transition (Zeeman ignored)."""
@@ -241,6 +246,36 @@ class AtomSystem:
         ig = self.basis_g.block_slice(f_g).start
         ie = self.basis_e.block_slice(f_e).start
         return float(hf_e[ie, ie].real - hf_g[ig, ig].real)
+
+
+def _diagonal_blocks(link: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the graph whose edges are
+    the True entries of the square ``link``: a matrix with that pattern of
+    nonzeros is block diagonal on them."""
+    link = link | link.T
+    free = np.ones(len(link), dtype=bool)
+    blocks = []
+    while free.any():
+        reach = np.zeros_like(free)
+        reach[np.argmax(free)] = True
+        while True:
+            grown = reach | link[reach].any(axis=0)
+            if (grown == reach).all():
+                break
+            reach = grown
+        free &= ~reach
+        blocks.append(np.flatnonzero(reach))
+    return blocks
+
+
+def _block_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian matrix, taken on each of its
+    diagonal blocks, so that the eigenvectors vanish exactly off the blocks
+    (a dense eigh leaves rounding noise there)."""
+    lam, vecs = np.empty(len(h)), np.zeros_like(h)
+    for b in _diagonal_blocks(h != 0):
+        lam[b], vecs[np.ix_(b, b)] = np.linalg.eigh(h[np.ix_(b, b)])
+    return lam, vecs
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -463,8 +498,19 @@ class FieldAction:
     matrices, and so does B, so B T and B C T have Hermitian columns when
     the columns of ``t_map`` are Hermitian; then A0, S and the columns are
     kept in the real Hermitian coordinates of the excited matrix, and X(a)
-    is one real solve scattered back to complex vec form.  A ``t_map``
+    is a real solve scattered back to complex vec form.  A ``t_map``
     whose source columns are not Hermitian raises ``ValueError``.
+
+    The solve runs on blocks.  Rotation about z gives A0 one block for each
+    |m - m'| of the excited entries |m><m'|; the drain S of a circular beam
+    keeps them apart, and that of a linear beam joins them into the two
+    parities of m - m'.  The blocks are the connected components of the
+    nonzeros of A0 and of S, found once per action
+    (:func:`_diagonal_blocks`); those zeros are exact, since the eigenbases
+    and the pi rotation of :class:`AtomSystem` vanish exactly off their
+    blocks.  Only the blocks that the source columns reach are solved, and
+    X(a) is zero on the others: the x pump on the populations
+    ('hyperfine+zeeman') solves one of its two blocks of 128.
     """
 
     def __init__(self, system: AtomSystem, coupling: FieldCoupling,
@@ -474,7 +520,7 @@ class FieldAction:
         x, w = coupling.x, coupling.w
         self._de = de
         self._a0, self._repop = _excited_parts(system.spec, system.b_z, coll)
-        self._drain = _frozen(_hermitian_block(_stimulated_drain(coupling, de), de))
+        drain = _hermitian_block(_stimulated_drain(coupling, de), de)
         g = x.conj().T @ w
         herm = 0.5 * (g + g.conj().T)
         anti = (g - g.conj().T) / 2j
@@ -494,7 +540,15 @@ class FieldAction:
         skew = max(np.abs(cols[diag].imag).max(), np.abs(cols[up] - cols[lo].conj()).max())
         if skew > 1e-12 * np.abs(cols).max():
             raise ValueError("the source columns B t_map are not Hermitian")
-        self._source = _frozen(_hermitian_rows(cols, de))
+        # the blocks of A0 + a S, from the nonzeros of A0 and S apart (so no
+        # sum can hide a coupling), that the source columns reach
+        source = _hermitian_rows(cols, de)
+        reached = source.any(axis=1)
+        self._shape = source.shape
+        self._blocks = [(b, _frozen(self._a0[np.ix_(b, b)]), _frozen(drain[np.ix_(b, b)]),
+                         _frozen(-source[b]))
+                        for b in _diagonal_blocks((self._a0 != 0) | (drain != 0))
+                        if reached[b].any()]
         self.depletion = _frozen(self.weight * sum(
             _mul(f, dep @ t) for f, t in zip(self._f_maps, t_maps)))
 
@@ -507,10 +561,12 @@ class FieldAction:
     def excited(self, a: float) -> np.ndarray:
         """X(a), the quasi-steady excited matrices of the source columns,
         in complex vec form."""
-        try:
-            coords = np.linalg.solve(self._a0 + a * self._drain, -self._source)
-        except np.linalg.LinAlgError as exc:
-            raise OpticsError("quasi-steady excited solve is singular") from exc
+        coords = np.zeros(self._shape)
+        for rows, a0, drain, minus_b in self._blocks:
+            try:
+                coords[rows] = np.linalg.solve(a0 + a * drain, minus_b)
+            except np.linalg.LinAlgError as exc:
+                raise OpticsError("quasi-steady excited solve is singular") from exc
         return _hermitian_vecs(a * coords, self._de)
 
     def superop(self, a: float) -> tuple[np.ndarray, np.ndarray]:

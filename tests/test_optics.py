@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from spingas import optics
 from spingas.dynamics import PROJECTION_MODES, SimParams, Subspace
 from spingas.optics import (
+    AtomSystem,
     DopplerSpec,
     FieldAction,
     OpticalChannel,
     OpticalField,
+    OpticsError,
     bias_field,
+    cesium_collisions,
     cesium_doppler,
     coherence_fraction,
     couple_field,
@@ -107,12 +111,7 @@ class TestFieldAction:
         # oracle: X(a) = solve(A0 + a S, -a B T) in complex arithmetic, from
         # the beam at intensity a, whose drain is a S and source a B
         field = getattr(SimParams.from_rates(2.0, 3.0, 0.1), beam)
-        sub = Subspace(mode, system.basis_g)
-        t_map = np.stack([sub.to_matrix(e).reshape(-1) for e in np.eye(sub.n)], axis=1)
-        t_maps = [t_map]
-        if field.wants_symmetrization():
-            u = system.ground_pi_rotation_x()
-            t_maps.append(np.kron(u, u.conj()) @ t_map)
+        t_map, t_maps = self.subspace_maps(system, mode, field)
         action = FieldAction(system, couple_field(field.scaled(1.0), system, collisions,
                                                   doppler), collisions, t_map=t_map)
         for a in (field.amplitude_sq, 30.0 * field.amplitude_sq):
@@ -121,6 +120,75 @@ class TestFieldAction:
                                   -excited_source([cpl]) @ np.hstack(t_maps))
             got = action.excited(a)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    @pytest.mark.parametrize("beam, h", [("pump", 0.0), ("bias", 1.0), ("bias", -1.0)])
+    @pytest.mark.parametrize("light_shift", [False, True])
+    def test_block_solve_matches_the_dense_solve(self, system, collisions, doppler,
+                                                 mode, beam, h, light_shift):
+        # oracle: the complex solve of the whole 256 x 256 excited level,
+        # from 0.01 to 100 times the beam's calibrated unit
+        unit = getattr(SimParams.from_rates(1.0, 0.0, h), beam)
+        t_map, t_maps = self.subspace_maps(system, mode, unit)
+        action = FieldAction(system, couple_field(unit.scaled(1.0), system, collisions,
+                                                  doppler), collisions, light_shift,
+                             t_map=t_map)
+        for scale in (0.01, 0.1, 1.0, 10.0, 100.0):
+            a = scale * unit.amplitude_sq
+            cpl = couple_field(unit.scaled(a), system, collisions, doppler)
+            ref = np.linalg.solve(excited_superoperator(system, [cpl], collisions),
+                                  -excited_source([cpl]) @ np.hstack(t_maps))
+            got = action.excited(a)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_production_pump_solves_one_parity_block(self, system, collisions, doppler):
+        # the x pump's drain changes m by 0 or 2 on either side, so A0 + a S
+        # keeps the parity of m - m' of an excited entry; populations reach
+        # the even block only
+        pump = SimParams.from_rates(2.0, 3.0).pump
+        cpl = couple_field(pump.scaled(1.0), system, collisions, doppler)
+        t_map, _ = self.subspace_maps(system, "hyperfine+zeeman", pump)
+        action = FieldAction(system, cpl, collisions, t_map=t_map)
+        drain = optics._hermitian_block(optics._stimulated_drain(cpl, 16), 16)
+        blocks = optics._diagonal_blocks((action._a0 != 0) | (drain != 0))
+        diag, up, _ = optics._hermitian_index(16)
+        rows, cols = np.divmod(np.concatenate([diag, up, up]), 16)
+        m = np.array([float(mf) for _, mf in system.basis_e.states])
+        parity = (m[rows] - m[cols]) % 2
+        assert sorted(len(b) for b in blocks) == [128, 128]
+        assert all(np.ptp(parity[b]) == 0 for b in blocks)
+        reached = [b for b, *_ in action._blocks]
+        assert len(reached) == 1 and len(reached[0]) == 128
+        assert (parity[reached[0]] == 0).all()
+
+    def test_singular_block_raises(self, doppler):
+        # no quench, no spin destruction and no Zeeman splitting: A0 is the
+        # commutator with a diagonal H_e, which annihilates the populations
+        system = AtomSystem(b_z=0.0)
+        coll = replace(cesium_collisions(), gamma_q=0.0, gamma_p=0.0)
+        pump = pump_field(1.0)
+        t_map, _ = self.subspace_maps(system, "hyperfine+zeeman", pump)
+        action = FieldAction(system, couple_field(pump, system, coll, doppler), coll,
+                             t_map=t_map)
+        with pytest.raises(OpticsError, match="singular"):
+            action.excited(0.0)
+
+    def test_pi_rotation_is_the_exponential(self, system):
+        lam, v = np.linalg.eigh(system.ops_g["F"].x.matrix)
+        dense = v @ np.diag(np.exp(-1j * math.pi * lam)) @ v.conj().T
+        assert np.abs(system.ground_pi_rotation_x() - dense).max() < 1e-13
+
+    @staticmethod
+    def subspace_maps(system, mode, field):
+        """The subspace's t_map, and the source maps of ``field``: t_map,
+        and for a linear field also its pi-about-x rotation."""
+        sub = Subspace(mode, system.basis_g)
+        t_map = np.stack([sub.to_matrix(e).reshape(-1) for e in np.eye(sub.n)], axis=1)
+        t_maps = [t_map]
+        if field.wants_symmetrization():
+            u = system.ground_pi_rotation_x()
+            t_maps.append(np.kron(u, u.conj()) @ t_map)
+        return t_map, t_maps
 
     def test_non_hermitian_t_map_raises(self, system, collisions, doppler):
         cpl = couple_field(pump_field(1.0), system, collisions, doppler)
