@@ -266,13 +266,16 @@ def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
     """``_sweep_task`` over the tasks on one BLAS thread, in a fork pool
     when there are workers to share them; returns the pinned BLAS thread
     count and the results.  One pumped model with the tasks' ``gamma`` and
-    ``sim_kwargs`` is compiled here first, so the workers inherit its cached
-    parts and calibrations instead of each building them again."""
+    ``sim_kwargs`` is compiled here first, and ``scipy.integrate``, which
+    the integrator imports on first use, is imported, so the workers
+    inherit its cached parts, calibrations and modules instead of each
+    building them again."""
     blas_threads = _pin_blas_threads()
     if workers <= 1 or len(tasks) <= 2:
         return blas_threads, list(map(_sweep_task, tasks))
     CompiledModel(SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
                                        gamma=gamma, **sim_kwargs))
+    import scipy.integrate  # noqa: F401
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(processes=workers)
     try:

@@ -790,6 +790,56 @@ class TestSolverCounts:
         for mags in results:
             assert np.array_equal(mags, ref)
 
+    def test_scipy_internals_mean_what_the_driver_takes_them_for(self, monkeypatch):
+        # the driver reads nfev and njev from LSODA's iwork[11] and [12], and
+        # sets its one-step task in call_args[2] and t_end as its critical
+        # time in rwork[0]; none of these is public, so check them against
+        # the callbacks' own calls and against stock LSODA, whose step()
+        # takes one step and never passes its t_bound
+        from scipy.integrate import LSODA
+
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        ops = model.departure
+        calls = {"rhs": 0, "jac": 0}
+
+        def counted(name, callback):
+            def wrapped(t, z):
+                calls[name] += 1
+                return callback(t, z)
+            return wrapped
+        rhs, jac = ops.rhs, ops.jac
+        ops.rhs, ops.jac = counted("rhs", rhs), counted("jac", jac)
+        times = []
+        build = dyn._lsoda
+
+        def spy(*args):
+            solver = build(*args)
+            lsoda = solver._integrator
+            run = lsoda.run
+
+            def one_call(*run_args):
+                z, t = run(*run_args)
+                times.append(t)
+                return z, t
+            lsoda.run = one_call
+            return solver
+        monkeypatch.setattr(dyn, "_lsoda", spy)
+        t_end, controls = 1.0, IntegrationControls()
+        s0 = model.seed_coords(1e-4)
+        counts = dyn._integrate_coords(model, s0, t_end, controls)[4]
+        assert calls["jac"] > 0  # the run reached BDF
+        assert (counts["nfev"], counts["njev"]) == (calls["rhs"], calls["jac"])
+        assert counts["steps"] == len(times)
+        stock = LSODA(rhs, 0.0, model.m_basis.T @ (s0 - model.unpolarized_coords()), t_end,
+                      rtol=controls.rtol, atol=controls.atol, jac=jac)
+        stock_times = []
+        while stock.status == "running":
+            stock.step()
+            stock_times.append(stock.t)
+        assert times == stock_times
+        assert times[-1] == t_end and np.all(np.diff(times) > 0)
+        assert (stock.nfev, stock.njev) == (calls["rhs"], calls["jac"])
+
 
 def _shift(model, delta_s):
     """A fault that adds ``delta_s``, in subspace coordinates, to the state."""

@@ -126,6 +126,30 @@ class TestRunSweep:
         assert serial[1].tobytes() == pooled[1].tobytes()
         assert abs(serial[1][2]) > 0.2
 
+    def test_workers_inherit_scipy_integrate(self):
+        # the integrator imports scipy.integrate on first use; the pool
+        # imports it before it forks, so that no worker pays for the import
+        src = os.path.dirname(os.path.dirname(spingas.__file__))
+        script = ("import os, sys\n"
+                  "from spingas import sweep\n"
+                  "task = sweep._sweep_task\n"
+                  "def logged(args):\n"
+                  "    print(os.getpid(), 'scipy.integrate' in sys.modules, flush=True)\n"
+                  "    return task(args)\n"
+                  "sweep._sweep_task = logged\n"
+                  "assert 'scipy.integrate' not in sys.modules\n"
+                  "print('main', os.getpid(), flush=True)\n"
+                  "sweep.run_sweep(sweep.SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2],\n"
+                  "                                           cmap=None), workers=2)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                             capture_output=True, text=True).stdout.split("\n")
+        main_pid = out[0].split()[1]
+        calls = [line.split() for line in out[1:] if line]
+        assert len(calls) == 4
+        assert main_pid not in {pid for pid, _ in calls}  # the pool's workers ran them
+        assert all(seen == "True" for _, seen in calls)
+
     @staticmethod
     def _bytes_under_blas_threads(args, paths):
         """The files at ``paths`` that ``python args`` writes under 1 and
