@@ -23,19 +23,20 @@ b_z, projection mode): it is projected once into subspace coordinates,
 Re(F L T) with fixed maps T (coords -> vec rho) and F (vec rho -> coords),
 and cached with the feedback parts.  R_opt depends on the field intensity a
 only through the excited-level solve, so a field's a-independent parts are
-cached too and a new point costs one real dim_e^2 solve per field
-(:class:`spingas.optics.FieldAction`).  The generator is stiff
-(decay rates up to about 8e3 /s beside a slow mode near zero), so it is
-integrated with LSODA, which switches to BDF where the problem is stiff, on
-the analytic Jacobian (:meth:`CompiledModel.jacobian`), at rtol 1e-10 and
-atol 1e-14 by default (:class:`IntegrationControls`).  LSODA steps the
-departure from the fully mixed state in a basis led by the M direction, so
-that its tolerance applies to M itself (:func:`_lsoda`); the generator and
-its Jacobian are rotated into those coordinates once per integrated model
-(:class:`DepartureOperators`).  The loop of :func:`_integrate_coords`
-drives scipy's ``lsoda`` integrator one step at a time itself, on work
-arrays reused from run to run; it checks the trace of each accepted step
-and reads M and positivity for a block of steps at a time.
+cached too and a new point costs one real excited-level solve per field,
+on the blocks its source reaches (:class:`spingas.optics.FieldAction`).
+The generator is stiff (decay rates up to about 8e3 /s beside a slow mode
+near zero), so it is integrated with LSODA, which switches to BDF where the
+problem is stiff, on the analytic Jacobian (:meth:`CompiledModel.jacobian`),
+at rtol 1e-10 and atol 1e-14 by default (:class:`IntegrationControls`).
+LSODA steps the departure from the fully mixed state in a basis led by the
+M direction, so that its tolerance applies to M itself (:func:`_lsoda`);
+the generator and its Jacobian are rotated into those coordinates once per
+integrated model (:class:`DepartureOperators`).  The loop of
+:func:`_integrate_coords` drives scipy's ``lsoda`` integrator one step at a
+time itself, on work arrays reused from run to run; it checks the trace of
+each accepted step and reads M and positivity for a block of steps at a
+time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -600,7 +601,7 @@ class DepartureOperators:
 
     ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
     arrays, so a solver does not pin the model.  Each call works in arrays
-    of its own, so concurrent runs share no scratch buffer.  With the one
+    of its own, so concurrent runs share no work buffer.  With the one
     feedback component of every 'hyperfine+zeeman' model with J > 0, they
     form v_lin + v_m v_Q (and its Jacobian) in place, in the order of the
     sums of the general form, so the two agree to the bit.  ``readout @ z +

@@ -266,10 +266,10 @@ def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
     """``_sweep_task`` over the tasks on one BLAS thread, in a fork pool
     when there are workers to share them; returns the pinned BLAS thread
     count and the results.  One pumped model with the tasks' ``gamma`` and
-    ``sim_kwargs`` is compiled here first, and ``scipy.integrate``, which
-    the integrator imports on first use, is imported, so the workers
-    inherit its cached parts, calibrations and modules instead of each
-    building them again."""
+    ``sim_kwargs`` is compiled here first, so the workers inherit its cached
+    parts and calibrations instead of each building them again.
+    ``scipy.integrate``, which the integrator imports on first use, is
+    imported here too, so that no worker pays for that import."""
     blas_threads = _pin_blas_threads()
     if workers <= 1 or len(tasks) <= 2:
         return blas_threads, list(map(_sweep_task, tasks))

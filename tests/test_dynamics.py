@@ -790,8 +790,8 @@ class TestSolverCounts:
         for mags in results:
             assert np.array_equal(mags, ref)
 
-    def test_scipy_internals_mean_what_the_driver_takes_them_for(self, monkeypatch):
-        # the driver reads nfev and njev from LSODA's iwork[11] and [12], and
+    def test_scipy_internals_mean_what_the_loop_takes_them_for(self, monkeypatch):
+        # the loop reads nfev and njev from LSODA's iwork[11] and [12], and
         # sets its one-step task in call_args[2] and t_end as its critical
         # time in rwork[0]; none of these is public, so check them against
         # the callbacks' own calls and against stock LSODA, whose step()

@@ -108,38 +108,25 @@ class TestFieldAction:
     @pytest.mark.parametrize("beam", ["pump", "bias"])
     def test_real_solve_matches_the_complex_solve(self, system, collisions, doppler,
                                                   mode, beam):
-        # oracle: X(a) = solve(A0 + a S, -a B T) in complex arithmetic, from
-        # the beam at intensity a, whose drain is a S and source a B
-        field = getattr(SimParams.from_rates(2.0, 3.0, 0.1), beam)
-        t_map, t_maps = self.subspace_maps(system, mode, field)
-        action = FieldAction(system, couple_field(field.scaled(1.0), system, collisions,
-                                                  doppler), collisions, t_map=t_map)
-        for a in (field.amplitude_sq, 30.0 * field.amplitude_sq):
-            cpl = couple_field(field.scaled(a), system, collisions, doppler)
-            ref = np.linalg.solve(excited_superoperator(system, [cpl], collisions),
-                                  -excited_source([cpl]) @ np.hstack(t_maps))
-            got = action.excited(a)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("mode", PROJECTION_MODES)
-    @pytest.mark.parametrize("beam, h", [("pump", 0.0), ("bias", 1.0), ("bias", -1.0)])
-    @pytest.mark.parametrize("light_shift", [False, True])
-    def test_block_solve_matches_the_dense_solve(self, system, collisions, doppler,
-                                                 mode, beam, h, light_shift):
-        # oracle: the complex solve of the whole 256 x 256 excited level,
-        # from 0.01 to 100 times the beam's calibrated unit
-        unit = getattr(SimParams.from_rates(1.0, 0.0, h), beam)
-        t_map, t_maps = self.subspace_maps(system, mode, unit)
-        action = FieldAction(system, couple_field(unit.scaled(1.0), system, collisions,
-                                                  doppler), collisions, light_shift,
-                             t_map=t_map)
-        for scale in (0.01, 0.1, 1.0, 10.0, 100.0):
-            a = scale * unit.amplitude_sq
-            cpl = couple_field(unit.scaled(a), system, collisions, doppler)
-            ref = np.linalg.solve(excited_superoperator(system, [cpl], collisions),
-                                  -excited_source([cpl]) @ np.hstack(t_maps))
-            got = action.excited(a)
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # oracle: X(a) = solve(A0 + a S, -a B T) of the whole excited level in
+        # complex arithmetic, from the beam at intensity a, whose drain is a S
+        # and source a B, against the real solve on the reached blocks: both
+        # bias signs, with and without the light shift, from 0.01 to 100
+        # times the beam's calibrated unit
+        for h in (1.0, -1.0) if beam == "bias" else (0.0,):
+            unit = getattr(SimParams.from_rates(1.0, 0.0, h), beam)
+            t_map, t_maps = self.subspace_maps(system, mode, unit)
+            cpl = couple_field(unit.scaled(1.0), system, collisions, doppler)
+            actions = [FieldAction(system, cpl, collisions, light_shift, t_map=t_map)
+                       for light_shift in (False, True)]
+            for scale in (0.01, 0.1, 1.0, 10.0, 100.0):
+                a = scale * unit.amplitude_sq
+                cpl_a = couple_field(unit.scaled(a), system, collisions, doppler)
+                ref = np.linalg.solve(excited_superoperator(system, [cpl_a], collisions),
+                                      -excited_source([cpl_a]) @ np.hstack(t_maps))
+                for action in actions:
+                    got = action.excited(a)
+                    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_production_pump_solves_one_parity_block(self, system, collisions, doppler):
         # the x pump's drain changes m by 0 or 2 on either side, so A0 + a S
