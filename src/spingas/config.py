@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,6 +209,9 @@ def _parse_value(section: str, key: str, raw: str, line: int | None):
 
 def _validate(section: str, key: str, value, line: int | None):
     where = f"{section}.{key}"
+    numbers = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+        raise ConfigError(f"value must be finite, got {value}", where, line)
     positive = {("relaxation", "gamma"), ("collisions", "gamma_c"),
                 ("collisions", "q_slowdown"), ("conditions", "sigma_e"),
                 ("conditions", "cell_length"), ("conditions", "s_axis"),

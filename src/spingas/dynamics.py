@@ -25,18 +25,19 @@ and cached with the feedback parts.  R_opt depends on the field intensity a
 only through the excited-level solve, so a field's a-independent parts are
 cached too and a new point costs one real excited-level solve per field,
 on the blocks its source reaches (:class:`spingas.optics.FieldAction`).
-The generator is stiff (decay rates up to about 8e3 /s beside a slow mode
-near zero), so it is integrated with LSODA, which switches to BDF where the
-problem is stiff, on the analytic Jacobian (:meth:`CompiledModel.jacobian`),
-at rtol 1e-10 and atol 1e-14 by default (:class:`IntegrationControls`).
-LSODA steps the departure from the fully mixed state in a basis led by the
-M direction, so that its tolerance applies to M itself (:func:`_lsoda`);
-the generator and its Jacobian are rotated into those coordinates once per
-integrated model (:class:`DepartureOperators`).  The loop of
+Every solve runs in one chart of the unit-trace states, the departure from
+the fully mixed state in an orthonormal basis of the trace-free directions
+led by M, into which the generator and its Jacobian are rotated once per
+model (:class:`DepartureOperators`); no solve needs a border to hold the
+trace.  The generator is stiff (decay rates up to about 8e3 /s beside a
+slow mode near zero), so it is integrated with LSODA, which switches to BDF
+where the problem is stiff, on the analytic Jacobian, at rtol 1e-10 and
+atol 1e-14 by default (:class:`IntegrationControls`), a tolerance that
+applies to M itself (:func:`_lsoda`).  The loop of
 :func:`_integrate_coords` drives scipy's ``lsoda`` integrator one step at a
-time itself, on work arrays reused from run to run; it checks the trace of
-each accepted step and reads M and positivity for a block of steps at a
-time.
+time itself, on work arrays reused from run to run; it checks that each
+accepted step is finite and reads M and positivity for a block of steps at
+a time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -150,7 +151,7 @@ class SimParams:
     light_shift: bool = False
 
     def __post_init__(self):
-        for name in ("gamma", "j_exchange", "b_z"):
+        for name in ("gamma", "j_exchange", "b_z", "seed_polarization"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.gamma <= 0:
@@ -177,6 +178,8 @@ class SimParams:
         The pump and bias beams are calibrated at their detunings (angular
         frequencies; ``None`` keeps the defaults of :func:`pump_field` and
         :func:`bias_field`)."""
+        if not all(map(math.isfinite, (i_over_gamma, j_over_gamma, h_over_gamma))):
+            raise ValueError("axis rates I/Gamma, J/Gamma and H/Gamma must be finite")
         if i_over_gamma < 0 or j_over_gamma < 0:
             raise ValueError("axis rates I/Gamma and J/Gamma must be >= 0")
         base = cls(gamma=gamma,
@@ -362,7 +365,7 @@ class _GroundParts:
     active_j: tuple
     fz_row: np.ndarray
     tr_row: np.ndarray
-    m_basis: np.ndarray    # orthonormal columns, the first along fz_row
+    m_basis: np.ndarray    # n x (n-1), orthonormal, orthogonal to tr_row, led by fz_row
     u: np.ndarray          # the fully mixed state
     f_max: float
 
@@ -393,7 +396,9 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     fz_row = np.real(fz.T.reshape(-1) @ t_map) / f_max
     tr_row = np.zeros(n)
     tr_row[:dg] = 1.0
-    m_basis = np.linalg.qr(np.column_stack([fz_row, np.eye(n)]))[0]
+    # Tr F_z = 0, so fz_row is orthogonal to tr_row and leads the rest
+    q = np.linalg.qr(np.column_stack([tr_row, fz_row, np.eye(n)]))[0]
+    m_basis = np.ascontiguousarray(q[:, 1:])
     u = sub.from_matrix(np.eye(dg) / dg)
     return _GroundParts(system, sub, _frozen(t_map), _frozen(f_map), _frozen(r_h),
                         _frozen(r_gamma), _frozen(r_phi), _frozen(m_rows),
@@ -470,7 +475,7 @@ class CompiledModel:
 
     @cached_property
     def departure(self) -> "DepartureOperators":
-        """The generator in LSODA's coordinates, built on first use."""
+        """The generator in the unit-trace chart, built on first use."""
         return DepartureOperators(self)
 
     def rhs_coords(self, s: np.ndarray) -> np.ndarray:
@@ -480,15 +485,6 @@ class CompiledModel:
                 mj = self.m_rows[j] @ s
                 if mj != 0.0:
                     out += (self.qj * mj) * (self.q_mats[j] @ s)
-        return out
-
-    def jacobian(self, s: np.ndarray) -> np.ndarray:
-        """d(rhs_coords)/ds: r_lin + qJ sum_j [(m_j.s) Q_j + (Q_j s) m_j^T]."""
-        out = self.r_lin.copy()
-        if self.qj > 0:
-            for j in self._active_j:
-                out += (self.qj * (self.m_rows[j] @ s)) * self.q_mats[j]
-                out += self.qj * np.outer(self.q_mats[j] @ s, self.m_rows[j])
         return out
 
     def rhs_matrix(self, rho_g: np.ndarray) -> np.ndarray:
@@ -521,62 +517,52 @@ class CompiledModel:
         """The magnetization-free stationary state (coords).
 
         On the even sector the mean-spin feedback vanishes, so the fixed
-        point solves the linear system R_lin s = 0 at unit trace.  Where the
-        feedback does not vanish on that solution (the 'hyperfine' mode
-        keeps transverse coherences), it is no fixed point and this raises
+        point solves the linear block of the generator in the unit-trace
+        chart (:class:`DepartureOperators`).  Where the feedback does not
+        vanish on that solution (the 'hyperfine' mode keeps transverse
+        coherences), it is no fixed point and this raises
         ``IntegrationError``."""
-        u = self.unpolarized_coords()
-        a = self.r_lin + np.outer(u, self.tr_row)
-        s_star = np.linalg.solve(a, u)
-        if abs(self.tr_row @ s_star - 1.0) > 1e-8:
-            raise IntegrationError("symmetric fixed point solve lost the trace")
+        ops = self.departure
+        s_star = self.m_basis @ np.linalg.solve(ops.lin, -ops.lin_offset) + self._u
         residual = float(np.abs(self.rhs_coords(s_star)).max())
         if residual > FIXED_POINT_RESIDUAL * self.params.gamma:
             raise IntegrationError("the symmetric state is no fixed point",
                                    {"residual": residual})
         return s_star
 
-    def _bordered_jacobian(self, s: np.ndarray) -> np.ndarray:
-        """J(s) - Gamma u tr^T.  Since tr^T J = 0 (the trace is conserved)
-        and tr.u = 1, this has the eigenvalues of J with the trace mode's
-        zero moved to -Gamma, and it is regular wherever J is regular on
-        the unit-trace states."""
-        return self.jacobian(s) - self.params.gamma * np.outer(
-            self.unpolarized_coords(), self.tr_row)
-
     def stable_fixed_point(self, s: np.ndarray) -> np.ndarray | None:
-        """Newton's solution of R(s) = 0 at unit trace, started from ``s``:
-        the bordered step (J - Gamma u tr^T) ds = -(R - Gamma u (tr.s - 1)).
-        Returns it when Newton converges to an exact (max|R| <=
-        FIXED_POINT_RESIDUAL Gamma), unit-trace, positive and linearly
-        stable state, where every eigenvalue but the trace mode's is
+        """Newton's solution of R(s) = 0 in the unit-trace chart, started
+        from ``s``: the step J dz = -f on the chart's right-hand side f and
+        Jacobian J (:class:`DepartureOperators`), done when no coordinate of
+        s moves by more than NEWTON_STEP_TOL.  Returns the state when
+        Newton converges to an exact (max|R| <= FIXED_POINT_RESIDUAL Gamma),
+        positive and linearly stable one, where every eigenvalue is
         negative; ``None`` otherwise."""
-        gamma = self.params.gamma
-        u = self.unpolarized_coords()
-        s = s.copy()
+        ops, q = self.departure, self.m_basis
+        z = q.T @ (s - self._u)
         try:
             for _ in range(NEWTON_MAX_ITER):
-                f = self.rhs_coords(s) - gamma * (self.tr_row @ s - 1.0) * u
-                ds = np.linalg.solve(self._bordered_jacobian(s), -f)
-                s += ds
-                if np.abs(ds).max() <= NEWTON_STEP_TOL:  # False on NaN
+                dz = np.linalg.solve(ops.jac(0.0, z), -ops.rhs(0.0, z))
+                z += dz
+                if np.abs(q @ dz).max() <= NEWTON_STEP_TOL:  # False on NaN
                     break
             else:
                 return None
+            s = q @ z + self._u
             stable = self._growth_rate(s) < 0
         except np.linalg.LinAlgError:
             return None
         if (not stable
-                or np.abs(self.rhs_coords(s)).max() > FIXED_POINT_RESIDUAL * gamma
-                or abs(self.tr_row @ s - 1.0) > TRACE_TOL
+                or np.abs(self.rhs_coords(s)).max() > FIXED_POINT_RESIDUAL * self.params.gamma
                 or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
             return None
         return s
 
     def _growth_rate(self, s: np.ndarray) -> float:
-        """Largest real eigenvalue of the bordered Jacobian at ``s``: the
-        slowest mode's rate, since the trace mode sits at -Gamma."""
-        return float(np.linalg.eigvals(self._bordered_jacobian(s)).real.max())
+        """Largest real eigenvalue of the Jacobian at ``s`` in the
+        unit-trace chart: the slowest mode's rate."""
+        z = self.m_basis.T @ (s - self._u)
+        return float(np.linalg.eigvals(self.departure.jac(0.0, z)).real.max())
 
     def slow_mode_rate(self) -> float:
         """Largest growth rate of fluctuations about the symmetric state.
@@ -588,16 +574,20 @@ class CompiledModel:
 
 
 class DepartureOperators:
-    """A model's generator in the coordinates z = Q^T (s - u) that LSODA
-    steps: the departure from the fully mixed state u in the M-led basis
-    Q = ``m_basis`` (see :func:`_lsoda`).
+    """A model's generator in the unit-trace chart z = Q^T (s - u): the
+    departure from the fully mixed state u in the n x (n-1) orthonormal
+    basis Q = ``m_basis`` of the trace-free directions, led by M.  Every
+    s = Q z + u has unit trace, so LSODA, the fixed points and the slow
+    mode all run here without a border.
 
     One stacked product v = W z + w yields the linear part and both factors
     of each bilinear feedback term.  W stacks Q^T r_lin Q, the rows m_j Q
     and the blocks qJ Q^T Q_j Q for each active j, and w stacks the same
     maps applied to u, so that
 
-        dz/dt = v_lin + sum_j v_mj v_Qj.
+        dz/dt = v_lin + sum_j v_mj v_Qj,
+
+    whose linear part v_lin is ``lin @ z + lin_offset``.
 
     ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
     arrays, so a solver does not pin the model.  Each call works in arrays
@@ -605,11 +595,12 @@ class DepartureOperators:
     feedback component of every 'hyperfine+zeeman' model with J > 0, they
     form v_lin + v_m v_Q (and its Jacobian) in place, in the order of the
     sums of the general form, so the two agree to the bit.  ``readout @ z +
-    readout_offset`` gives the trace, M and, in 'hyperfine+zeeman', the
-    populations, the quantities every accepted step is checked on."""
+    readout_offset`` gives M and, in 'hyperfine+zeeman', the populations,
+    the quantities every accepted step is checked on."""
 
     def __init__(self, model: CompiledModel):
-        q, u, n = model.m_basis, model.unpolarized_coords(), model.sub.n
+        q, u = model.m_basis, model.unpolarized_coords()
+        n = q.shape[1]
         active = model._active_j if model.qj > 0 else ()
         k = len(active)
         # rows acting on s; W and w are these applied to Q and to u
@@ -617,7 +608,8 @@ class DepartureOperators:
                          + [model.m_rows[j][None, :] for j in active]
                          + [model.qj * (q.T @ model.q_mats[j]) for j in active])
         w_mat, w_off = left @ q, left @ u
-        lin = w_mat[:n]
+        lin = self.lin = w_mat[:n]
+        self.lin_offset = w_off[:n]
         dot = w_mat.dot
         if k == 1:
             # a scalar multiply in place of the general form's (1,) @ (1, n)
@@ -659,9 +651,9 @@ class DepartureOperators:
                 return out
 
         self.rhs, self.jac = rhs, jac
-        rows = [model.tr_row, model.fz_row]
+        rows = [model.fz_row]
         if model.sub.mode == MODE_HFZ:
-            rows.extend(np.eye(n)[:model.sub.dim])
+            rows.extend(np.eye(model.sub.n)[:model.sub.dim])
         rows = np.array(rows)
         self.readout, self.readout_offset = rows @ q, rows @ u
 
@@ -678,14 +670,16 @@ class IntegrationControls:
     max_step: float | None = None
 
     def __post_init__(self):
-        if self.atol < 0:
-            raise ValueError("atol must be >= 0")
-        if self.max_step is not None and self.max_step <= 0:
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ValueError("rtol must be finite and > 0")
+        if not (math.isfinite(self.atol) and self.atol >= 0):
+            raise ValueError("atol must be finite and >= 0")
+        if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be > 0")
 
 
-# Checks on every accepted step: the step budget, a finite state and the
-# invariants.  From BUDGET_PROJECTION_STEPS accepted steps on, a run also
+# Checks on every accepted step: the step budget, a finite state and
+# positivity.  From BUDGET_PROJECTION_STEPS accepted steps on, a run also
 # fails once its steps, extrapolated to t_end at its mean step, exceed
 # MAX_STEPS: a run that resolves the Zeeman precession of the 'hyperfine'
 # and 'none' modes at b_z = 1 G would need about 1.7e9 steps.  Positivity
@@ -693,7 +687,6 @@ class IntegrationControls:
 MAX_STEPS = 50_000_000
 CHECK_BLOCK = 256
 BUDGET_PROJECTION_STEPS = 20_000
-TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 # Below this |M_ss| a converged point is disordered and reports the dark
 # lifetime T1 as its response time.
@@ -749,15 +742,13 @@ def _lent_work_arrays(lsoda):
 def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
            controls: IntegrationControls):
     """scipy's ODEPACK LSODA on ``model`` with its analytic Jacobian, in
-    the coordinates z = Q^T (s - u) of the departure from the fully mixed
-    state u in the basis Q = ``model.m_basis``, whose first vector is along
-    M.  LSODA weighs each coordinate's error by its own size, so this way
-    its rtol bounds the error of M relative to |M|, not to the populations
-    near 1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4,
-    tau at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in
-    the populations themselves.  The callbacks are those of
-    ``model.departure`` (:class:`DepartureOperators`), which evaluate the
-    generator in z directly; the state is s = Q z + u.
+    the unit-trace chart z = Q^T (s - u) of ``model.departure``
+    (:class:`DepartureOperators`), whose first coordinate is along M.
+    LSODA weighs each coordinate's error by its own size, so this way its
+    rtol bounds the error of M relative to |M|, not to the populations near
+    1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4, tau
+    at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in the
+    populations themselves.  The state is s = Q z + u.
 
     Returns the ``scipy.integrate.ode`` at z(0), its ``lsoda`` integrator
     set, as ``scipy.integrate.LSODA`` sets it, to LSODA's one-step task
@@ -779,11 +770,11 @@ def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                       controls: IntegrationControls,
                       stop_at_fixed_point: bool = False):
-    """LSODA on the state's departure from the fully mixed state (see
-    :func:`_lsoda`), with the analytic Jacobian, stepped one accepted step
-    at a time.  LSODA switches between Adams and BDF methods as the problem
-    turns stiff, so its steps are set by the dynamics rather than by the
-    fast decays, and its Newton iterations run in compiled code.
+    """LSODA in the unit-trace chart (see :func:`_lsoda`), with the
+    analytic Jacobian, stepped one accepted step at a time.  LSODA switches
+    between Adams and BDF methods as the problem turns stiff, so its steps
+    are set by the dynamics rather than by the fast decays, and its Newton
+    iterations run in compiled code.
 
     The loop calls the integrator's ``run`` itself, with the unwrapped
     callbacks: the C calls and arguments of ``scipy.integrate.LSODA``
@@ -793,9 +784,8 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     fresh ones alive.
 
     Every accepted step is checked against the step budget (see
-    ``BUDGET_PROJECTION_STEPS``) and on its trace, one dot product with the
-    solver's state z that also catches a non-finite state (0 * NaN and
-    0 * inf are NaN); a failed step or a non-finite state raises
+    ``BUDGET_PROJECTION_STEPS``) and for a finite state, one dot product
+    z . z of the solver's state; a failed step or a non-finite state raises
     ``IntegrationError("solver failed: ...")``.  M and positivity (the
     populations in 'hyperfine+zeeman', else the least eigenvalue of
     s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
@@ -819,18 +809,17 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     accepted step.  The solve is tried when the derivative at the accepted
     state is small (see ``NEWTON_GATE``); that gate is read at the first
     accepted step of each STEADY_WINDOW_T1 / Gamma window, on the solver's
-    derivative dz/dt, whose rms equals that of ds/dt since Q is
-    orthonormal."""
+    derivative dz/dt, whose norm equals that of ds/dt since Q is
+    orthonormal; its rms is taken over the n coordinates of s."""
     gamma = model.params.gamma
     solver = _lsoda(model, s0, t_end, controls)
     lsoda = solver._integrator
     run, rhs, jac = lsoda.run, solver.f, solver.jac
     ops = model.departure
-    tr_q, tr_off = ops.readout[0], float(ops.readout_offset[0])
-    rows_t, offsets = ops.readout[1:].T, ops.readout_offset[1:]
+    m_q, rows_t, offsets = ops.readout[0], ops.readout.T, ops.readout_offset
     q, u = model.m_basis, model.unpolarized_coords()
     populations = model.sub.mode == MODE_HFZ
-    dim = model.sub.dim
+    dim, n = model.sub.dim, model.sub.n
     times = [0.0]
     mags = [model.magnetization(s0)]
     stop = "budget"
@@ -873,15 +862,10 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                 raise IntegrationError("solver failed: Unexpected istate in LSODA.",
                                        {"t": t, "h": h, **counts()})
             h, t = t_next - t, t_next
-            # 0 * NaN and 0 * inf are NaN, so a non-finite z fails this too
-            trace = float(tr_q @ z) + tr_off
-            if not abs(trace - 1.0) <= TRACE_TOL:
+            if not math.isfinite(z @ z):
                 flush()
-                if not np.isfinite(z).all():
-                    raise IntegrationError("solver failed: non-finite state",
-                                           {"t": t, "h": h, **counts()})
-                raise IntegrationError("trace drift beyond tolerance",
-                                       {"t": t, "trace": trace})
+                raise IntegrationError("solver failed: non-finite state",
+                                       {"t": t, "h": h, **counts()})
             n_steps += 1
             block[len(block_t)] = z  # a copy: the runner updates z in place
             block_t.append(t)
@@ -892,9 +876,9 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                 m = mags[-1]
                 next_newton = t + STEADY_WINDOW_T1 / gamma
                 f = ops.rhs(t, z)
-                if (abs(float(ops.readout[1] @ f))
+                if (abs(float(m_q @ f))
                         <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
-                        and math.sqrt(float(np.mean(f ** 2))) <= NEWTON_GATE * gamma / dim):
+                        and math.sqrt(float(f @ f) / n) <= NEWTON_GATE * gamma / dim):
                     s = q @ z + u
                     s_star = model.stable_fixed_point(s)
                     if s_star is not None:
@@ -928,7 +912,7 @@ def integrate(params: SimParams, t_end: float,
     """Integrate the projected dynamics from the seeded unpolarized state
     for ``t_end`` seconds.  A ``model`` must be compiled for ``params``
     up to the seed, or this raises ``ValueError``."""
-    if t_end <= 0:
+    if not t_end > 0:
         raise ValueError("t_end must be > 0")
     model = _model_for(params, model)
     controls = controls or IntegrationControls()

@@ -124,6 +124,8 @@ class SweepGrid:
             ax = getattr(self, name)
             if len(ax) == 0:
                 raise ValueError(f"{name} axis is empty")
+            if not all(map(math.isfinite, ax)):
+                raise ValueError(f"{name} axis values must be finite")
             if any(b <= a for a, b in zip(ax, ax[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
 

@@ -59,6 +59,25 @@ class TestConfig:
             parse_config(overrides={"relaxation.gamma": "-5 /s"})
         assert "relaxation.gamma" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "numerics.rtol", "numerics.atol", "numerics.seed_polarization",
+        "collisions.sigma_ex_v", "conditions.sigma_e", "conditions.cell_length",
+        "conditions.s_axis"])
+    def test_non_finite_value_rejected_with_key_and_line(self, tmp_path, key, value):
+        section, _, name = key.partition(".")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{name} = {value}\n")
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config(str(path))
+        assert f"[{key}] (line 2)" in str(err.value)
+
+    @pytest.mark.parametrize("axis", ["nan:6:3", "0.5:inf:3", "0.5,nan"])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config(overrides={"sweep.i_over_gamma": axis})
+        assert "[sweep.i_over_gamma]" in str(err.value)
+
     def test_temperature_law(self):
         cfg = parse_config(overrides={"relaxation.temperature_c": "87"})
         assert cfg.gamma() == pytest.approx(58.0 + 0.35 * 12)
@@ -173,6 +192,16 @@ class TestCli:
         bad.write_text("[relaxation]\ngamma = -2 /s\n")
         rc = main(["--config", str(bad), "table2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--i", "--j", "--h", "--seed"])
+    def test_simulate_rejects_non_finite_input(self, tmp_path, capsys, flag):
+        # a NaN pump rate used to run a pump-free cell and report it converged
+        rates = {"--i": "2", "--j": "3", flag: "nan"}
+        argv = [a for item in rates.items() for a in item]
+        rc = main(["simulate", *argv, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r_summary.json"))
 
     def test_set_overrides(self, tmp_path, capsys):
         rc = main(["--set", "numerics.seed_polarization=2e-4", "simulate",

@@ -90,6 +90,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             SweepGrid.from_rates([], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_axis_values(self, bad):
+        with pytest.raises(ValueError, match="i_over_gamma axis values must be finite"):
+            SweepGrid.from_rates([0.5, bad], [1.0])
+        with pytest.raises(ValueError, match="j_over_gamma axis values must be finite"):
+            SweepGrid.from_rates([0.5], [bad])
+
     def test_from_physical(self):
         cmap = ConditionsMap()
         grid = SweepGrid.from_physical([1e12, 2e12], [5.0, 10.0], cmap)
