@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -56,6 +55,7 @@ from .sweep import (
     load_sweep,
     run_sweep,
     save_sweep,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -69,22 +69,12 @@ def _stamp(cfg: RunConfig) -> str:
     return f"# spingas {__version__} config {cfg.hash()}\n"
 
 
-def _write_atomic(path: str, content: str) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
-
-
 def _write_json(path: str, payload: dict, cfg: RunConfig) -> None:
     payload = dict(payload)
     payload["tool_version"] = __version__
     payload["config_hash"] = cfg.hash()
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True,
-                                   default=str) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True,
+                                  default=str) + "\n")
 
 
 def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +113,7 @@ def _cmd_table2(args, cfg: RunConfig) -> int:
         buf = _stamp(cfg) + "m,p_up,p_down\n"
         for m, up, dn in rows:
             buf += f"{m},{up:.15g},{dn:.15g}\n"
-        _write_atomic(args.csv, buf)
+        write_atomic(args.csv, buf)
     return EXIT_OK
 
 
@@ -141,14 +131,14 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         from .spin_algebra import Operator, operator_to_csv
         for k, coupling in enumerate(model.couplings):
             w_op = Operator(coupling.w, "excited", "ground")
-            _write_atomic(f"{args.dump_optics}_w{k}.csv",
-                          _stamp(cfg) + operator_to_csv(w_op))
+            write_atomic(f"{args.dump_optics}_w{k}.csv",
+                         _stamp(cfg) + operator_to_csv(w_op))
         if model.channel is not None:
             rho_e = model.channel.rho_e(model.sub.to_matrix(
                 model.seed_coords(params.seed_polarization)))
-            _write_atomic(f"{args.dump_optics}_rho_e.csv",
-                          _stamp(cfg) + operator_to_csv(
-                              Operator(rho_e, "excited", "excited")))
+            write_atomic(f"{args.dump_optics}_rho_e.csv",
+                         _stamp(cfg) + operator_to_csv(
+                             Operator(rho_e, "excited", "excited")))
     if args.t_end is not None:
         traj = integrate(params, t_end=args.t_end, model=model,
                          controls=cfg.controls())
@@ -179,7 +169,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         buf = _stamp(cfg) + "t_s,M_z\n"
         for t, m in zip(traj.times, traj.magnetization):
             buf += f"{t:.12g},{m:.12g}\n"
-        _write_atomic(args.out + "_trajectory.csv", buf)
+        write_atomic(args.out + "_trajectory.csv", buf)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_NONCONVERGED if nonconverged else EXIT_OK
 
@@ -196,10 +186,10 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     save_sweep(result, args.out + "_cells.csv", args.out + "_manifest.json",
                header_comment=_stamp(cfg)[2:].strip())
     if args.gnuplot:
-        _write_atomic(args.out + "_m_abs.gp",
-                      _stamp(cfg) + gnuplot_matrix(result, "m_abs"))
-        _write_atomic(args.out + "_tau.gp",
-                      _stamp(cfg) + gnuplot_matrix(result, "tau"))
+        write_atomic(args.out + "_m_abs.gp",
+                     _stamp(cfg) + gnuplot_matrix(result, "m_abs"))
+        write_atomic(args.out + "_tau.gp",
+                     _stamp(cfg) + gnuplot_matrix(result, "tau"))
     n_fail = sum(1 for c in result.cells if not c.converged)
     print(f"sweep complete: {len(result.cells)} cells, {n_fail} unconverged")
     return EXIT_OK
@@ -212,7 +202,7 @@ def _cmd_contour(args, cfg: RunConfig) -> int:
     buf = _stamp(cfg) + f"{label},{args.quantity}\n"
     for x, y in zip(xs, ys):
         buf += f"{x:.12g},{y:.12g}\n"
-    _write_atomic(args.out, buf)
+    write_atomic(args.out, buf)
     print(f"contour with {len(xs)} points written to {args.out}")
     return EXIT_OK
 
@@ -232,7 +222,7 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
     for i, r in rows:
         buf += (f"{i:.12g},{r.chi:.12g},{r.chi_coarse:.12g},"
                 f"{r.richardson_change:.6g},{int(r.ordered_flag)}\n")
-    _write_atomic(args.out, buf)
+    write_atomic(args.out, buf)
     return EXIT_OK
 
 
@@ -270,14 +260,14 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         wr = weighted_residuals(result.form, params, x, y, w)
         for xi, yi, mi, wi, ri in zip(x, y, model, w, wr):
             buf += f"{xi:.12g},{yi:.12g},{mi:.12g},{wi:.12g},{ri:.12g}\n"
-        _write_atomic(args.out + "_residuals.csv", buf)
+        write_atomic(args.out + "_residuals.csv", buf)
         # log-log table of reduced distance against the measured quantity
         buf = _stamp(cfg) + "log10_reduced_distance,log10_y\n"
         for xi, yi in zip(x, y):
             u = reduced_distance(result.form, result.x0, xi)
             if u > 0 and yi > 0:
                 buf += f"{np.log10(u):.12g},{np.log10(yi):.12g}\n"
-        _write_atomic(args.out + "_loglog.csv", buf)
+        write_atomic(args.out + "_loglog.csv", buf)
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return EXIT_OK
 

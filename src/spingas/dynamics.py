@@ -93,6 +93,8 @@ from .optics import (
     OpticalChannel,
     OpticalField,
     _frozen,
+    _hermitian_rows,
+    _hermitian_vecs,
     atom_system,
     bias_field,
     cesium_collisions,
@@ -231,44 +233,33 @@ class Trajectory:
 
 
 class Subspace:
-    """Real coordinates of the coherence-projected Hermitian matrices."""
+    """Real coordinates of the coherence-projected Hermitian matrices: the
+    ``rows`` kept of the Hermitian coordinates of
+    :func:`spingas.optics._hermitian_rows` (the diagonal, then the real and
+    the imaginary upper entries, in ``triu_indices`` order)."""
 
     def __init__(self, mode: str, basis_g):
         if mode not in PROJECTION_MODES:
             raise ValueError(f"unknown projection mode {mode!r}")
         self.mode = mode
-        self.dim = basis_g.dimension
-        f_of = [f for f, _ in basis_g.states]
-        pairs = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if mode == MODE_FULL or (mode == MODE_HF and f_of[i] == f_of[j]):
-                    pairs.append((i, j))
-        self.pairs = pairs
-        self.n = self.dim + 2 * len(pairs)
-        self._pi = np.array([p[0] for p in pairs], dtype=int)
-        self._pj = np.array([p[1] for p in pairs], dtype=int)
+        self.dim = dim = basis_g.dimension
+        f_of = np.array([f for f, _ in basis_g.states])
+        i, j = np.triu_indices(dim, 1)
+        kept = (f_of[i] == f_of[j]) if mode == MODE_HF else np.full(i.size, mode == MODE_FULL)
+        upper = np.flatnonzero(kept)
+        self.rows = _frozen(np.concatenate([np.arange(dim), dim + upper,
+                                            dim + i.size + upper]))
+        self.n = self.rows.size
 
     def to_matrix(self, s: np.ndarray) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[np.arange(self.dim), np.arange(self.dim)] = s[:self.dim]
-        if self.pairs:
-            np_ = len(self.pairs)
-            re = s[self.dim:self.dim + np_]
-            im = s[self.dim + np_:]
-            rho[self._pi, self._pj] = re + 1j * im
-            rho[self._pj, self._pi] = re - 1j * im
-        return rho
+        coords = np.zeros(self.dim * self.dim)
+        coords[self.rows] = s
+        return _hermitian_vecs(coords, self.dim).reshape(self.dim, self.dim)
 
     def from_matrix(self, rho: np.ndarray) -> np.ndarray:
-        s = np.empty(self.n)
-        s[:self.dim] = np.diag(rho).real
-        if self.pairs:
-            np_ = len(self.pairs)
-            herm_upper = 0.5 * (rho[self._pi, self._pj] + rho[self._pj, self._pi].conj())
-            s[self.dim:self.dim + np_] = herm_upper.real
-            s[self.dim + np_:] = herm_upper.imag
-        return s
+        """The coordinates of the Hermitian part of ``rho``."""
+        herm = 0.5 * (rho + rho.conj().T)
+        return _hermitian_rows(herm.reshape(-1), self.dim)[self.rows]
 
     def project_matrix(self, rho: np.ndarray) -> np.ndarray:
         return self.to_matrix(self.from_matrix(rho))
@@ -376,7 +367,7 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     dg = system.dim_g
     sub = Subspace(mode, system.basis_g)
     n = sub.n
-    t_map = np.stack([sub.to_matrix(e).reshape(-1) for e in np.eye(n)], axis=1)
+    t_map = _hermitian_vecs(np.eye(dg * dg)[:, sub.rows], dg)
     f_map = t_map.conj().T / np.sum(np.abs(t_map) ** 2, axis=0)[:, None]
 
     def project(vecs):   # columns vec(L rho_k) -> the real n x n block
@@ -425,7 +416,8 @@ class CompiledModel:
     using only matrix-vector products: the linear generator plus the
     bilinear exchange feedback.  The full-space ``lin_superop``, ``channel``
     and ``couplings`` behind the reference path ``rhs_matrix`` are built on
-    first use."""
+    first use.  A generator that is not finite, as from a field whose
+    intensity overflows, raises ``IntegrationError``."""
 
     def __init__(self, params: SimParams):
         self.params = params
@@ -448,6 +440,8 @@ class CompiledModel:
                                    f.scaled(1.0), params.coll, params.doppler,
                                    params.light_shift)
             r_lin += np.real(action.superop(f.amplitude_sq)[0])
+        if not np.isfinite(r_lin).all():
+            raise IntegrationError("the generator is not finite")
         self.r_lin = r_lin
 
     @cached_property
@@ -708,9 +702,10 @@ NEWTON_STEP_TOL = 1e-10
 NEWTON_DISTANCE = 0.1
 # The response time is the crossing of this fraction of |M_ss|.
 RESPONSE_FRACTION = 0.63
-# The boundary locators bisect an axis rate (/Gamma) to this relative width.
+# The boundary locators find the root in ln(axis rate /Gamma) over this
+# bracket, to this absolute tolerance in the logarithm (Brent's xtol).
 LOCATOR_BRACKET = (0.05, 40.0)
-LOCATOR_TOL = 1e-3
+LOCATOR_TOL = 1e-12
 
 
 # Work arrays lent to LSODA runs, by their sizes.  scipy's C runner keeps a
@@ -1047,33 +1042,38 @@ def seed_sensitivity(params: SimParams, factors: tuple[float, ...] = (1.0, 0.1),
 
 
 def _critical_rate(axis: str, fixed: float) -> float:
-    """Geometric bisection over LOCATOR_BRACKET, to relative width
-    LOCATOR_TOL, of the zero crossing of the symmetric state's slow-mode
-    growth rate along the axis rate ``axis`` ('I' or 'J') with the other
-    rate held at ``fixed``, for the default parameters."""
+    """The zero crossing of the symmetric state's slow-mode growth rate
+    along the axis rate ``axis`` ('I' or 'J') with the other rate held at
+    ``fixed``, for the default parameters: Brent's root of the rate on
+    u = ln(axis rate) over LOCATOR_BRACKET, to LOCATOR_TOL in u.  The rate
+    is cached on u, so Brent's method re-uses the two compiles that check
+    the signs of the bracket ends; an end on the wrong side raises
+    ``ValueError``."""
+    from scipy.optimize import brentq  # imported on first use
+
     other = "J" if axis == "I" else "I"
     lo, hi = LOCATOR_BRACKET
 
-    def rate(x):
+    @lru_cache(maxsize=None)
+    def rate(u):
+        x = math.exp(u)
         i, j = (x, fixed) if axis == "I" else (fixed, x)
         p = SimParams.from_rates(i_over_gamma=i, j_over_gamma=j, seed_polarization=0.0)
         return CompiledModel(p).slow_mode_rate()
-    if rate(hi) < 0:
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    if rate(u_hi) < 0:
         raise ValueError(f"no instability up to {axis}/Gamma = {hi} "
                          f"at {other}/Gamma = {fixed}")
-    while hi / lo > 1.0 + LOCATOR_TOL:
-        mid = math.sqrt(lo * hi)
-        if rate(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(lo * hi)
+    if rate(u_lo) > 0:
+        raise ValueError(f"unstable already at {axis}/Gamma = {lo} "
+                         f"at {other}/Gamma = {fixed}")
+    return math.exp(brentq(rate, u_lo, u_hi, xtol=LOCATOR_TOL))
 
 
 def critical_pump_rate(j_over_gamma: float) -> float:
     """Critical axis rate I/Gamma on a fixed-J contour: the zero crossing of
-    the symmetric state's slow-mode growth rate, bisected over the fixed
-    LOCATOR_BRACKET to LOCATOR_TOL (see :func:`_critical_rate`)."""
+    the symmetric state's slow-mode growth rate, Brent's root on ln I over
+    the fixed LOCATOR_BRACKET to LOCATOR_TOL (see :func:`_critical_rate`)."""
     return _critical_rate("I", j_over_gamma)
 
 

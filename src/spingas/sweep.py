@@ -24,6 +24,7 @@ import ctypes
 import functools
 import glob
 import importlib.util
+import io
 import json
 import math
 import multiprocessing
@@ -393,23 +394,31 @@ CSV_COLUMNS = ("n", "phi", "J_over_Gamma", "I_over_Gamma", "I_effective",
                "eps", "error")
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed over
+    it, with no newline translation; an ``OSError`` propagates."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_sweep(result: SweepResult, csv_path: str, manifest_path: str | None = None,
                header_comment: str | None = None) -> None:
     """Write the per-cell CSV and a JSON manifest (atomic rename)."""
-    tmp = csv_path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for c in result.cells:
-            w.writerow([
-                f"{c.n:.17g}", f"{c.phi:.17g}", f"{c.j_over_gamma:.17g}",
-                f"{c.i_over_gamma:.17g}", f"{c.i_effective:.17g}",
-                f"{c.m_signed:.17g}", f"{c.m_abs:.17g}", f"{c.tau_s:.17g}",
-                int(c.tau_floored), int(c.converged), f"{c.eps:.17g}", c.error,
-            ])
-    os.replace(tmp, csv_path)
+    buf = io.StringIO()
+    if header_comment:
+        buf.write(f"# {header_comment}\n")
+    w = csv.writer(buf)
+    w.writerow(CSV_COLUMNS)
+    for c in result.cells:
+        w.writerow([
+            f"{c.n:.17g}", f"{c.phi:.17g}", f"{c.j_over_gamma:.17g}",
+            f"{c.i_over_gamma:.17g}", f"{c.i_effective:.17g}",
+            f"{c.m_signed:.17g}", f"{c.m_abs:.17g}", f"{c.tau_s:.17g}",
+            int(c.tau_floored), int(c.converged), f"{c.eps:.17g}", c.error,
+        ])
+    write_atomic(csv_path, buf.getvalue())
     if manifest_path is not None:
         manifest = {
             "provenance": result.provenance,
@@ -420,11 +429,7 @@ def save_sweep(result: SweepResult, csv_path: str, manifest_path: str | None = N
                 "powers": [None if math.isnan(x) else x for x in result.grid.powers],
             },
         }
-        tmp = manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, manifest_path)
+        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class SchemaError(RuntimeError):

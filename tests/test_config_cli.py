@@ -186,6 +186,34 @@ class TestCli:
                    "--form", "beta", "--out", str(tmp_path / "f")])
         assert rc == 5
         assert not os.path.exists(str(tmp_path / "f_fit.json"))
+        # an output that cannot be written is an I/O error for every command
+        from spingas.critfit import synthetic_series
+        x = np.linspace(1.0, 3.2, 40)
+        series = self._series(tmp_path, x, synthetic_series("beta", 0.6, 1.6, 0.5, x))
+        sweep = ["--set", "sweep.i_over_gamma=0.2", "--set", "sweep.j_over_gamma=0.8",
+                 "sweep"]
+        prefix = str(tmp_path / "sw")
+        assert main(sweep + ["--out", prefix]) == 0
+        bad = str(tmp_path / "missing" / "out")
+        for argv in (["table2", "--csv", bad],
+                     ["simulate", "--i", "0.3", "--j", "1.0", "--out", bad],
+                     sweep + ["--out", bad],
+                     ["contour", "--cells", prefix + "_cells.csv",
+                      "--manifest", prefix + "_manifest.json",
+                      "--axis", "fixed-J", "--value", "0.8", "--out", bad],
+                     ["susceptibility", "--j", "2.3", "--i-values", "0.0", "--out", bad],
+                     ["fit", "--input", series, "--form", "beta", "--out", bad]):
+            capsys.readouterr()
+            assert main(argv) == 5, argv
+            assert "input error" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "missing"))
+
+    def test_overflowing_rate_is_a_numerical_failure(self, tmp_path, capsys):
+        # I = 1e300 Gamma overflows the pump intensity to a NaN generator
+        rc = main(["simulate", "--i", "1e300", "--j", "3", "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "the generator is not finite" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r_summary.json"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -524,6 +524,37 @@ class TestHelpers:
             integrate(SimParams(), t_end=math.nan)
 
 
+class TestBoundaryLocator:
+    @pytest.mark.parametrize("axis, fixed", [("I", 2.3), ("I", 3.7), ("I", 3.8), ("J", 4.5)])
+    def test_exact_root_in_few_compiles(self, monkeypatch, axis, fixed):
+        # the slow mode changes sign within x0 (1 +- 1e-8), found in at
+        # most 12 compiles
+        compiles = []
+        init = CompiledModel.__init__
+
+        def counting_init(self, params):
+            compiles.append(params)
+            init(self, params)
+        monkeypatch.setattr(CompiledModel, "__init__", counting_init)
+        locate = critical_pump_rate if axis == "I" else dyn.critical_exchange_rate
+        x0 = locate(fixed)
+        assert len(compiles) <= 12
+
+        def rate(x):
+            i, j = (x, fixed) if axis == "I" else (fixed, x)
+            return CompiledModel(SimParams.from_rates(i, j, seed_polarization=0.0)).slow_mode_rate()
+        assert rate(x0 * (1 - 1e-8)) < 0 < rate(x0 * (1 + 1e-8))
+
+    @pytest.mark.parametrize("bracket, match", [
+        ((1.0, 40.0), "unstable already at I/Gamma = 1.0 at J/Gamma = 3.7"),
+        ((0.05, 0.5), "no instability up to I/Gamma = 0.5 at J/Gamma = 3.7")])
+    def test_bracket_ends_on_one_side_are_rejected(self, monkeypatch, bracket, match):
+        # I0(3.7) = 0.8154 lies outside both brackets
+        monkeypatch.setattr(dyn, "LOCATOR_BRACKET", bracket)
+        with pytest.raises(ValueError, match=match):
+            critical_pump_rate(3.7)
+
+
 class TestSteadyDetection:
     def test_stiff_point_converges(self):
         # extreme exchange rate
@@ -1082,14 +1113,12 @@ class TestExactStops:
         assert res.stop == "fixed-point"
         assert traj.magnetization[-1] == pytest.approx(res.m_ss, rel=1e-12)
 
-    @pytest.mark.parametrize("i_over_i0, i, j", [(None, 2.0, 3.0), (1.06, None, 3.7)])
-    def test_response_time_matches_stock_radau(self, i_over_i0, i, j):
-        # an independent integrator: scipy's Radau IIA at rtol 1e-12, with
-        # the 63% crossing root-found on its dense output
+    @staticmethod
+    def radau_response_time(p):
+        """``steady_state``'s tau at ``p``, and the 63% crossing of an
+        independent integrator, scipy's Radau IIA at rtol 1e-12, root-found
+        on its dense output."""
         from scipy.integrate import solve_ivp
-        if i is None:
-            i = i_over_i0 * critical_pump_rate(j)
-        p = SimParams.from_rates(i, j)
         model = CompiledModel(p)
         res = steady_state(p, model=model)
 
@@ -1100,7 +1129,22 @@ class TestExactStops:
                         model.seed_coords(p.seed_polarization), method="Radau",
                         jac=lambda _t, y: s_jacobian(model, y), rtol=1e-12, atol=1e-14,
                         events=crossing)
-        assert res.tau == pytest.approx(sol.t_events[0][0], rel=1e-6)
+        return res.tau, sol.t_events[0][0]
+
+    @pytest.mark.parametrize("i_over_i0, i, j", [(None, 2.0, 3.0), (1.06, None, 3.7)])
+    def test_response_time_matches_stock_radau(self, i_over_i0, i, j):
+        if i is None:
+            i = i_over_i0 * critical_pump_rate(j)
+        tau, reference = self.radau_response_time(SimParams.from_rates(i, j))
+        assert tau == pytest.approx(reference, rel=1e-6)
+
+    def test_hyperfine_response_time_matches_stock_radau(self):
+        # the demo-06 point; 3e-5 relative is the 'hyperfine' mode's
+        # documented tau accuracy, not the production mode's 1e-6 above
+        p = SimParams.from_rates(1.15 * critical_pump_rate(2.6), 2.6,
+                                 projection_mode="hyperfine", b_z=1e-4)
+        tau, reference = self.radau_response_time(p)
+        assert tau == pytest.approx(reference, rel=3e-5)
 
     @pytest.mark.parametrize("i_over_i0, i, j", [(None, 2.0, 3.0), (1.06, None, 3.7),
                                                  (None, 1.417, 2.333)])

@@ -126,6 +126,14 @@ class TestRunSweep:
             assert a.tau_s == b.tau_s
             assert a.converged == b.converged
 
+    def test_overflowing_cell_does_not_abort_the_sweep(self):
+        # the pump intensity of I = 1e300 Gamma overflows to a NaN generator
+        cells = run_sweep(SweepGrid.from_rates([1.0, 1e300], [3.0]), workers=1).cells
+        assert cells[0].converged and not cells[0].error
+        assert not cells[1].converged
+        assert cells[1].error == "the generator is not finite"
+        assert math.isnan(cells[1].m_signed)
+
     def test_refine_contour_worker_independence(self):
         points = [0.4, 0.6, 2.0]
         serial = refine_contour("fixed-J", 3.8, points, workers=1)
