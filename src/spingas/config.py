@@ -82,8 +82,8 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("doppler", "width"): (units.frequency, ""),
     ("doppler", "temperature_c"): (units.plain_number, "87"),
     ("doppler", "quadrature_order"): (int, "40"),
-    ("numerics", "rtol"): (float, "1e-10"),
-    ("numerics", "atol"): (float, "1e-14"),
+    ("numerics", "rtol"): (float, ""),
+    ("numerics", "atol"): (float, ""),
     ("numerics", "projection_mode"): (str, "hyperfine+zeeman"),
     ("numerics", "seed_polarization"): (float, "1e-4"),
     ("numerics", "light_shift"): (lambda s: s.lower() in ("1", "true", "yes"), "false"),
@@ -176,10 +176,13 @@ class RunConfig:
             "bias_detuning": v[("fields", "bias_detuning")],
         }
 
-    def controls(self) -> IntegrationControls:
-        v = self.values
-        return IntegrationControls(rtol=v[("numerics", "rtol")],
-                                   atol=v[("numerics", "atol")])
+    def controls(self) -> IntegrationControls | None:
+        """The tolerances set for every integration, or ``None``, which
+        leaves each entry point at its own default (see
+        :class:`spingas.dynamics.IntegrationControls`)."""
+        tols = {key: self.values[("numerics", key)] for key in ("rtol", "atol")
+                if self.values[("numerics", key)] is not None}
+        return IntegrationControls(**tols) if tols else None
 
     def canonical(self) -> dict:
         out = {}

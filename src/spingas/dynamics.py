@@ -31,13 +31,13 @@ led by M, into which the generator and its Jacobian are rotated once per
 model (:class:`DepartureOperators`); no solve needs a border to hold the
 trace.  The generator is stiff (decay rates up to about 8e3 /s beside a
 slow mode near zero), so it is integrated with LSODA, which switches to BDF
-where the problem is stiff, on the analytic Jacobian, at rtol 1e-10 and
-atol 1e-14 by default (:class:`IntegrationControls`), a tolerance that
-applies to M itself (:func:`_lsoda`).  The loop of
-:func:`_integrate_coords` drives scipy's ``lsoda`` integrator one step at a
-time itself, on work arrays reused from run to run; it checks that each
-accepted step is finite and reads M and positivity for a block of steps at
-a time.
+where the problem is stiff, on the analytic Jacobian, at atol 1e-14 and
+an rtol that applies to M itself (:func:`_lsoda`): 1e-10 for a trajectory,
+1e-8 for a steady state by default (:class:`IntegrationControls`).  The
+loop of :func:`_integrate_coords` drives scipy's ``lsoda`` integrator one
+step at a time itself, on work arrays reused from run to run; it checks
+that each accepted step is finite and reads M, dM/dt and positivity for a
+block of steps at a time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -205,17 +205,21 @@ class SimParams:
 
 @dataclass
 class Trajectory:
-    """Recorded magnetization history M_z(t) = Tr(rho F_z)/F_max."""
+    """Recorded magnetization history M_z(t) = Tr(rho F_z)/F_max, with its
+    rate dM/dt at each recorded time when the run recorded it."""
 
     times: np.ndarray
     magnetization: np.ndarray
     final_state: np.ndarray   # the fixed point when a run stopped on one
+    rates: np.ndarray | None = None
 
     def response_crossing(self, fraction_of_final: float,
                           final: float | None = None) -> float | None:
         """First time |M| crosses ``fraction_of_final`` x |final| (default:
-        the last recorded M), linearly interpolated between accepted
-        steps."""
+        the last recorded M), on the cubic Hermite interpolant of M and
+        dM/dt at the two recorded times that bracket it (Hairer, Norsett
+        and Wanner, *Solving ODEs I*, II.6); linearly interpolated for a
+        trajectory without ``rates``."""
         final = self.magnetization[-1] if final is None else final
         target = fraction_of_final * abs(final)
         absm = np.abs(self.magnetization)
@@ -227,9 +231,43 @@ class Trajectory:
             return float(self.times[0])
         t0, t1 = self.times[k - 1], self.times[k]
         m0, m1 = absm[k - 1], absm[k]
-        if m1 == m0:
-            return float(t1)
-        return float(t0 + (target - m0) / (m1 - m0) * (t1 - t0))
+        if self.rates is None:
+            if m1 == m0:
+                return float(t1)
+            return float(t0 + (target - m0) / (m1 - m0) * (t1 - t0))
+        # |M| is sign x M wherever it reaches the target in [t0, t1]
+        sign, h = math.copysign(1.0, self.magnetization[k]), float(t1 - t0)
+        y0, y1 = float(sign * self.magnetization[k - 1] - target), float(m1 - target)
+        d0, d1 = sign * h * float(self.rates[k - 1]), sign * h * float(self.rates[k])
+        return float(t0 + h * _first_root(
+            y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1))
+
+
+def _first_root(c0: float, c1: float, c2: float, c3: float) -> float:
+    """The least x in [0, 1] at which the cubic c0 + c1 x + c2 x^2 + c3 x^3,
+    negative at 0 and not at 1, reaches 0: Brent's root on the first of its
+    monotone pieces that ends at or above 0."""
+    from scipy.optimize import brentq  # imported with scipy.integrate
+
+    def cubic(x):
+        return c0 + x * (c1 + x * (c2 + x * c3))
+    # the turns, where c1 + 2 c2 x + 3 c3 x^2 = 0
+    if c3 == 0.0:
+        turns = [-c1 / (2.0 * c2)] if c2 else []
+    else:
+        disc = c2 * c2 - 3.0 * c1 * c3
+        turns = [] if disc < 0 else [(-c2 + r) / (3.0 * c3)
+                                     for r in (math.sqrt(disc), -math.sqrt(disc))]
+    lo = 0.0
+    for hi in sorted(x for x in turns if 0.0 < x < 1.0):
+        if cubic(hi) >= 0:
+            break
+        lo = hi
+    else:
+        hi = 1.0
+        if cubic(hi) < 0:  # 0 at 1, rounded below
+            return hi
+    return brentq(cubic, lo, hi, xtol=1e-15)
 
 
 class Subspace:
@@ -507,6 +545,17 @@ class CompiledModel:
             rho = rho + eps * self.f_max / fz2 * self.fz.real
         return self.sub.from_matrix(rho)
 
+    @cached_property
+    def residual_bound(self) -> float:
+        """The largest max|rhs_coords| of an exact fixed point:
+        FIXED_POINT_RESIDUAL Gamma, plus n eps max|r_lin| for the rounding
+        of the generator's products.  That term is over 1000 times smaller
+        with entries up to about 1e4 /s, but entries of 2.9e9 /s (I/Gamma
+        from about 1e8 on) round the exact symmetric state's residual to
+        up to 1.4e-7 /s."""
+        return (FIXED_POINT_RESIDUAL * self.params.gamma
+                + self.sub.n * np.finfo(float).eps * float(np.abs(self.r_lin).max()))
+
     def symmetric_fixed_point(self) -> np.ndarray:
         """The magnetization-free stationary state (coords).
 
@@ -519,7 +568,7 @@ class CompiledModel:
         ops = self.departure
         s_star = self.m_basis @ np.linalg.solve(ops.lin, -ops.lin_offset) + self._u
         residual = float(np.abs(self.rhs_coords(s_star)).max())
-        if residual > FIXED_POINT_RESIDUAL * self.params.gamma:
+        if residual > self.residual_bound:
             raise IntegrationError("the symmetric state is no fixed point",
                                    {"residual": residual})
         return s_star
@@ -529,7 +578,7 @@ class CompiledModel:
         from ``s``: the step J dz = -f on the chart's right-hand side f and
         Jacobian J (:class:`DepartureOperators`), done when no coordinate of
         s moves by more than NEWTON_STEP_TOL.  Returns the state when
-        Newton converges to an exact (max|R| <= FIXED_POINT_RESIDUAL Gamma),
+        Newton converges to an exact (max|R| <= ``residual_bound``),
         positive and linearly stable one, where every eigenvalue is
         negative; ``None`` otherwise."""
         ops, q = self.departure, self.m_basis
@@ -547,7 +596,7 @@ class CompiledModel:
         except np.linalg.LinAlgError:
             return None
         if (not stable
-                or np.abs(self.rhs_coords(s)).max() > FIXED_POINT_RESIDUAL * self.params.gamma
+                or np.abs(self.rhs_coords(s)).max() > self.residual_bound
                 or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
             return None
         return s
@@ -588,9 +637,13 @@ class DepartureOperators:
     of its own, so concurrent runs share no work buffer.  With the one
     feedback component of every 'hyperfine+zeeman' model with J > 0, they
     form v_lin + v_m v_Q (and its Jacobian) in place, in the order of the
-    sums of the general form, so the two agree to the bit.  ``readout @ z +
-    readout_offset`` gives M and, in 'hyperfine+zeeman', the populations,
-    the quantities every accepted step is checked on."""
+    sums of the general form, so the two agree to the bit.
+
+    ``readout @ z + readout_offset`` gives the quantities every accepted
+    step is recorded and checked on: M; then dM/dt = fz . rhs_coords(s),
+    as its linear form fz r_lin s followed by the two factors m_j s and
+    qJ fz Q_j s of each of the ``k`` feedback terms (``rate``); then, in
+    'hyperfine+zeeman', the populations."""
 
     def __init__(self, model: CompiledModel):
         q, u = model.m_basis, model.unpolarized_coords()
@@ -645,19 +698,34 @@ class DepartureOperators:
                 return out
 
         self.rhs, self.jac = rhs, jac
-        rows = [model.fz_row]
+        self.k = k
+        rows = [model.fz_row, model.fz_row @ model.r_lin]
+        for j in active:
+            rows += [model.m_rows[j], model.qj * (model.fz_row @ model.q_mats[j])]
         if model.sub.mode == MODE_HFZ:
             rows.extend(np.eye(model.sub.n)[:model.sub.dim])
         rows = np.array(rows)
         self.readout, self.readout_offset = rows @ q, rows @ u
 
+    def rate(self, values: np.ndarray) -> np.ndarray:
+        """dM/dt from readout ``values``, one row of them per state."""
+        pairs = values[:, 2:2 + 2 * self.k]
+        return values[:, 1] + (pairs[:, ::2] * pairs[:, 1::2]).sum(axis=1)
+
 
 @dataclass
 class IntegrationControls:
-    """Tolerances and step cap of the integrator.  The defaults are the
-    loosest rtol, at atol 1e-14, at which LSODA meets the dark decay's
-    analytic answer to 1e-9 relative with a capped step
-    (``tests/test_dynamics.py``); at rtol 1e-9 it is off by 1.2e-9."""
+    """Tolerances and step cap of the integrator.
+
+    Each entry point's default rtol is the loosest decade at which the
+    accuracy bound on its own output holds, at atol 1e-14.  For
+    :func:`integrate`, whose output is M(t), that is this class's 1e-10:
+    LSODA meets the dark decay's analytic answer to 1e-9 relative with a
+    capped step (``tests/test_dynamics.py``), where rtol 1e-9 is off by
+    1.2e-9.  For :func:`steady_state` and its callers, whose M_ss is exact
+    (Newton) and whose tau is the Hermite crossing of the run, it is
+    STEADY_RTOL = 1e-8: tau within 1e-7 relative of stock Radau, where rtol
+    1e-7 is off by up to 2.6e-7."""
 
     rtol: float = 1e-10
     atol: float = 1e-14
@@ -686,7 +754,7 @@ POSITIVITY_TOL = 1e-9
 # lifetime T1 as its response time.
 TAU_FLOOR_M = 1e-3
 # A state is an exact fixed point when max|rhs_coords| is at most
-# FIXED_POINT_RESIDUAL Gamma.
+# FIXED_POINT_RESIDUAL Gamma, plus rounding (CompiledModel.residual_bound).
 FIXED_POINT_RESIDUAL = 1e-9
 # Fixed-point stop: when the derivative f at the first accepted state of a
 # STEADY_WINDOW_T1 / Gamma window is small, |dM/dt| <= NEWTON_GATE Gamma |M|
@@ -700,8 +768,10 @@ STEADY_WINDOW_T1 = 5.0
 NEWTON_MAX_ITER = 8
 NEWTON_STEP_TOL = 1e-10
 NEWTON_DISTANCE = 0.1
-# The response time is the crossing of this fraction of |M_ss|.
+# The response time is the crossing of this fraction of |M_ss|, on a run
+# to a steady state at this default rtol (see IntegrationControls).
 RESPONSE_FRACTION = 0.63
+STEADY_RTOL = 1e-8
 # The boundary locators find the root in ln(axis rate /Gamma) over this
 # bracket, to this absolute tolerance in the logarithm (Brent's xtol).
 LOCATOR_BRACKET = (0.05, 40.0)
@@ -781,20 +851,21 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     Every accepted step is checked against the step budget (see
     ``BUDGET_PROJECTION_STEPS``) and for a finite state, one dot product
     z . z of the solver's state; a failed step or a non-finite state raises
-    ``IntegrationError("solver failed: ...")``.  M and positivity (the
-    populations in 'hyperfine+zeeman', else the least eigenvalue of
+    ``IntegrationError("solver failed: ...")``.  M, dM/dt and positivity
+    (the populations in 'hyperfine+zeeman', else the least eigenvalue of
     s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
-    readout product: when the block is full, at a Newton gate, at the end
-    of the run and before any raise.  So the first step to lose positivity
-    is reported, at most CHECK_BLOCK steps late but before any later
-    step's failure.  s is formed otherwise only for a Newton attempt and
-    the final state.
+    readout product (:class:`DepartureOperators`): when the block is full,
+    at a Newton gate, at the end of the run and before any raise.  So the
+    first step to lose positivity is reported, at most CHECK_BLOCK steps
+    late but before any later step's failure.  s is formed otherwise only
+    for a Newton attempt and the final state.
 
-    Returns (times, magnetizations, s_final, stop, counts), where ``stop``
-    is 'fixed-point' or 'budget' (``t_end`` reached) and ``counts`` holds
-    the accepted ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu``
-    as ``int``, read from LSODA's iwork (LSODA factorizes once per
-    Jacobian, so ``njev == nlu``).
+    Returns (times, magnetizations, rates, s_final, stop, counts), where
+    ``rates`` holds dM/dt at the recorded times, ``stop`` is 'fixed-point'
+    or 'budget' (``t_end`` reached) and ``counts`` holds the accepted
+    ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu`` as ``int``,
+    read from LSODA's iwork (LSODA factorizes once per Jacobian, so
+    ``njev == nlu``).
 
     With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
     point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
@@ -814,21 +885,22 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     m_q, rows_t, offsets = ops.readout[0], ops.readout.T, ops.readout_offset
     q, u = model.m_basis, model.unpolarized_coords()
     populations = model.sub.mode == MODE_HFZ
-    dim, n = model.sub.dim, model.sub.n
+    dim, n, first_population = model.sub.dim, model.sub.n, 2 + 2 * ops.k
+    z, t, h = solver.y, 0.0, None
     times = [0.0]
     mags = [model.magnetization(s0)]
+    rates = ops.rate(z[None] @ rows_t + offsets).tolist()
     stop = "budget"
     next_newton = 0.0
     n_steps = 0
-    z, t, h = solver.y, 0.0, None
     block, block_t = np.empty((CHECK_BLOCK, z.size)), []
 
     def flush():
         """Check the pending steps for positivity, in order, and record
-        their times and M."""
+        their times, M and dM/dt."""
         z_block = block[:len(block_t)]
         values = z_block @ rows_t + offsets
-        min_eigs = (values[:, 1:].min(axis=1) if populations
+        min_eigs = (values[:, first_population:].min(axis=1) if populations
                     else np.array([model.sub.min_eigenvalue(q @ zk + u) for zk in z_block]))
         lost = np.flatnonzero(min_eigs < -POSITIVITY_TOL)
         if lost.size:
@@ -836,6 +908,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                                    {"t": block_t[lost[0]], "min_eig": float(min_eigs[lost[0]])})
         times.extend(block_t)
         mags.extend(values[:, 0].tolist())
+        rates.extend(ops.rate(values).tolist())
         block_t.clear()
 
     with _lent_work_arrays(lsoda) as iwork:
@@ -888,7 +961,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         flush()
         if stop == "budget":
             s = q @ z + u
-        return np.array(times), np.array(mags), s, stop, counts()
+        return np.array(times), np.array(mags), np.array(rates), s, stop, counts()
 
 
 def _model_for(params: SimParams, model: CompiledModel | None) -> CompiledModel:
@@ -912,9 +985,9 @@ def integrate(params: SimParams, t_end: float,
     model = _model_for(params, model)
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(params.seed_polarization)
-    times, mags, s, _, _ = _integrate_coords(model, s0, t_end, controls)
+    times, mags, rates, s, _, _ = _integrate_coords(model, s0, t_end, controls)
     return Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s))
+                      final_state=model.sub.to_matrix(s), rates=rates)
 
 
 @dataclass
@@ -981,23 +1054,24 @@ def steady_state(params: SimParams, max_time: float | None = None,
     fixed point of a checked Newton solve once the integration has come
     close ('fixed-point'; see :func:`_integrate_coords`).  A run that
     reaches ``max_time`` (default 2000/Gamma) first has not converged
-    ('budget').  A ``model`` must be compiled for ``params`` up to the
-    seed, or this raises ``ValueError``."""
+    ('budget').  Without ``controls`` the run takes rtol STEADY_RTOL (see
+    :class:`IntegrationControls`).  A ``model`` must be compiled for
+    ``params`` up to the seed, or this raises ``ValueError``."""
     model = _model_for(params, model)
     if max_time is None:
         max_time = 2000.0 / params.gamma
-    controls = controls or IntegrationControls()
+    controls = controls or IntegrationControls(rtol=STEADY_RTOL)
     s0 = model.seed_coords(params.seed_polarization)
     s_sym = _classified(model, params.seed_polarization)
     if s_sym is not None:
-        times, mags = np.zeros(1), np.array([model.magnetization(s0)])
+        times, mags, rates = np.zeros(1), np.array([model.magnetization(s0)]), None
         s, stop = s_sym, "symmetric"
         counts = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     else:
-        times, mags, s, stop, counts = _integrate_coords(
+        times, mags, rates, s, stop, counts = _integrate_coords(
             model, s0, max_time, controls, stop_at_fixed_point=True)
     traj = Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s))
+                      final_state=model.sub.to_matrix(s), rates=rates)
     m_ss = model.magnetization(s)
     tau, floored = None, False
     if stop != "budget":

@@ -1,12 +1,27 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
+from spingas import dynamics as dyn
 from spingas.cli import main
 from spingas.config import ConfigError, parse_config
+
+
+@pytest.fixture()
+def lsoda_rtols(monkeypatch):
+    """The rtol of every LSODA run, in order."""
+    seen = []
+    build = dyn._lsoda
+
+    def spy(model, s0, t_end, controls):
+        seen.append(controls.rtol)
+        return build(model, s0, t_end, controls)
+    monkeypatch.setattr(dyn, "_lsoda", spy)
+    return seen
 
 
 class TestConfig:
@@ -285,28 +300,60 @@ class TestCli:
 
         assert rows("collisions.gamma_c=1 GHz") != rows()
 
-    def test_susceptibility_receives_tolerances(self, tmp_path, capsys, monkeypatch):
-        # observed on the steady states themselves: each ends on its exact
-        # fixed point, so the written row no longer depends on the tolerance
-        from spingas import critfit
-        real = critfit.steady_state
-        seen = []
-
-        def spy(*args, controls=None, **kwargs):
-            seen.append(controls.rtol)
-            return real(*args, controls=controls, **kwargs)
-        monkeypatch.setattr(critfit, "steady_state", spy)
-
+    def test_susceptibility_receives_tolerances(self, tmp_path, capsys, lsoda_rtols):
+        # observed on the steady states' integrations themselves: each ends
+        # on its exact fixed point, so the written row no longer depends on
+        # the tolerance
         def rtols(*overrides):
             sets = [a for o in overrides for a in ("--set", o)]
             out = str(tmp_path / "chi.csv")
-            seen.clear()
+            lsoda_rtols.clear()
             assert main(sets + ["susceptibility", "--j", "2.3", "--i-values", "1.2",
                                 "--out", out]) == 0
-            return list(seen)
+            return list(lsoda_rtols)
 
         assert rtols("numerics.rtol=1e-4") == [1e-4] * 4
-        assert rtols() == [1e-10] * 4
+        assert rtols() == [dyn.STEADY_RTOL] * 4
+
+    def test_unset_tolerances_leave_each_entry_point_its_default(self, tmp_path, capsys,
+                                                                 lsoda_rtols):
+        # a fixed horizon runs at the trajectory default, a steady state
+        # (simulate and sweep alike) at its own; a set rtol reaches all
+        assert parse_config().controls() is None
+        out = str(tmp_path / "r")
+        commands = {
+            "trajectory": ["simulate", "--i", "2", "--j", "3", "--t-end", "0.05",
+                           "--out", out],
+            "simulate": ["simulate", "--i", "2", "--j", "3", "--out", out],
+            "sweep": ["--set", "sweep.i_over_gamma=2.0", "--set", "sweep.j_over_gamma=3.0",
+                      "--set", "sweep.workers=1", "sweep", "--out", out]}
+
+        def rtols(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            seen = {}
+            for name, argv in commands.items():
+                lsoda_rtols.clear()
+                assert main(sets + argv) == 0
+                seen[name] = list(lsoda_rtols)
+            return seen
+
+        assert rtols() == {"trajectory": [1e-10], "simulate": [dyn.STEADY_RTOL],
+                           "sweep": [dyn.STEADY_RTOL]}
+        assert dyn.IntegrationControls().rtol == 1e-10
+        assert rtols("numerics.rtol=1e-6") == {name: [1e-6] for name in commands}
+        assert parse_config(overrides={"numerics.atol": "1e-13"}).controls() == \
+            dyn.IntegrationControls(atol=1e-13)
+
+    def test_simulate_far_beyond_the_bracket_is_classified(self, tmp_path, capsys):
+        # the generator's entries reach 2.9e9 /s, whose rounding leaves the
+        # symmetric state a residual above 1e-9 Gamma; it is still the exact
+        # fixed point, so the run is not integrated (slow mode -122 /s)
+        out = str(tmp_path / "r")
+        start = time.perf_counter()
+        assert main(["simulate", "--i", "1e12", "--j", "3", "--out", out]) == 0
+        assert time.perf_counter() - start < 1.0
+        summary = json.loads(open(out + "_summary.json").read())
+        assert (summary["stop"], summary["steps"]) == ("symmetric", 0)
 
     @pytest.mark.parametrize("override", ["fields.pump_detuning=300 MHz",
                                           "fields.bias_detuning=300 MHz"],
