@@ -151,8 +151,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         summary = {"mode": "steady", "m_ss": res.m_ss, "tau_s": res.tau,
                    "tau_floored": res.floored, "eps": params.seed_polarization,
                    "converged": res.converged, "stop": res.stop,
-                   "steps": res.steps, "nfev": res.nfev, "njev": res.njev,
-                   "nlu": res.nlu}
+                   "steps": res.steps, "nfev": res.nfev, "njev": res.njev}
         nonconverged = not res.converged
     summary["params"] = {"i_over_gamma": args.i, "j_over_gamma": args.j,
                          "h_over_gamma": args.h, "gamma": cfg.gamma(),

@@ -124,7 +124,6 @@ class RunConfig:
             gamma_q=v[("collisions", "gamma_q")],
             gamma_p=v[("collisions", "gamma_p")],
             q_slowdown=v[("collisions", "q_slowdown")],
-            sigma_ex_v=v[("collisions", "sigma_ex_v")],
         )
 
     def doppler(self) -> DopplerSpec:
@@ -216,7 +215,8 @@ def _validate(section: str, key: str, value, line: int | None):
     if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
         raise ConfigError(f"value must be finite, got {value}", where, line)
     positive = {("relaxation", "gamma"), ("collisions", "gamma_c"),
-                ("collisions", "q_slowdown"), ("conditions", "sigma_e"),
+                ("collisions", "q_slowdown"), ("collisions", "sigma_ex_v"),
+                ("conditions", "sigma_e"),
                 ("conditions", "cell_length"), ("conditions", "s_axis"),
                 ("numerics", "rtol"), ("numerics", "atol")}
     if (section, key) in positive and value is not None and value <= 0:

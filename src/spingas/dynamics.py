@@ -206,20 +206,19 @@ class SimParams:
 @dataclass
 class Trajectory:
     """Recorded magnetization history M_z(t) = Tr(rho F_z)/F_max, with its
-    rate dM/dt at each recorded time when the run recorded it."""
+    rate dM/dt at each recorded time."""
 
     times: np.ndarray
     magnetization: np.ndarray
     final_state: np.ndarray   # the fixed point when a run stopped on one
-    rates: np.ndarray | None = None
+    rates: np.ndarray
 
     def response_crossing(self, fraction_of_final: float,
                           final: float | None = None) -> float | None:
         """First time |M| crosses ``fraction_of_final`` x |final| (default:
         the last recorded M), on the cubic Hermite interpolant of M and
         dM/dt at the two recorded times that bracket it (Hairer, Norsett
-        and Wanner, *Solving ODEs I*, II.6); linearly interpolated for a
-        trajectory without ``rates``."""
+        and Wanner, *Solving ODEs I*, II.6)."""
         final = self.magnetization[-1] if final is None else final
         target = fraction_of_final * abs(final)
         absm = np.abs(self.magnetization)
@@ -230,14 +229,9 @@ class Trajectory:
         if k == 0:
             return float(self.times[0])
         t0, t1 = self.times[k - 1], self.times[k]
-        m0, m1 = absm[k - 1], absm[k]
-        if self.rates is None:
-            if m1 == m0:
-                return float(t1)
-            return float(t0 + (target - m0) / (m1 - m0) * (t1 - t0))
         # |M| is sign x M wherever it reaches the target in [t0, t1]
         sign, h = math.copysign(1.0, self.magnetization[k]), float(t1 - t0)
-        y0, y1 = float(sign * self.magnetization[k - 1] - target), float(m1 - target)
+        y0, y1 = float(sign * self.magnetization[k - 1] - target), float(absm[k] - target)
         d0, d1 = sign * h * float(self.rates[k - 1]), sign * h * float(self.rates[k])
         return float(t0 + h * _first_root(
             y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1))
@@ -624,32 +618,31 @@ class DepartureOperators:
     mode all run here without a border.
 
     One stacked product v = W z + w yields the linear part and both factors
-    of each bilinear feedback term.  W stacks Q^T r_lin Q, the rows m_j Q
-    and the blocks qJ Q^T Q_j Q for each active j, and w stacks the same
-    maps applied to u, so that
+    of each of the ``k`` bilinear feedback terms.  W stacks Q^T r_lin Q,
+    the rows m_j Q and the blocks qJ Q^T Q_j Q for each active j, and w
+    stacks the same maps applied to u, so that
 
-        dz/dt = v_lin + sum_j v_mj v_Qj,
+        dz/dt = v_lin + v_m1 v_Q1 + v_m2 v_Q2 + ...,
 
-    whose linear part v_lin is ``lin @ z + lin_offset``.
+    summed in that order, whose linear part v_lin is
+    ``lin @ z + lin_offset``.  Its Jacobian is
+    lin + sum_j (v_mj Q^T Q_j Q + v_Qj (m_j Q)^T).
 
     ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
     arrays, so a solver does not pin the model.  Each call works in arrays
-    of its own, so concurrent runs share no work buffer.  With the one
-    feedback component of every 'hyperfine+zeeman' model with J > 0, they
-    form v_lin + v_m v_Q (and its Jacobian) in place, in the order of the
-    sums of the general form, so the two agree to the bit.
+    of its own, so concurrent runs share no work buffer.
 
     ``readout @ z + readout_offset`` gives the quantities every accepted
     step is recorded and checked on: M; then dM/dt = fz . rhs_coords(s),
     as its linear form fz r_lin s followed by the two factors m_j s and
-    qJ fz Q_j s of each of the ``k`` feedback terms (``rate``); then, in
+    qJ fz Q_j s of each feedback term (``rate``); then, in
     'hyperfine+zeeman', the populations."""
 
     def __init__(self, model: CompiledModel):
         q, u = model.m_basis, model.unpolarized_coords()
         n = q.shape[1]
         active = model._active_j if model.qj > 0 else ()
-        k = len(active)
+        k = self.k = len(active)
         # rows acting on s; W and w are these applied to Q and to u
         left = np.vstack([q.T @ model.r_lin]
                          + [model.m_rows[j][None, :] for j in active]
@@ -658,47 +651,30 @@ class DepartureOperators:
         lin = self.lin = w_mat[:n]
         self.lin_offset = w_off[:n]
         dot = w_mat.dot
-        if k == 1:
-            # a scalar multiply in place of the general form's (1,) @ (1, n)
-            # matmul: a steady state at (2, 3) runs about 11% faster
-            m_q, q_q = w_mat[n], w_mat[n + 1:]
+        # each feedback term's index of v_mj and slice of v_Qj
+        terms = [(n + i, slice(n + k + i * n, n + k + (i + 1) * n)) for i in range(k)]
 
-            def rhs(_t, z):
-                v = dot(z)
-                v += w_off
-                out = v[n + 1:]
-                out *= v[n]
-                out += v[:n]
-                return out
+        def rhs(_t, z):
+            v = dot(z)
+            v += w_off
+            out = v[:n]
+            for m, block in terms:
+                term = v[block]
+                term *= v[m]
+                term += out
+                out = term
+            return out
 
-            def jac(_t, z):
-                v = dot(z)
-                v += w_off
-                out = q_q * v[n]
-                out += lin
-                out += np.outer(v[n + 1:], m_q)
-                return out
-        else:
-            m_q = w_mat[n:n + k]
-            qj_flat = w_mat[n + k:].reshape(k, n * n)
-
-            def rhs(_t, z):
-                v = dot(z)
-                v += w_off
-                out = v[n:n + k] @ v[n + k:].reshape(k, n)
-                out += v[:n]
-                return out
-
-            def jac(_t, z):
-                v = dot(z)
-                v += w_off
-                out = (v[n:n + k] @ qj_flat).reshape(n, n)
-                out += lin
-                out += v[n + k:].reshape(k, n).T @ m_q
-                return out
+        def jac(_t, z):
+            v = dot(z)
+            v += w_off
+            out = lin.copy()
+            for m, block in terms:
+                out += w_mat[block] * v[m]
+                out += np.outer(v[block], w_mat[m])
+            return out
 
         self.rhs, self.jac = rhs, jac
-        self.k = k
         rows = [model.fz_row, model.fz_row @ model.r_lin]
         for j in active:
             rows += [model.m_rows[j], model.qj * (model.fz_row @ model.q_mats[j])]
@@ -855,17 +831,17 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     (the populations in 'hyperfine+zeeman', else the least eigenvalue of
     s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
     readout product (:class:`DepartureOperators`): when the block is full,
-    at a Newton gate, at the end of the run and before any raise.  So the
-    first step to lose positivity is reported, at most CHECK_BLOCK steps
-    late but before any later step's failure.  s is formed otherwise only
-    for a Newton attempt and the final state.
+    at the end of the run and before any raise.  So the first step to lose
+    positivity is reported, at most CHECK_BLOCK steps late but before any
+    later step's failure.  A Newton gate reads M of its state alone, from
+    the first readout row.  s is formed otherwise only for a Newton attempt
+    and the final state.
 
     Returns (times, magnetizations, rates, s_final, stop, counts), where
     ``rates`` holds dM/dt at the recorded times, ``stop`` is 'fixed-point'
     or 'budget' (``t_end`` reached) and ``counts`` holds the accepted
-    ``steps`` and the solver's ``nfev``, ``njev`` and ``nlu`` as ``int``,
-    read from LSODA's iwork (LSODA factorizes once per Jacobian, so
-    ``njev == nlu``).
+    ``steps`` and the solver's ``nfev`` and ``njev`` as ``int``, read from
+    LSODA's iwork.
 
     With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
     point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
@@ -914,8 +890,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     with _lent_work_arrays(lsoda) as iwork:
 
         def counts():
-            return {"steps": n_steps, "nfev": int(iwork[11]), "njev": int(iwork[12]),
-                    "nlu": int(iwork[12])}
+            return {"steps": n_steps, "nfev": int(iwork[11]), "njev": int(iwork[12])}
 
         while t < t_end:
             if n_steps >= MAX_STEPS or (n_steps >= BUDGET_PROJECTION_STEPS
@@ -940,8 +915,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
             if len(block_t) == CHECK_BLOCK:
                 flush()
             if stop_at_fixed_point and t >= next_newton:
-                flush()
-                m = mags[-1]
+                m = float(m_q @ z) + offsets[0]
                 next_newton = t + STEADY_WINDOW_T1 / gamma
                 f = ops.rhs(t, z)
                 if (abs(float(m_q @ f))
@@ -998,9 +972,9 @@ class SteadyResult:
     converge.  ``stop`` says how the run ended: on an exact fixed point,
     'symmetric' (classified without integrating) or 'fixed-point' (Newton
     stop), or 'budget' (``max_time`` reached, not converged).  ``steps``
-    counts the accepted steps; ``nfev``, ``njev`` and ``nlu`` are the
-    solver's right-hand-side, Jacobian and LU-factorization counts (LSODA
-    factorizes once per Jacobian, so ``njev == nlu``)."""
+    counts the accepted steps; ``nfev`` and ``njev`` are the solver's
+    right-hand-side and Jacobian counts (LSODA factorizes once per
+    Jacobian)."""
 
     m_ss: float
     trajectory: Trajectory
@@ -1010,7 +984,6 @@ class SteadyResult:
     steps: int
     nfev: int
     njev: int
-    nlu: int
 
     @property
     def converged(self) -> bool:
@@ -1064,9 +1037,10 @@ def steady_state(params: SimParams, max_time: float | None = None,
     s0 = model.seed_coords(params.seed_polarization)
     s_sym = _classified(model, params.seed_polarization)
     if s_sym is not None:
-        times, mags, rates = np.zeros(1), np.array([model.magnetization(s0)]), None
+        times, mags = np.zeros(1), np.array([model.magnetization(s0)])
+        rates = np.array([model.fz_row @ model.rhs_coords(s0)])
         s, stop = s_sym, "symmetric"
-        counts = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
+        counts = {"steps": 0, "nfev": 0, "njev": 0}
     else:
         times, mags, rates, s, stop, counts = _integrate_coords(
             model, s0, max_time, controls, stop_at_fixed_point=True)

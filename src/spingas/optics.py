@@ -142,10 +142,9 @@ class CollisionParams:
     gamma_q: float       # quenching of the excited level
     gamma_p: float       # excited-level electron-spin destruction
     q_slowdown: float    # nuclear slow-down factor of electron-spin rates
-    sigma_ex_v: float    # spin-exchange rate coefficient, cm^3/s
 
     def __post_init__(self):
-        for name in ("gamma_c", "gamma_q", "gamma_p", "sigma_ex_v"):
+        for name in ("gamma_c", "gamma_q", "gamma_p"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.q_slowdown <= 1:
@@ -158,7 +157,6 @@ def cesium_collisions() -> CollisionParams:
         gamma_q=units.frequency("265 MHz"),
         gamma_p=units.frequency("219 MHz"),
         q_slowdown=4.57,
-        sigma_ex_v=7e-10,
     )
 
 

@@ -276,12 +276,6 @@ def zeeman_hamiltonian(spec: AtomSpec, b_z: float, basis: CoupledBasis,
     return Operator(g * b_z * sz, basis.level, basis.level)
 
 
-def hyperfine_interval(spec: AtomSpec, level: str) -> float:
-    """Splitting between the two hyperfine manifolds of a level."""
-    a = spec.a_ground if level == GROUND else spec.a_excited
-    return a * float(spec.nuclear_spin + spec.electron_spin)
-
-
 def dipole_operator(basis_g: CoupledBasis, basis_e: CoupledBasis) -> VectorOperator:
     """Cartesian dipole blocks coupling ground to excited (rows: excited).
 

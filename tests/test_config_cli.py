@@ -74,6 +74,13 @@ class TestConfig:
             parse_config(overrides={"relaxation.gamma": "-5 /s"})
         assert "relaxation.gamma" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["0", "-7e-10"])
+    def test_nonpositive_exchange_coefficient_rejected(self, value):
+        # only the conditions map reads it, so it is checked where it is parsed
+        with pytest.raises(ConfigError, match="> 0") as err:
+            parse_config(overrides={"collisions.sigma_ex_v": value})
+        assert "collisions.sigma_ex_v" in str(err.value)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [
         "numerics.rtol", "numerics.atol", "numerics.seed_polarization",
