@@ -3,8 +3,8 @@
 Subcommands: simulate, sweep, contour, susceptibility, fit, table2,
 selftest.  All artifacts are written atomically, embed the tool version and
 the resolved-configuration hash, and are byte-identical for identical
-configurations (the worker count never affects output content, and every
-command runs BLAS on one thread).
+configurations (the worker count never affects output content, and the
+package runs BLAS on one thread from its import on).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 non-convergence, 5 I/O error.
@@ -49,7 +49,6 @@ from .optics import AtomSystem, pump_field
 from .sweep import (
     SchemaError,
     SweepGrid,
-    _pin_blas_threads,
     extract_contour,
     gnuplot_matrix,
     load_sweep,
@@ -233,6 +232,8 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         if args.weights not in (None, scheme):
             raise ValueError(f"the {args.form} form always uses {scheme} weights")
     if args.form == "delta":
+        if args.exclude not in (None, 0):
+            raise ValueError("the delta form excludes no points")
         result = fit_delta(x, y)
     elif divergent:
         result = _fit_divergent(args.form, x, y,
@@ -368,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _pin_blas_threads()
     try:
         return _COMMANDS[args.command](args, cfg)
     except (SchemaError, OSError, ValueError) as exc:

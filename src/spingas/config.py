@@ -25,7 +25,8 @@ from . import units
 from .dynamics import PROJECTION_MODES, IntegrationControls, gamma_of_temperature
 from .optics import CollisionParams, DopplerSpec, doppler_width
 from .spin_algebra import AtomSpec
-from .sweep import ConditionsMap, lorentzian_cross_section
+from .sweep import (ATTENUATION_MODES, J_CONVENTIONS, ConditionsMap,
+                    lorentzian_cross_section)
 
 
 class ConfigError(ValueError):
@@ -225,9 +226,14 @@ def _validate(section: str, key: str, value, line: int | None):
         raise ConfigError(f"unknown projection mode {value!r}", where, line)
     if (section, key) == ("numerics", "seed_polarization") and abs(value) > 0.01:
         raise ConfigError("|seed_polarization| must be <= 0.01", where, line)
-    if (section, key) == ("conditions", "attenuation_mode") and \
-            value not in ("point", "path-averaged", "off"):
+    if (section, key) == ("conditions", "attenuation_mode") and value not in ATTENUATION_MODES:
         raise ConfigError(f"unknown attenuation mode {value!r}", where, line)
+    if (section, key) == ("conditions", "j_convention") and value not in J_CONVENTIONS:
+        raise ConfigError(f"unknown J convention {value!r}", where, line)
+    if (section, key) == ("sweep", "workers") and value != "auto" and \
+            not (value.isdecimal() and int(value) >= 1):
+        raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {value!r}",
+                          where, line)
 
 
 def parse_config(path: str | None = None,

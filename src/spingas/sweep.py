@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import functools
 import glob
 import importlib.util
 import io
@@ -52,6 +51,9 @@ SCHEMA_VERSION = 1
 LINE_PEAK_CM2 = 2.2e-11
 LINE_HWHM = units.frequency("137 MHz")
 
+ATTENUATION_MODES = ("point", "path-averaged", "off")
+J_CONVENTIONS = ("collision-rate", "measured")
+
 
 def lorentzian_cross_section(detuning: float | None = None) -> float:
     """Absorption cross-section in the Lorentzian wing, cm^2: roughly
@@ -77,9 +79,9 @@ class ConditionsMap:
         for name in ("sigma_ex_v", "s_axis", "sigma_e", "cell_length"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.attenuation_mode not in ("point", "path-averaged", "off"):
+        if self.attenuation_mode not in ATTENUATION_MODES:
             raise ValueError(f"unknown attenuation mode {self.attenuation_mode!r}")
-        if self.j_convention not in ("collision-rate", "measured"):
+        if self.j_convention not in J_CONVENTIONS:
             raise ValueError(f"unknown J convention {self.j_convention!r}")
 
     def attenuation(self, n: float) -> float:
@@ -226,12 +228,15 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-@functools.cache
-def _openblas_thread_setters() -> tuple:
-    """The thread-count setters of the OpenBLAS libraries that the numpy and
-    scipy wheels bundle (``numpy.libs``, ``scipy.libs``).  Opening a library
-    numpy or scipy has already loaded returns that same library."""
-    setters = []
+def _pin_blas_threads() -> int | None:
+    """Run the OpenBLAS libraries that the numpy and scipy wheels bundle
+    (``numpy.libs``, ``scipy.libs``) on one thread, in this process and the
+    workers it forks, and return that count; ``None``, with a warning, when
+    neither library is found.  Environment variables cannot do this once
+    numpy is imported, and the thread count changes the blocking of the LU
+    factorizations and so the last bits of every solve.  Opening a library
+    that is already loaded returns that same library."""
+    pinned = None
     for pkg in ("numpy", "scipy"):
         spec = importlib.util.find_spec(pkg)
         libs = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), pkg + ".libs")
@@ -243,46 +248,35 @@ def _openblas_thread_setters() -> tuple:
                 if setter is not None:
                     setter.argtypes = [ctypes.c_int]
                     setter.restype = None
-                    setters.append(setter)
+                    setter(1)
+                    pinned = 1
                     break
-    return tuple(setters)
-
-
-def _pin_blas_threads() -> int | None:
-    """Run the bundled OpenBLAS libraries on one thread in this process and
-    the workers it forks, and return that count; ``None``, with a warning,
-    when neither library is found.  Environment variables cannot do this
-    once numpy is imported, and the thread count changes the blocking of
-    the LU factorizations and so the last bits of every cell."""
-    setters = _openblas_thread_setters()
-    if not setters:
+    if pinned is None:
         warnings.warn("no bundled OpenBLAS library found: the BLAS thread count "
                       "is not pinned", RuntimeWarning, stacklevel=2)
-        return None
-    for setter in setters:
-        setter(1)
-    return 1
+    return pinned
 
 
-def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
-               sim_kwargs: dict) -> tuple[int | None, list]:
-    """``_sweep_task`` over the tasks on one BLAS thread, in a fork pool
-    when there are workers to share them; returns the pinned BLAS thread
-    count and the results.  One pumped model with the tasks' ``gamma`` and
-    ``sim_kwargs`` is compiled here first, so the workers inherit its cached
-    parts and calibrations instead of each building them again.
-    ``scipy.integrate``, which the integrator imports on first use, is
-    imported here too, so that no worker pays for that import."""
-    blas_threads = _pin_blas_threads()
+# Pinned once, when the package is imported (``spingas/__init__`` imports
+# this module), so that library calls, sweeps and commands alike run on it.
+BLAS_THREADS = _pin_blas_threads()
+
+
+def _run_tasks(tasks: list, workers: int, base: SimParams) -> list:
+    """``_sweep_task`` over the tasks, in a fork pool when there are
+    workers to share them.  The model of ``base`` is compiled here first,
+    so the workers inherit its cached parts and calibrations instead of
+    each building them again.  ``scipy.integrate``, which the integrator
+    imports on first use, is imported here too, so that no worker pays for
+    that import."""
     if workers <= 1 or len(tasks) <= 2:
-        return blas_threads, list(map(_sweep_task, tasks))
-    CompiledModel(SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
-                                       gamma=gamma, **sim_kwargs))
+        return list(map(_sweep_task, tasks))
+    CompiledModel(base)
     import scipy.integrate  # noqa: F401
     ctx = multiprocessing.get_context("fork")
     pool = ctx.Pool(processes=workers)
     try:
-        return blas_threads, pool.map(_sweep_task, tasks, chunksize=chunksize)
+        return pool.map(_sweep_task, tasks, chunksize=4)
     finally:
         pool.close()
         pool.join()
@@ -290,8 +284,6 @@ def _run_tasks(tasks: list, workers: int, chunksize: int, gamma: float,
 
 def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
               cmap: ConditionsMap | None = None,
-              projection_mode: str = "hyperfine+zeeman",
-              seed_polarization: float = 1e-4, b_z: float = 1.0,
               workers: int | None = None,
               max_time: float | None = None,
               controls: IntegrationControls | None = None,
@@ -299,25 +291,24 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
     """Run steady-state and response-time simulations over a grid.
 
     ``sim_kwargs`` are further :class:`SimParams` fields of every cell
-    (atom, coll, doppler, light_shift).  Cell failures are recorded per
-    cell and never abort the sweep.  The output is bitwise independent of
-    the worker count."""
+    (projection_mode, seed_polarization, b_z, atom, coll, doppler,
+    light_shift, ...), with the :class:`SimParams` defaults for the rest;
+    the manifest records the first three as resolved.  Cell failures are
+    recorded per cell and never abort the sweep.  The output is bitwise
+    independent of the worker count."""
     cmap = cmap if cmap is not None else ConditionsMap()
     workers = workers if workers is not None else default_workers()
-    cell_kwargs = dict(sim_kwargs, projection_mode=projection_mode,
-                       seed_polarization=seed_polarization, b_z=b_z)
+    base = SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
+                                gamma=gamma, **sim_kwargs)
     tasks = []
     for ii, jj, i_axis, j_axis in grid.cells():
         n = grid.densities[jj]
-        phi = grid.powers[ii]
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
-        i_eff = i_axis * att
-        tasks.append((ii, jj, i_axis, j_axis, i_eff, n, phi, gamma,
-                      cell_kwargs, max_time, controls))
+        tasks.append((ii, jj, i_axis, j_axis, i_axis * att, n, grid.powers[ii],
+                      gamma, sim_kwargs, max_time, controls))
     ni = len(grid.i_over_gamma)
     cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
-    blas_threads, results = _run_tasks(tasks, workers, 4, gamma, cell_kwargs)
-    for ii, jj, cell in results:
+    for ii, jj, cell in _run_tasks(tasks, workers, base):
         cells[jj * ni + ii] = cell
     return SweepResult(
         grid=grid, cells=cells,
@@ -325,15 +316,15 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
             "schema_version": SCHEMA_VERSION,
             "code_version": __version__,
             "gamma": gamma,
-            "projection_mode": projection_mode,
-            "seed_polarization": seed_polarization,
-            "b_z": b_z,
+            "projection_mode": base.projection_mode,
+            "seed_polarization": base.seed_polarization,
+            "b_z": base.b_z,
             "attenuation_mode": cmap.attenuation_mode,
             "sigma_e": cmap.sigma_e,
             "sigma_ex_v": cmap.sigma_ex_v,
             "cell_length": cmap.cell_length,
             "j_convention": cmap.j_convention,
-            "blas_threads": blas_threads,
+            "blas_threads": BLAS_THREADS,
             "migrations": [],
         })
 
@@ -361,32 +352,27 @@ def extract_contour(result: SweepResult, axis: str, value: float,
     raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
 
 
-def refine_contour(axis: str, value: float, points, gamma: float = GAMMA_BASE,
-                   quantity: str = "m_signed", workers: int | None = None,
-                   max_time: float | None = None,
-                   controls: IntegrationControls | None = None,
-                   **sim_kwargs) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 1-D series computed directly (no 2-D sweep), for fitting.
+def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
+                   **sweep_kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1-D series for fitting: :func:`run_sweep` on the one grid
+    line through ``points``, which must be strictly increasing.
 
     ``axis='fixed-J'`` varies I/Gamma over ``points`` at J/Gamma = value;
-    ``axis='fixed-I'`` varies J/Gamma.  ``quantity`` is 'm_signed', 'm_abs'
-    or 'tau'; it is NaN wherever the cell did not converge, so a fit never
-    consumes a partial magnetization.  ``max_time`` and ``controls`` reach
-    every point's :func:`steady_state` as in :func:`run_sweep`."""
+    ``axis='fixed-I'`` varies J/Gamma; any other axis raises ValueError.
+    ``quantity`` is 'm_signed', 'm_abs' or 'tau'; it is NaN wherever the
+    cell did not converge, so a fit never consumes a partial
+    magnetization.  ``sweep_kwargs`` (gamma, workers, max_time, controls
+    and :class:`SimParams` fields) go to :func:`run_sweep`."""
     attr = {"m_signed": "m_signed", "m_abs": "m_abs", "tau": "tau_s"}.get(quantity)
     if attr is None:
         raise ValueError(f"quantity must be 'm_signed', 'm_abs' or 'tau', not {quantity!r}")
-    points = [float(x) for x in points]
-    tasks = []
-    for x in points:
-        i_ax, j_ax = (x, value) if axis == "fixed-J" else (value, x)
-        tasks.append((0, 0, i_ax, j_ax, i_ax, float("nan"), float("nan"),
-                      gamma, sim_kwargs, max_time, controls))
-    workers = workers if workers is not None else default_workers()
-    _, results = _run_tasks(tasks, workers, 1, gamma, sim_kwargs)
-    ys = [getattr(cell, attr) if cell.converged else float("nan")
-          for _, _, cell in results]
-    return np.array(points), np.array(ys)
+    if axis not in ("fixed-J", "fixed-I"):
+        raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
+    line = (points, [value]) if axis == "fixed-J" else ([value], points)
+    result = run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs)
+    xs = result.grid.i_over_gamma if axis == "fixed-J" else result.grid.j_over_gamma
+    ys = [getattr(c, attr) if c.converged else float("nan") for c in result.cells]
+    return np.array(xs), np.array(ys)
 
 
 CSV_COLUMNS = ("n", "phi", "J_over_Gamma", "I_over_Gamma", "I_effective",

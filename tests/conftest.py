@@ -2,15 +2,6 @@ import numpy as np
 import pytest
 
 from spingas.optics import AtomSystem, cesium_collisions, cesium_doppler
-from spingas.sweep import _pin_blas_threads
-
-
-@pytest.fixture(scope="session", autouse=True)
-def one_blas_thread():
-    """One OpenBLAS thread for the whole session, as every CLI command and
-    sweep pins it, so a test's last bits do not depend on which tests ran
-    before it."""
-    _pin_blas_threads()
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,14 @@ class TestConfig:
             parse_config(overrides={"sweep.i_over_gamma": axis})
         assert "[sweep.i_over_gamma]" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("conditions.j_convention", "foo"), ("sweep.workers", "-3"),
+        ("sweep.workers", "0"), ("sweep.workers", "two"), ("sweep.workers", "1.5")])
+    def test_unknown_choice_rejected_with_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={key: value})
+        assert f"[{key}]" in str(err.value)
+
     def test_temperature_law(self):
         cfg = parse_config(overrides={"relaxation.temperature_c": "87"})
         assert cfg.gamma() == pytest.approx(58.0 + 0.35 * 12)
@@ -197,6 +205,13 @@ class TestCli:
                      "--weights", weights, "--out", prefix]) == 2
         assert not os.path.exists(prefix + "_fit.json")
 
+    def test_fit_rejects_an_exclusion_the_form_ignores(self, tmp_path):
+        series = self._series(tmp_path, np.linspace(1.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", "delta",
+                     "--exclude", "5", "--out", prefix]) == 2
+        assert not os.path.exists(prefix + "_fit.json")
+
     def test_fit_rejects_nonpositive_abscissae(self, tmp_path):
         series = self._series(tmp_path, np.linspace(0.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
         prefix = str(tmp_path / "fit")
@@ -242,6 +257,29 @@ class TestCli:
         bad.write_text("[relaxation]\ngamma = -2 /s\n")
         rc = main(["--config", str(bad), "table2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_bad_j_convention_is_a_config_error(self, tmp_path, capsys, command):
+        out = str(tmp_path / "r")
+        rc = main(["--set", "conditions.j_convention=foo", "--set", "sweep.i_over_gamma=0.2",
+                   "--set", "sweep.j_over_gamma=0.8", command, "--out", out])
+        assert rc == 2
+        assert "[conditions.j_convention]" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_selftest_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        checks = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[")]
+        assert checks and all(line.startswith("[PASS]") for line in checks)
+
+    def test_failing_selftest_check_is_a_numerical_failure(self, monkeypatch, capsys):
+        from spingas import selftest
+        monkeypatch.setattr(selftest, "clebsch_gordan", lambda *args: 0.0)
+        assert main(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] Clebsch-Gordan unitarity" in out
+        assert "selftest FAILED" in out
 
     @pytest.mark.parametrize("flag", ["--i", "--j", "--h", "--seed"])
     def test_simulate_rejects_non_finite_input(self, tmp_path, capsys, flag):

@@ -180,8 +180,8 @@ class TestRunSweep:
         return outputs
 
     def test_blas_thread_count_does_not_reach_the_bytes(self, tmp_path):
-        # OpenBLAS reads its thread count at numpy's import; the sweep pins
-        # one thread whatever the environment asked for
+        # OpenBLAS reads its thread count at numpy's import; the package
+        # pins one thread at its own import, whatever the environment asked for
         script = ("import sys\n"
                   "from spingas.sweep import SweepGrid, run_sweep, save_sweep\n"
                   "res = run_sweep(SweepGrid.from_rates([2.0], [3.0]), workers=1)\n"
@@ -191,8 +191,21 @@ class TestRunSweep:
         one, two = self._bytes_under_blas_threads(["-c", script, *paths], paths)
         assert one == two
 
+    def test_blas_thread_count_does_not_reach_a_library_call(self, tmp_path):
+        # the package pins one thread when it is imported, so a plain
+        # steady state (demo 06's 'hyperfine' point) needs no sweep or command
+        script = ("import sys\n"
+                  "from spingas import SimParams, critical_pump_rate, steady_state\n"
+                  "p = SimParams.from_rates(critical_pump_rate(2.6) * 1.15, 2.6,\n"
+                  "                         projection_mode='hyperfine', b_z=1e-4)\n"
+                  "res = steady_state(p)\n"
+                  "open(sys.argv[1], 'w').write(repr((res.m_ss, res.tau, res.steps)))\n")
+        path = str(tmp_path / "steady.txt")
+        one, two = self._bytes_under_blas_threads(["-c", script, path], [path])
+        assert one == two
+
     def test_blas_thread_count_does_not_reach_the_cli_bytes(self, tmp_path):
-        # every command pins it, not only the sweep
+        # nor the artifacts of the other commands
         out = str(tmp_path / "run")
         args = ["-m", "spingas.cli", "simulate", "--i", "1.2", "--j", "3.7",
                 "--trajectory", "--out", out]
@@ -292,6 +305,16 @@ class TestContours:
         xs, ys = refine_contour("fixed-J", 3.8, [0.4, 2.0], workers=1)
         assert abs(ys[0]) < 1e-6
         assert abs(ys[1]) > 0.2
+
+    @pytest.mark.parametrize("axis", ["fixed-H", "J"])
+    def test_refine_contour_rejects_an_unknown_axis(self, axis):
+        with pytest.raises(ValueError, match="axis"):
+            refine_contour(axis, 3.8, [0.4], workers=1)
+
+    @pytest.mark.parametrize("points", [[2.0, 0.4], [0.4, 0.4], []])
+    def test_refine_contour_rejects_points_not_strictly_increasing(self, points):
+        with pytest.raises(ValueError, match="axis"):
+            refine_contour("fixed-I", 3.8, points, workers=1)
 
     def test_refine_contour_unconverged_is_nan(self):
         # (1.0, 3.8) needs about 1.9 s to settle, (0.4, 3.8) about 0.6 s
