@@ -47,6 +47,7 @@ from .dynamics import (
 )
 from .optics import AtomSystem, pump_field
 from .sweep import (
+    MAP_QUANTITIES,
     SchemaError,
     SweepGrid,
     extract_contour,
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, help="sweep manifest JSON")
     p.add_argument("--axis", choices=("fixed-J", "fixed-I"), required=True)
     p.add_argument("--value", type=float, required=True)
-    p.add_argument("--quantity", choices=("m_abs", "tau"), default="m_abs")
+    p.add_argument("--quantity", choices=MAP_QUANTITIES, default="m_abs")
     p.add_argument("--out", required=True, help="output CSV")
 
     p = sub.add_parser("susceptibility", help="chi = dM/dH along an I scan")

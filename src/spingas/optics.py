@@ -286,10 +286,8 @@ def atom_system(spec: AtomSpec, b_z: float) -> AtomSystem:
     """Shared, read-only :class:`AtomSystem` of ``(spec, b_z)``, built once
     per process (the exact Clebsch-Gordan sums dominate its cost)."""
     system = AtomSystem(spec, b_z)
-    ops = [op for level in (system.ops_g, system.ops_e) for op in level.values()]
     for a in (system.h_g, system.h_e, *system._eig_g, *system._eig_e,
-              *system.dipole.matrices, *system.dipole_sph.values(),
-              *(m for op in ops for m in op.matrices)):
+              *system.dipole.matrices, *system.dipole_sph.values()):
         _frozen(a)
     return system
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,13 +44,22 @@ def _fact(x: Fraction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cg_cached(j1: Fraction, m1: Fraction, j2: Fraction, m2: Fraction,
-               J: Fraction, M: Fraction) -> float:
+def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
+    """Condon-Shortley coefficient <j1 m1; j2 m2 | J M>.
+
+    Zero when M != m1 + m2 or the triangle rule fails; raises ``ValueError``
+    for non-half-integer arguments or |m| > j.  Cached: equal arguments of
+    any numeric type (3.5, Fraction(7, 2)) share one entry.
+    """
+    j1, m1 = _as_half_integer(j1, "j1"), _as_half_integer(m1, "m1")
+    j2, m2 = _as_half_integer(j2, "j2"), _as_half_integer(m2, "m2")
+    J, M = _as_half_integer(J, "J"), _as_half_integer(M, "M")
+    for j, m, nm in ((j1, m1, "m1"), (j2, m2, "m2"), (J, M, "M")):
+        if abs(m) > j or (j + m).denominator != 1:
+            raise ValueError(f"{nm}={m} is not a valid projection for j={j}")
     if M != m1 + m2:
         return 0.0
     if J < abs(j1 - j2) or J > j1 + j2 or (j1 + j2 + J).denominator != 1:
-        return 0.0
-    if abs(M) > J:
         return 0.0
     # Racah's closed form, evaluated in exact rational arithmetic; the only
     # rounding is the final square root.
@@ -70,21 +80,6 @@ def _cg_cached(j1: Fraction, m1: Fraction, j2: Fraction, m2: Fraction,
         ksum += Fraction((-1) ** int(k), denom)
         k += 1
     return float(ksum) * math.sqrt(float(pre))
-
-
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """Condon-Shortley coefficient <j1 m1; j2 m2 | J M>.
-
-    Zero when M != m1 + m2 or the triangle rule fails; raises ``ValueError``
-    for non-half-integer arguments or |m| > j.
-    """
-    j1, m1 = _as_half_integer(j1, "j1"), _as_half_integer(m1, "m1")
-    j2, m2 = _as_half_integer(j2, "j2"), _as_half_integer(m2, "m2")
-    J, M = _as_half_integer(J, "J"), _as_half_integer(M, "M")
-    for j, m, nm in ((j1, m1, "m1"), (j2, m2, "m2"), (J, M, "M")):
-        if abs(m) > j or (j + m).denominator != 1:
-            raise ValueError(f"{nm}={m} is not a valid projection for j={j}")
-    return _cg_cached(j1, m1, j2, m2, J, M)
 
 
 @dataclass(frozen=True)
@@ -229,9 +224,10 @@ def coupling_unitary(basis: CoupledBasis) -> np.ndarray:
     return u.astype(complex)
 
 
-def angular_momentum_operators(basis: CoupledBasis) -> dict[str, VectorOperator]:
+@lru_cache(maxsize=8)
+def angular_momentum_operators(basis: CoupledBasis) -> MappingProxyType[str, VectorOperator]:
     """S (electronic, within-manifold), I (nuclear) and F = I + S in the
-    coupled basis."""
+    coupled basis; built once per basis, read-only and shared."""
     je, i_n = basis.electron_spin, basis.nuclear_spin
     ni = int(2 * i_n + 1)
     ne = int(2 * je + 1)
@@ -244,13 +240,14 @@ def angular_momentum_operators(basis: CoupledBasis) -> dict[str, VectorOperator]
         ops = []
         for comp in prod_components:
             mat = u @ comp @ u.conj().T
+            mat.flags.writeable = False
             ops.append(Operator(mat, tag, tag))
         return VectorOperator(*ops)
 
     s_prod = [np.kron(c, np.eye(ni)) for c in se]
     i_prod = [np.kron(np.eye(ne), c) for c in inuc]
     f_prod = [a + b for a, b in zip(s_prod, i_prod)]
-    return {"S": vec(s_prod), "I": vec(i_prod), "F": vec(f_prod)}
+    return MappingProxyType({"S": vec(s_prod), "I": vec(i_prod), "F": vec(f_prod)})
 
 
 def hyperfine_hamiltonian(spec: AtomSpec, basis: CoupledBasis, level: str) -> Operator:

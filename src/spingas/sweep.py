@@ -29,7 +29,7 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -174,12 +174,45 @@ class CellResult:
     phi: float
     i_effective: float
     m_signed: float
-    m_abs: float
     tau_s: float
     tau_floored: bool
     converged: bool
     eps: float
     error: str = ""
+
+    @property
+    def m_abs(self) -> float:
+        return abs(self.m_signed)
+
+
+_FLOAT = (lambda v: f"{v:.17g}", float)
+_FLAG = (lambda v: str(int(v)), lambda s: bool(int(s)))
+_TEXT = (str, str)
+
+# The cells CSV, one entry per column in file order: the header name, the
+# CellResult attribute, and the writer and parser of its text.  A column
+# whose attribute is a property restates fields for readers of the file;
+# the loader checks it and stores nothing from it.
+CELL_COLUMNS = (
+    ("n", "n", *_FLOAT),
+    ("phi", "phi", *_FLOAT),
+    ("J_over_Gamma", "j_over_gamma", *_FLOAT),
+    ("I_over_Gamma", "i_over_gamma", *_FLOAT),
+    ("I_effective", "i_effective", *_FLOAT),
+    ("M_signed", "m_signed", *_FLOAT),
+    ("M_abs", "m_abs", *_FLOAT),
+    ("tau_s", "tau_s", *_FLOAT),
+    ("tau_floored", "tau_floored", *_FLAG),
+    ("converged", "converged", *_FLAG),
+    ("eps", "eps", *_FLOAT),
+    ("error", "error", *_TEXT),
+)
+_CELL_FIELDS = {f.name for f in fields(CellResult)}
+
+# Readout name -> CellResult attribute.  The grid maps read |M| and tau; a
+# refined line also reads the signed magnetization, for the critical fits.
+QUANTITIES = {"m_abs": "m_abs", "tau": "tau_s", "m_signed": "m_signed"}
+MAP_QUANTITIES = ("m_abs", "tau")
 
 
 @dataclass
@@ -193,16 +226,14 @@ class SweepResult:
 
     def matrix(self, quantity: str) -> np.ndarray:
         """The (J, I) map of 'm_abs' or 'tau'; any other name raises ValueError."""
-        attr = {"m_abs": "m_abs", "tau": "tau_s"}.get(quantity)
-        if attr is None:
+        if quantity not in MAP_QUANTITIES:
             raise ValueError(f"quantity must be 'm_abs' or 'tau', not {quantity!r}")
         ni, nj = len(self.grid.i_over_gamma), len(self.grid.j_over_gamma)
-        return np.array([getattr(c, attr) for c in self.cells]).reshape(nj, ni)
+        return np.array([getattr(c, QUANTITIES[quantity]) for c in self.cells]).reshape(nj, ni)
 
 
 def _sweep_task(args):
-    (ii, jj, i_axis, j_axis, i_eff, n, phi, gamma, sim_kwargs,
-     max_time, controls) = args
+    i_axis, j_axis, i_eff, n, phi, gamma, sim_kwargs, max_time, controls = args
     p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
                              gamma=gamma, **sim_kwargs)
     nan = float("nan")
@@ -216,9 +247,9 @@ def _sweep_task(args):
             error = f"no steady state within {res.t_converge:.1f} s"
     except IntegrationError as exc:
         error = str(exc)
-    return ii, jj, CellResult(
+    return CellResult(
         i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
-        i_effective=i_eff, m_signed=m_ss, m_abs=abs(m_ss), tau_s=tau,
+        i_effective=i_eff, m_signed=m_ss, tau_s=tau,
         tau_floored=floored, converged=converged, eps=p.seed_polarization,
         error=error)
 
@@ -263,10 +294,10 @@ BLAS_THREADS = _pin_blas_threads()
 
 
 def _run_tasks(tasks: list, workers: int, base: SimParams) -> list:
-    """``_sweep_task`` over the tasks, in a fork pool when there are
-    workers to share them.  The model of ``base`` is compiled here first,
-    so the workers inherit its cached parts and calibrations instead of
-    each building them again.  ``scipy.integrate``, which the integrator
+    """The cells of ``_sweep_task`` over the tasks, in task order, in a
+    fork pool when there are workers to share them.  The model of
+    ``base`` is compiled here first, so the workers inherit its cached
+    parts and calibrations instead of each building them again.  ``scipy.integrate``, which the integrator
     imports on first use, is imported here too, so that no worker pays for
     that import."""
     if workers <= 1 or len(tasks) <= 2:
@@ -304,14 +335,10 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
     for ii, jj, i_axis, j_axis in grid.cells():
         n = grid.densities[jj]
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
-        tasks.append((ii, jj, i_axis, j_axis, i_axis * att, n, grid.powers[ii],
+        tasks.append((i_axis, j_axis, i_axis * att, n, grid.powers[ii],
                       gamma, sim_kwargs, max_time, controls))
-    ni = len(grid.i_over_gamma)
-    cells: list[CellResult | None] = [None] * (ni * len(grid.j_over_gamma))
-    for ii, jj, cell in _run_tasks(tasks, workers, base):
-        cells[jj * ni + ii] = cell
     return SweepResult(
-        grid=grid, cells=cells,
+        grid=grid, cells=_run_tasks(tasks, workers, base),
         provenance={
             "schema_version": SCHEMA_VERSION,
             "code_version": __version__,
@@ -363,21 +390,15 @@ def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
     cell did not converge, so a fit never consumes a partial
     magnetization.  ``sweep_kwargs`` (gamma, workers, max_time, controls
     and :class:`SimParams` fields) go to :func:`run_sweep`."""
-    attr = {"m_signed": "m_signed", "m_abs": "m_abs", "tau": "tau_s"}.get(quantity)
-    if attr is None:
+    if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be 'm_signed', 'm_abs' or 'tau', not {quantity!r}")
     if axis not in ("fixed-J", "fixed-I"):
         raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
     line = (points, [value]) if axis == "fixed-J" else ([value], points)
     result = run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs)
     xs = result.grid.i_over_gamma if axis == "fixed-J" else result.grid.j_over_gamma
-    ys = [getattr(c, attr) if c.converged else float("nan") for c in result.cells]
+    ys = [getattr(c, QUANTITIES[quantity]) if c.converged else float("nan") for c in result.cells]
     return np.array(xs), np.array(ys)
-
-
-CSV_COLUMNS = ("n", "phi", "J_over_Gamma", "I_over_Gamma", "I_effective",
-               "M_signed", "M_abs", "tau_s", "tau_floored", "converged",
-               "eps", "error")
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -396,24 +417,15 @@ def save_sweep(result: SweepResult, csv_path: str, manifest_path: str | None = N
     if header_comment:
         buf.write(f"# {header_comment}\n")
     w = csv.writer(buf)
-    w.writerow(CSV_COLUMNS)
+    w.writerow([name for name, *_ in CELL_COLUMNS])
     for c in result.cells:
-        w.writerow([
-            f"{c.n:.17g}", f"{c.phi:.17g}", f"{c.j_over_gamma:.17g}",
-            f"{c.i_over_gamma:.17g}", f"{c.i_effective:.17g}",
-            f"{c.m_signed:.17g}", f"{c.m_abs:.17g}", f"{c.tau_s:.17g}",
-            int(c.tau_floored), int(c.converged), f"{c.eps:.17g}", c.error,
-        ])
+        w.writerow([write(getattr(c, attr)) for _, attr, write, _ in CELL_COLUMNS])
     write_atomic(csv_path, buf.getvalue())
     if manifest_path is not None:
         manifest = {
             "provenance": result.provenance,
-            "grid": {
-                "i_over_gamma": list(result.grid.i_over_gamma),
-                "j_over_gamma": list(result.grid.j_over_gamma),
-                "densities": [None if math.isnan(x) else x for x in result.grid.densities],
-                "powers": [None if math.isnan(x) else x for x in result.grid.powers],
-            },
+            "grid": {f.name: [None if math.isnan(x) else x for x in getattr(result.grid, f.name)]
+                     for f in fields(SweepGrid)},
         }
         write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -445,36 +457,27 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
     gspec = manifest.get("grid")
     if gspec is None:
         raise SchemaError("manifest lacks the grid block")
-    nan = float("nan")
-    grid = SweepGrid(
-        i_over_gamma=tuple(gspec["i_over_gamma"]),
-        j_over_gamma=tuple(gspec["j_over_gamma"]),
-        densities=tuple(nan if x is None else x for x in gspec["densities"]),
-        powers=tuple(nan if x is None else x for x in gspec["powers"]),
-    )
     cells = []
     try:
+        grid = SweepGrid(**{f.name: tuple(math.nan if x is None else x for x in gspec[f.name])
+                            for f in fields(SweepGrid)})
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-            if reader.fieldnames is None or set(reader.fieldnames) - set(CSV_COLUMNS):
+            if reader.fieldnames is None or set(reader.fieldnames) - {c[0] for c in CELL_COLUMNS}:
                 raise SchemaError(f"unexpected CSV columns {reader.fieldnames!r}")
-            for row in reader:
-                if legacy and "tau_floored" not in row:
-                    row["tau_floored"] = int(bool(int(row["converged"]))
-                                             and float(row["M_abs"]) < TAU_FLOOR_M)
-                cells.append(CellResult(
-                    i_over_gamma=float(row["I_over_Gamma"]),
-                    j_over_gamma=float(row["J_over_Gamma"]),
-                    n=float(row["n"]), phi=float(row["phi"]),
-                    i_effective=float(row["I_effective"]),
-                    m_signed=float(row["M_signed"]), m_abs=float(row["M_abs"]),
-                    tau_s=float(row["tau_s"]),
-                    tau_floored=bool(int(row["tau_floored"])),
-                    converged=bool(int(row["converged"])),
-                    eps=float(row["eps"]), error=row["error"],
-                ))
-    except (OSError, ValueError, KeyError) as exc:
-        raise SchemaError(f"cannot parse sweep CSV: {exc}") from exc
+            for k, row in enumerate(reader, 1):
+                values = {attr: parse(row[name]) for name, attr, _, parse in CELL_COLUMNS
+                          if attr in _CELL_FIELDS and name in row}
+                if legacy:  # schema 0 has no tau_floored column: the floor rule fills it
+                    values.setdefault("tau_floored", values["converged"]
+                                      and abs(values["m_signed"]) < TAU_FLOOR_M)
+                cells.append(CellResult(**values))
+                for name, attr, write, _ in CELL_COLUMNS:
+                    if attr not in _CELL_FIELDS and write(getattr(cells[-1], attr)) != row[name]:
+                        raise SchemaError(f"sweep CSV row {k}: {name} {row[name]!r} is not "
+                                          f"the {attr} of the row's fields")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"cannot parse the sweep's grid or CSV: {exc}") from exc
     expected = len(grid.i_over_gamma) * len(grid.j_over_gamma)
     if len(cells) != expected:
         raise SchemaError(f"expected {expected} cells, found {len(cells)}")

@@ -83,6 +83,13 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             sa.clebsch_gordan(0.3, 0.1, 1, 0, 1, 0)
 
+    def test_equal_arguments_share_one_cache_entry(self):
+        sa.clebsch_gordan.cache_clear()
+        a = sa.clebsch_gordan(3.5, 0.5, 0.5, 0.5, 4, 1)
+        b = sa.clebsch_gordan(Fraction(7, 2), sa.HALF, sa.HALF, sa.HALF, 4, 1)
+        assert a == b
+        assert sa.clebsch_gordan.cache_info().currsize == 1
+
     def test_against_sympy(self):
         sympy_wigner = pytest.importorskip("sympy.physics.quantum.cg")
         from sympy import Rational
@@ -117,6 +124,14 @@ class TestOperators:
             nuc = system.ops_g["I"].matrices[i]
             f = system.ops_g["F"].matrices[i]
             assert np.abs(f - s - nuc).max() < 1e-12
+
+    def test_built_once_per_basis_and_read_only(self, system):
+        ops = sa.angular_momentum_operators(system.basis_g)
+        assert ops["S"] is system.ops_g["S"]
+        with pytest.raises(ValueError):
+            ops["S"].z.matrix[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            ops["S"] = ops["F"]
 
     def test_traceless(self, system):
         assert abs(np.trace(system.ops_g["S"].z.matrix)) < 1e-12

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -224,6 +225,44 @@ class TestRunSweep:
             assert b.tau_s == pytest.approx(a.tau_s, abs=1e-15)
             assert b.converged == a.converged
 
+    def test_roundtrip_of_failed_cells_is_exact(self, tmp_path):
+        # (1.0, 3.8) needs about 1.9 s to settle; I = 1e300 Gamma overflows
+        result = run_sweep(SweepGrid.from_rates([0.4, 1.0, 1e300], [3.8]), workers=1,
+                           max_time=1.0)
+        assert [c.error for c in result.cells] == [
+            "", "no steady state within 1.0 s", "the generator is not finite"]
+        paths = [str(tmp_path / name) for name in ("a.csv", "a.json", "b.csv", "b.json")]
+        save_sweep(result, *paths[:2])
+        back = load_sweep(*paths[:2])
+        save_sweep(back, *paths[2:])
+        for a, b in zip(result.cells, back.cells):
+            np.testing.assert_equal(astuple(b), astuple(a))
+        assert math.isnan(back.cells[1].tau_s) and math.isnan(back.cells[2].m_signed)
+        for first, second in (paths[0::2], paths[1::2]):
+            assert open(first, "rb").read() == open(second, "rb").read()
+
+    def test_committed_phase_diagram_resaves_byte_for_byte(self, tmp_path):
+        out = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
+        committed = [os.path.join(out, "phase_diagram_cells.csv"),
+                     os.path.join(out, "phase_diagram_manifest.json")]
+        again = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
+        save_sweep(load_sweep(*committed), *again)
+        for path, copy in zip(committed, again):
+            assert open(path, "rb").read() == open(copy, "rb").read()
+
+    def test_m_abs_that_is_not_the_abs_of_m_signed_is_rejected(self, tiny_sweep, tmp_path):
+        csv_path = str(tmp_path / "cells.csv")
+        man_path = str(tmp_path / "manifest.json")
+        save_sweep(tiny_sweep, csv_path, man_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("M_abs")
+        rows[2][col] = repr(float(rows[2][col]) + 0.25)
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError, match="row 2: M_abs"):
+            load_sweep(csv_path, man_path)
+
     def test_corrupted_csv(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
         man_path = str(tmp_path / "manifest.json")
@@ -243,6 +282,16 @@ class TestRunSweep:
         with pytest.raises(SchemaError):
             load_sweep(csv_path, man_path)
 
+    def test_grid_block_lacking_an_axis_is_a_schema_error(self, tiny_sweep, tmp_path):
+        csv_path = str(tmp_path / "cells.csv")
+        man_path = str(tmp_path / "manifest.json")
+        save_sweep(tiny_sweep, csv_path, man_path)
+        manifest = json.load(open(man_path))
+        del manifest["grid"]["powers"]
+        json.dump(manifest, open(man_path, "w"))
+        with pytest.raises(SchemaError, match="powers"):
+            load_sweep(csv_path, man_path)
+
     def test_old_schema_migrates_with_note(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
         man_path = str(tmp_path / "manifest.json")
@@ -257,7 +306,7 @@ class TestRunSweep:
     def test_schema_0_without_floor_column_gets_the_floor_rule(self, tmp_path):
         grid = SweepGrid.from_rates([1.0, 2.0, 3.0], [2.0])
         cells = [CellResult(i_over_gamma=i, j_over_gamma=2.0, n=math.nan, phi=math.nan,
-                            i_effective=i, m_signed=m, m_abs=m, tau_s=tau,
+                            i_effective=i, m_signed=m, tau_s=tau,
                             tau_floored=False, converged=conv, eps=1e-4)
                  for i, m, tau, conv in ((1.0, 5e-4, 1.0 / GAMMA, True),
                                          (2.0, 0.5, 0.2, True),
