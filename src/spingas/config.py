@@ -63,6 +63,15 @@ def _axis(text: str) -> tuple[float, ...]:
     return vals
 
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _flag(text: str) -> bool:
+    if text.lower() not in _FLAGS:
+        raise ValueError("expected true/false, yes/no or 1/0")
+    return _FLAGS[text.lower()]
+
+
 # (section, key) -> (parser, default-as-text)
 _SCHEMA: dict[tuple[str, str], tuple] = {
     ("atom", "nuclear_spin"): (units.parse_fraction, "7/2"),
@@ -87,7 +96,7 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("numerics", "atol"): (float, ""),
     ("numerics", "projection_mode"): (str, "hyperfine+zeeman"),
     ("numerics", "seed_polarization"): (float, "1e-4"),
-    ("numerics", "light_shift"): (lambda s: s.lower() in ("1", "true", "yes"), "false"),
+    ("numerics", "light_shift"): (_flag, "false"),
     ("conditions", "sigma_e"): (float, ""),
     ("conditions", "cell_length"): (float, "1.5"),
     ("conditions", "s_axis"): (float, "10.0"),

@@ -12,32 +12,33 @@ electron spin at a rate q*J:
 
 with phi(rho) = rho/4 + S.rho S and M = Tr(rho S).  The quadratic M-term
 re-aligns the electron spin along the vapor's own mean spin; it conserves
-Tr(F_z rho) exactly and is the only nonlinearity.  Integration runs in the
-real coordinates s of the coherence-projected subspace, on the linear
-generator
+Tr(F_z rho) exactly and is the only nonlinearity.  Every solve runs in
+one chart of the unit-trace states: z = Q^T (s - u), the departure of the
+real coordinates s of the coherence-projected subspace from the fully
+mixed state u, in an orthonormal basis Q of the trace-free directions led
+by M (:class:`CompiledModel`); no solve needs a border for the trace.
+There a point sums its linear generator once, acting on (z, 1),
 
-    r_lin = R_H + Gamma R_Gamma + qJ R_phi + sum_fields R_opt(a)
+    G = G_H + Gamma G_Gamma + qJ G_phi + Q^T R_opt(a) [Q | u],
 
 plus the bilinear feedback.  Every term but R_opt depends only on (atom,
 b_z, projection mode): it is projected once into subspace coordinates,
 Re(F L T) with fixed maps T (coords -> vec rho) and F (vec rho -> coords),
-and cached with the feedback parts.  R_opt depends on the field intensity a
-only through the excited-level solve, so a field's a-independent parts are
-cached too and a new point costs one real excited-level solve per field,
-on the blocks its source reaches (:class:`spingas.optics.FieldAction`).
-Every solve runs in one chart of the unit-trace states, the departure from
-the fully mixed state in an orthonormal basis of the trace-free directions
-led by M, into which the generator and its Jacobian are rotated once per
-model (:class:`DepartureOperators`); no solve needs a border to hold the
-trace.  The generator is stiff (decay rates up to about 8e3 /s beside a
-slow mode near zero), so it is integrated with LSODA, which switches to BDF
-where the problem is stiff, on the analytic Jacobian, at atol 1e-14 and
-an rtol that applies to M itself (:func:`_lsoda`): 1e-10 for a trajectory,
-1e-8 for a steady state by default (:class:`IntegrationControls`).  The
-loop of :func:`_integrate_coords` drives scipy's ``lsoda`` integrator one
-step at a time itself, on work arrays reused from run to run; it checks
-that each accepted step is finite and reads M, dM/dt and positivity for a
-block of steps at a time.
+and cached, with the feedback parts, as its chart block Q^T R [Q | u].
+R_opt depends on the field intensity a only through the excited-level
+solve, so a field's a-independent parts are cached too and a new point
+costs one real excited-level solve per field, on the blocks its source
+reaches (:class:`spingas.optics.FieldAction`), and one rotation of the
+fields' summed action (:func:`_field_action`).  The generator is stiff
+(decay rates up to about 8e3 /s beside a slow mode near zero), so it is
+integrated with LSODA, which switches to BDF where the problem is stiff,
+on the analytic Jacobian, at atol 1e-14 and an rtol that applies to M
+itself (:func:`_lsoda`): 1e-10 for a trajectory, 1e-8 for a steady state
+by default (:class:`IntegrationControls`).  The loop of
+:func:`_integrate_coords` drives scipy's ``lsoda`` integrator one step at
+a time itself, on work arrays reused from run to run; it checks that each
+accepted step is finite and reads M, dM/dt and positivity for a block of
+steps at a time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -374,22 +375,22 @@ def _ground_superops(atom: AtomSpec, b_z: float) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class _GroundParts:
-    """Parameter-independent parts of the generator in subspace coordinates."""
+    """Parameter-independent parts of the generator, each a map R of the
+    subspace coordinates kept as its block Q^T R [Q | u] in the unit-trace
+    chart of :class:`CompiledModel`, which acts on (z, 1)."""
 
     system: AtomSystem
     sub: Subspace
+    m_basis: np.ndarray    # Q: n x (n-1), orthonormal, orthogonal to the trace, led by M
+    u: np.ndarray          # the fully mixed state
+    extended: np.ndarray   # [Q | u]: (z, 1) -> s
     t_map: np.ndarray      # coords -> vec rho (columns)
     f_map: np.ndarray      # vec rho -> coords, as Re(f_map @ v)
-    r_h: np.ndarray
-    r_gamma: np.ndarray
-    r_phi: np.ndarray
-    m_rows: np.ndarray
-    q_mats: tuple
-    active_j: tuple
-    fz_row: np.ndarray
-    tr_row: np.ndarray
-    m_basis: np.ndarray    # n x (n-1), orthonormal, orthogonal to tr_row, led by fz_row
-    u: np.ndarray          # the fully mixed state
+    h: np.ndarray          # the Hamiltonian commutator
+    gamma: np.ndarray      # spin destruction per unit Gamma
+    phi: np.ndarray        # the exchange kernel phi(rho) - rho per unit qJ
+    feedback: tuple        # (m_j [Q | u], Q^T Q_j [Q | u]) of each active j
+    m_scale: float         # c, where M = fz_row . s = c q_0 . s
     f_max: float
 
 
@@ -401,39 +402,47 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     n = sub.n
     t_map = _hermitian_vecs(np.eye(dg * dg)[:, sub.rows], dg)
     f_map = t_map.conj().T / np.sum(np.abs(t_map) ** 2, axis=0)[:, None]
-
-    def project(vecs):   # columns vec(L rho_k) -> the real n x n block
-        return np.ascontiguousarray(np.real(f_map @ vecs))
-
-    r_h, r_gamma, r_phi = (project(sop @ t_map) for sop in _ground_superops(atom, b_z))
-    s_ops = system.ops_g["S"]
-    m_rows = np.array([np.real(s.T.reshape(-1) @ t_map) for s in s_ops.matrices])
-    brackets = [_exchange_vector_bracket(t_map[:, k].reshape(dg, dg), s_ops)
-                for k in range(n)]
-    q_mats = tuple(project(np.stack([b[j].reshape(-1) for b in brackets], axis=1))
-                   for j in range(3))
-    active_j = tuple(j for j in range(3)
-                     if np.abs(m_rows[j]).max() > 1e-14 and np.abs(q_mats[j]).max() > 1e-14)
     f_max = float(max(f for f, _ in system.basis_g.states))
-    fz = system.ops_g["F"].z.matrix
-    fz_row = np.real(fz.T.reshape(-1) @ t_map) / f_max
+    fz_row = np.real(system.ops_g["F"].z.matrix.T.reshape(-1) @ t_map) / f_max
     tr_row = np.zeros(n)
     tr_row[:dg] = 1.0
     # Tr F_z = 0, so fz_row is orthogonal to tr_row and leads the rest
-    q = np.linalg.qr(np.column_stack([tr_row, fz_row, np.eye(n)]))[0]
-    m_basis = np.ascontiguousarray(q[:, 1:])
+    q = np.ascontiguousarray(
+        np.linalg.qr(np.column_stack([tr_row, fz_row, np.eye(n)]))[0][:, 1:])
     u = sub.from_matrix(np.eye(dg) / dg)
-    return _GroundParts(system, sub, _frozen(t_map), _frozen(f_map), _frozen(r_h),
-                        _frozen(r_gamma), _frozen(r_phi), _frozen(m_rows),
-                        tuple(map(_frozen, q_mats)), active_j, _frozen(fz_row),
-                        _frozen(tr_row), _frozen(m_basis), _frozen(u), f_max)
+    extended = np.column_stack([q, u])
+
+    def project(vecs):   # columns vec(L rho_k) -> the real n x n block
+        return np.real(f_map @ vecs)
+
+    def chart(r):        # a map of the coordinates -> its block Q^T r [Q | u]
+        return _frozen(q.T @ r @ extended)
+
+    h, gamma, phi = (chart(project(sop @ t_map)) for sop in _ground_superops(atom, b_z))
+    s_ops = system.ops_g["S"]
+    brackets = [_exchange_vector_bracket(t_map[:, k].reshape(dg, dg), s_ops)
+                for k in range(n)]
+    feedback = []
+    for j, s in enumerate(s_ops.matrices):
+        m_row = np.real(s.T.reshape(-1) @ t_map)
+        q_mat = project(np.stack([b[j].reshape(-1) for b in brackets], axis=1))
+        if np.abs(m_row).max() > 1e-14 and np.abs(q_mat).max() > 1e-14:
+            feedback.append((_frozen(m_row @ extended), chart(q_mat)))
+    return _GroundParts(system, sub, _frozen(q), _frozen(u), _frozen(extended),
+                        _frozen(t_map), _frozen(f_map), h, gamma, phi, tuple(feedback),
+                        float(fz_row @ q[:, 0]), f_max)
 
 
 @lru_cache(maxsize=16)
 def _field_action(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
                   coll: CollisionParams, doppler: DopplerSpec,
                   light_shift: bool) -> FieldAction:
-    """A unit-intensity field's action in subspace coordinates."""
+    """A unit-intensity field's action in subspace coordinates.  At
+    I/Gamma = 1e12 its depletion and return terms reach 4.6e15 /s, against
+    entries of 2.9e9 /s.  On single coordinates the two halves of a linear
+    beam round as mirror images, so the action keeps the m -> -m symmetry
+    to the bit and the symmetric state stays free of M; on the chart's
+    columns that state took M = -5.6e-5 and 1500 times its residual bound."""
     ground = _ground_parts(atom, b_z, mode)
     coupling = couple_field(shape, ground.system, coll, doppler)
     return FieldAction(ground.system, coupling, coll, light_shift,
@@ -441,213 +450,67 @@ def _field_action(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
 
 
 class CompiledModel:
-    """Fully assembled generator of one parameter point.
+    """Fully assembled generator of one parameter point in the unit-trace
+    chart z = Q^T (s - u) of the module docstring (``m_basis`` and ``u``,
+    read-only): every s = Q z + u has unit trace, so LSODA, the fixed
+    points and the slow mode all run on z.
 
-    ``r_lin`` is summed from the cached parts of the module docstring.
-    ``rhs_coords`` evaluates d(state)/dt in the real subspace coordinates
-    using only matrix-vector products: the linear generator plus the
-    bilinear exchange feedback.  The full-space ``lin_superop``, ``channel``
-    and ``couplings`` behind the reference path ``rhs_matrix`` are built on
-    first use.  A generator that is not finite, as from a field whose
-    intensity overflows, raises ``IntegrationError``."""
-
-    def __init__(self, params: SimParams):
-        self.params = params
-        parts = _ground_parts(params.atom, params.b_z, params.projection_mode)
-        self.system = parts.system
-        self.sub = parts.sub
-        self.f_max = parts.f_max
-        self.fz = self.system.ops_g["F"].z.matrix
-        self.s_ops = self.system.ops_g["S"]
-        self.qj = params.coll.q_slowdown * params.j_exchange
-        self.m_rows, self.q_mats, self.fz_row = parts.m_rows, parts.q_mats, parts.fz_row
-        self._active_j, self.tr_row = parts.active_j, parts.tr_row
-        self.m_basis, self._u = parts.m_basis, parts.u
-
-        r_lin = parts.r_h + params.gamma * parts.r_gamma
-        if self.qj > 0:
-            r_lin += self.qj * parts.r_phi
-        for f in params.fields():
-            action = _field_action(params.atom, params.b_z, params.projection_mode,
-                                   f.scaled(1.0), params.coll, params.doppler,
-                                   params.light_shift)
-            r_lin += np.real(action.superop(f.amplitude_sq)[0])
-        if not np.isfinite(r_lin).all():
-            raise IntegrationError("the generator is not finite")
-        self.r_lin = r_lin
-
-    @cached_property
-    def couplings(self) -> list[FieldCoupling]:
-        p = self.params
-        return [couple_field(f, self.system, p.coll, p.doppler) for f in p.fields()]
-
-    @cached_property
-    def channel(self) -> OpticalChannel | None:
-        if not self.couplings:
-            return None
-        return OpticalChannel(self.system, self.couplings, self.params.coll,
-                              light_shift=self.params.light_shift)
-
-    @cached_property
-    def lin_superop(self) -> np.ndarray:
-        """The full-space linear generator (reference path)."""
-        l_h, l_gamma, l_phi = _ground_superops(self.params.atom, self.params.b_z)
-        lin = l_h + self.params.gamma * l_gamma
-        if self.qj > 0:
-            lin = lin + self.qj * l_phi
-        if self.channel is not None:
-            lin = lin + self.channel.ground_superop
-        return lin
-
-    @cached_property
-    def departure(self) -> "DepartureOperators":
-        """The generator in the unit-trace chart, built on first use."""
-        return DepartureOperators(self)
-
-    def rhs_coords(self, s: np.ndarray) -> np.ndarray:
-        out = self.r_lin @ s
-        if self.qj > 0:
-            for j in self._active_j:
-                mj = self.m_rows[j] @ s
-                if mj != 0.0:
-                    out += (self.qj * mj) * (self.q_mats[j] @ s)
-        return out
-
-    def rhs_matrix(self, rho_g: np.ndarray) -> np.ndarray:
-        """Reference full-matrix evaluation (same channels, no projection)."""
-        rho = np.asarray(rho_g, dtype=complex)
-        out = (self.lin_superop @ rho.reshape(-1)).reshape(rho.shape)
-        if self.qj > 0:
-            m = np.array([np.trace(rho @ s).real for s in self.s_ops.matrices])
-            for mj, bracket in zip(m, _exchange_vector_bracket(rho, self.s_ops)):
-                if mj != 0.0:
-                    out = out + (self.qj * mj) * bracket
-        return out
-
-    def magnetization(self, s: np.ndarray) -> float:
-        return float(self.fz_row @ s)
-
-    def unpolarized_coords(self) -> np.ndarray:
-        """The fully mixed state (read-only coords)."""
-        return self._u
-
-    def seed_coords(self, eps: float) -> np.ndarray:
-        """Fully mixed state displaced along z so that M_z(0) = eps."""
-        rho = np.eye(self.sub.dim) / self.sub.dim
-        if eps != 0.0:
-            fz2 = float(np.trace(self.fz @ self.fz).real)
-            rho = rho + eps * self.f_max / fz2 * self.fz.real
-        return self.sub.from_matrix(rho)
-
-    @cached_property
-    def residual_bound(self) -> float:
-        """The largest max|rhs_coords| of an exact fixed point:
-        FIXED_POINT_RESIDUAL Gamma, plus n eps max|r_lin| for the rounding
-        of the generator's products.  That term is over 1000 times smaller
-        with entries up to about 1e4 /s, but entries of 2.9e9 /s (I/Gamma
-        from about 1e8 on) round the exact symmetric state's residual to
-        up to 1.4e-7 /s."""
-        return (FIXED_POINT_RESIDUAL * self.params.gamma
-                + self.sub.n * np.finfo(float).eps * float(np.abs(self.r_lin).max()))
-
-    def symmetric_fixed_point(self) -> np.ndarray:
-        """The magnetization-free stationary state (coords).
-
-        On the even sector the mean-spin feedback vanishes, so the fixed
-        point solves the linear block of the generator in the unit-trace
-        chart (:class:`DepartureOperators`).  Where the feedback does not
-        vanish on that solution (the 'hyperfine' mode keeps transverse
-        coherences), it is no fixed point and this raises
-        ``IntegrationError``."""
-        ops = self.departure
-        s_star = self.m_basis @ np.linalg.solve(ops.lin, -ops.lin_offset) + self._u
-        residual = float(np.abs(self.rhs_coords(s_star)).max())
-        if residual > self.residual_bound:
-            raise IntegrationError("the symmetric state is no fixed point",
-                                   {"residual": residual})
-        return s_star
-
-    def stable_fixed_point(self, s: np.ndarray) -> np.ndarray | None:
-        """Newton's solution of R(s) = 0 in the unit-trace chart, started
-        from ``s``: the step J dz = -f on the chart's right-hand side f and
-        Jacobian J (:class:`DepartureOperators`), done when no coordinate of
-        s moves by more than NEWTON_STEP_TOL.  Returns the state when
-        Newton converges to an exact (max|R| <= ``residual_bound``),
-        positive and linearly stable one, where every eigenvalue is
-        negative; ``None`` otherwise."""
-        ops, q = self.departure, self.m_basis
-        z = q.T @ (s - self._u)
-        try:
-            for _ in range(NEWTON_MAX_ITER):
-                dz = np.linalg.solve(ops.jac(0.0, z), -ops.rhs(0.0, z))
-                z += dz
-                if np.abs(q @ dz).max() <= NEWTON_STEP_TOL:  # False on NaN
-                    break
-            else:
-                return None
-            s = q @ z + self._u
-            stable = self._growth_rate(s) < 0
-        except np.linalg.LinAlgError:
-            return None
-        if (not stable
-                or np.abs(self.rhs_coords(s)).max() > self.residual_bound
-                or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
-            return None
-        return s
-
-    def _growth_rate(self, s: np.ndarray) -> float:
-        """Largest real eigenvalue of the Jacobian at ``s`` in the
-        unit-trace chart: the slowest mode's rate."""
-        z = self.m_basis.T @ (s - self._u)
-        return float(np.linalg.eigvals(self.departure.jac(0.0, z)).real.max())
-
-    def slow_mode_rate(self) -> float:
-        """Largest growth rate of fluctuations about the symmetric state.
-
-        Positive values mark the ordered phase; the boundary is the zero
-        crossing.  Uses the exact linearization, including the mean-spin
-        feedback of the exchange term."""
-        return self._growth_rate(self.symmetric_fixed_point())
-
-
-class DepartureOperators:
-    """A model's generator in the unit-trace chart z = Q^T (s - u): the
-    departure from the fully mixed state u in the n x (n-1) orthonormal
-    basis Q = ``m_basis`` of the trace-free directions, led by M.  Every
-    s = Q z + u has unit trace, so LSODA, the fixed points and the slow
-    mode all run here without a border.
-
-    One stacked product v = W z + w yields the linear part and both factors
-    of each of the ``k`` bilinear feedback terms.  W stacks Q^T r_lin Q,
-    the rows m_j Q and the blocks qJ Q^T Q_j Q for each active j, and w
-    stacks the same maps applied to u, so that
+    The linear generator ``lin @ z + lin_offset`` is summed once from the
+    cached parts (:class:`_GroundParts`).  One stacked product v = W z + w
+    yields it and both factors of each of the ``k`` bilinear feedback
+    terms: W stacks ``lin``, the rows m_j Q and the blocks qJ Q^T Q_j Q for
+    each active j, and w the same maps applied to u, so that
 
         dz/dt = v_lin + v_m1 v_Q1 + v_m2 v_Q2 + ...,
 
-    summed in that order, whose linear part v_lin is
-    ``lin @ z + lin_offset``.  Its Jacobian is
-    lin + sum_j (v_mj Q^T Q_j Q + v_Qj (m_j Q)^T).
+    summed in that order.  Its Jacobian is
+    lin + sum_j (v_mj qJ Q^T Q_j Q + v_Qj (m_j Q)^T).
 
     ``rhs`` and ``jac`` are the solver's callbacks, closures over plain
     arrays, so a solver does not pin the model.  Each call works in arrays
     of its own, so concurrent runs share no work buffer.
 
     ``readout @ z + readout_offset`` gives the quantities every accepted
-    step is recorded and checked on: M; then dM/dt = fz . rhs_coords(s),
-    as its linear form fz r_lin s followed by the two factors m_j s and
-    qJ fz Q_j s of each feedback term (``rate``); then, in
-    'hyperfine+zeeman', the populations."""
+    step is recorded and checked on.  M = fz . s, and fz = c q_0 with
+    fz . u = 0, so M = c z_0 and dM/dt = c (dz/dt)_0: the readout holds M;
+    then dM/dt as its linear form c lin_0 followed by the two factors m_j s
+    and qJ c (Q^T Q_j s)_0 of each feedback term (``rate``); then, in
+    'hyperfine+zeeman', the populations.
 
-    def __init__(self, model: CompiledModel):
-        q, u = model.m_basis, model.unpolarized_coords()
-        n = q.shape[1]
-        active = model._active_j if model.qj > 0 else ()
-        k = self.k = len(active)
-        # rows acting on s; W and w are these applied to Q and to u
-        left = np.vstack([q.T @ model.r_lin]
-                         + [model.m_rows[j][None, :] for j in active]
-                         + [model.qj * (q.T @ model.q_mats[j]) for j in active])
-        w_mat, w_off = left @ q, left @ u
+    ``rhs_coords`` gives d(state)/dt of a unit-trace state s in the real
+    subspace coordinates, Q f(Q^T (s - u)), for the fixed-point residual
+    checks.  The full-space ``lin_superop``, ``channel`` and ``couplings``
+    behind the reference path ``rhs_matrix`` are built on first use.  A
+    generator that is not finite, as from a field whose intensity
+    overflows, raises ``IntegrationError``."""
+
+    def __init__(self, params: SimParams):
+        self.params = params
+        parts = _ground_parts(params.atom, params.b_z, params.projection_mode)
+        self.system, self.sub, self.f_max = parts.system, parts.sub, parts.f_max
+        self.fz = self.system.ops_g["F"].z.matrix
+        self.s_ops = self.system.ops_g["S"]
+        self.qj = params.coll.q_slowdown * params.j_exchange
+        self.m_basis, self.u, self._m_scale = parts.m_basis, parts.u, parts.m_scale
+
+        gen = parts.h + params.gamma * parts.gamma
+        if self.qj > 0:
+            gen += self.qj * parts.phi
+        fields = params.fields()
+        if fields:
+            optical = sum(np.real(_field_action(
+                params.atom, params.b_z, params.projection_mode, f.scaled(1.0),
+                params.coll, params.doppler, params.light_shift).superop(f.amplitude_sq)[0])
+                for f in fields)
+            gen += self.m_basis.T @ optical @ parts.extended
+        if not np.isfinite(gen).all():
+            raise IntegrationError("the generator is not finite")
+        feedback = parts.feedback if self.qj > 0 else ()
+        n, k = gen.shape[0], len(feedback)
+        self.k = k
+        stacked = np.vstack([gen] + [m[None, :] for m, _ in feedback]
+                            + [self.qj * block for _, block in feedback])
+        w_mat, w_off = np.ascontiguousarray(stacked[:, :-1]), stacked[:, -1].copy()
         lin = self.lin = w_mat[:n]
         self.lin_offset = w_off[:n]
         dot = w_mat.dot
@@ -675,18 +538,145 @@ class DepartureOperators:
             return out
 
         self.rhs, self.jac = rhs, jac
-        rows = [model.fz_row, model.fz_row @ model.r_lin]
-        for j in active:
-            rows += [model.m_rows[j], model.qj * (model.fz_row @ model.q_mats[j])]
-        if model.sub.mode == MODE_HFZ:
-            rows.extend(np.eye(model.sub.n)[:model.sub.dim])
+        c = self._m_scale
+        rows = [np.eye(1, n + 1)[0] * c, c * gen[0]]
+        for m, block in feedback:
+            rows += [m, (self.qj * c) * block[0]]
+        if self.sub.mode == MODE_HFZ:
+            rows.extend(parts.extended[:self.sub.dim])
         rows = np.array(rows)
-        self.readout, self.readout_offset = rows @ q, rows @ u
+        self.readout = np.ascontiguousarray(rows[:, :-1])
+        self.readout_offset = rows[:, -1].copy()
+
+    @cached_property
+    def couplings(self) -> list[FieldCoupling]:
+        p = self.params
+        return [couple_field(f, self.system, p.coll, p.doppler) for f in p.fields()]
+
+    @cached_property
+    def channel(self) -> OpticalChannel | None:
+        if not self.couplings:
+            return None
+        return OpticalChannel(self.system, self.couplings, self.params.coll,
+                              light_shift=self.params.light_shift)
+
+    @cached_property
+    def lin_superop(self) -> np.ndarray:
+        """The full-space linear generator (reference path)."""
+        l_h, l_gamma, l_phi = _ground_superops(self.params.atom, self.params.b_z)
+        lin = l_h + self.params.gamma * l_gamma
+        if self.qj > 0:
+            lin = lin + self.qj * l_phi
+        if self.channel is not None:
+            lin = lin + self.channel.ground_superop
+        return lin
 
     def rate(self, values: np.ndarray) -> np.ndarray:
         """dM/dt from readout ``values``, one row of them per state."""
         pairs = values[:, 2:2 + 2 * self.k]
         return values[:, 1] + (pairs[:, ::2] * pairs[:, 1::2]).sum(axis=1)
+
+    def chart(self, s: np.ndarray) -> np.ndarray:
+        """The chart coordinates z = Q^T (s - u) of a unit-trace state s."""
+        return self.m_basis.T @ (s - self.u)
+
+    def coords(self, z: np.ndarray) -> np.ndarray:
+        """The state s = Q z + u of chart coordinates z."""
+        return self.m_basis @ z + self.u
+
+    def rhs_coords(self, s: np.ndarray) -> np.ndarray:
+        return self.m_basis @ self.rhs(0.0, self.chart(s))
+
+    def rhs_matrix(self, rho_g: np.ndarray) -> np.ndarray:
+        """Reference full-matrix evaluation (same channels, no projection)."""
+        rho = np.asarray(rho_g, dtype=complex)
+        out = (self.lin_superop @ rho.reshape(-1)).reshape(rho.shape)
+        if self.qj > 0:
+            m = np.array([np.trace(rho @ s).real for s in self.s_ops.matrices])
+            for mj, bracket in zip(m, _exchange_vector_bracket(rho, self.s_ops)):
+                if mj != 0.0:
+                    out = out + (self.qj * mj) * bracket
+        return out
+
+    def magnetization(self, s: np.ndarray) -> float:
+        """M = fz . s, as c q_0 . s."""
+        return self._m_scale * float(self.m_basis[:, 0] @ s)
+
+    def seed_coords(self, eps: float) -> np.ndarray:
+        """Fully mixed state displaced along z so that M_z(0) = eps."""
+        rho = np.eye(self.sub.dim) / self.sub.dim
+        if eps != 0.0:
+            fz2 = float(np.trace(self.fz @ self.fz).real)
+            rho = rho + eps * self.f_max / fz2 * self.fz.real
+        return self.sub.from_matrix(rho)
+
+    @cached_property
+    def residual_bound(self) -> float:
+        """The largest max|rhs_coords| of an exact fixed point:
+        FIXED_POINT_RESIDUAL Gamma, plus n eps times the largest entry of
+        the chart generator (``lin``, ``lin_offset``) for the rounding of
+        its products.  That term is over 1000 times smaller with entries up
+        to about 1e4 /s, but entries of 2.9e9 /s (I/Gamma from about 1e8
+        on) round the exact symmetric state's residual to up to 1.4e-7 /s."""
+        largest = max(float(np.abs(self.lin).max()), float(np.abs(self.lin_offset).max()))
+        return (FIXED_POINT_RESIDUAL * self.params.gamma
+                + self.sub.n * np.finfo(float).eps * largest)
+
+    def symmetric_fixed_point(self) -> np.ndarray:
+        """The magnetization-free stationary state, in chart coordinates z.
+
+        On the even sector the mean-spin feedback vanishes, so the fixed
+        point solves the linear block of the generator in the unit-trace
+        chart, ``lin @ z = -lin_offset``.  Where the feedback does not
+        vanish on that solution (the 'hyperfine' mode keeps transverse
+        coherences), it is no fixed point and this raises
+        ``IntegrationError``."""
+        z = np.linalg.solve(self.lin, -self.lin_offset)
+        residual = float(np.abs(self.rhs_coords(self.coords(z))).max())
+        if residual > self.residual_bound:
+            raise IntegrationError("the symmetric state is no fixed point",
+                                   {"residual": residual})
+        return z
+
+    def stable_fixed_point(self, z: np.ndarray) -> np.ndarray | None:
+        """Newton's solution of f(z) = 0 in the unit-trace chart, started
+        from ``z``: the step J dz = -f on the chart's right-hand side f and
+        Jacobian J, done when no coordinate of s = Q z + u moves by more
+        than NEWTON_STEP_TOL.  Returns the chart coordinates when Newton
+        converges to an exact (max|rhs_coords| <= ``residual_bound``),
+        positive and linearly stable state, where every eigenvalue is
+        negative; ``None`` otherwise."""
+        q = self.m_basis
+        try:
+            for _ in range(NEWTON_MAX_ITER):
+                dz = np.linalg.solve(self.jac(0.0, z), -self.rhs(0.0, z))
+                z = z + dz
+                if np.abs(q @ dz).max() <= NEWTON_STEP_TOL:  # False on NaN
+                    break
+            else:
+                return None
+            stable = self._growth_rate(z) < 0
+        except np.linalg.LinAlgError:
+            return None
+        s = self.coords(z)
+        if (not stable
+                or np.abs(self.rhs_coords(s)).max() > self.residual_bound
+                or self.sub.min_eigenvalue(s) < -POSITIVITY_TOL):
+            return None
+        return z
+
+    def _growth_rate(self, z: np.ndarray) -> float:
+        """Largest real eigenvalue of the Jacobian at chart coordinates
+        ``z``: the slowest mode's rate."""
+        return float(np.linalg.eigvals(self.jac(0.0, z)).real.max())
+
+    def slow_mode_rate(self) -> float:
+        """Largest growth rate of fluctuations about the symmetric state.
+
+        Positive values mark the ordered phase; the boundary is the zero
+        crossing.  Uses the exact linearization, including the mean-spin
+        feedback of the exchange term."""
+        return self._growth_rate(self.symmetric_fixed_point())
 
 
 @dataclass
@@ -783,8 +773,8 @@ def _lent_work_arrays(lsoda):
 def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
            controls: IntegrationControls):
     """scipy's ODEPACK LSODA on ``model`` with its analytic Jacobian, in
-    the unit-trace chart z = Q^T (s - u) of ``model.departure``
-    (:class:`DepartureOperators`), whose first coordinate is along M.
+    the unit-trace chart z = Q^T (s - u) of :class:`CompiledModel`, whose
+    first coordinate is along M.
     LSODA weighs each coordinate's error by its own size, so this way its
     rtol bounds the error of M relative to |M|, not to the populations near
     1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4, tau
@@ -797,11 +787,10 @@ def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
     call of its ``run`` takes one step and never passes ``t_end``."""
     from scipy.integrate import ode  # imported on first use
 
-    ops = model.departure
-    solver = ode(ops.rhs, ops.jac).set_integrator(
+    solver = ode(model.rhs, model.jac).set_integrator(
         "lsoda", rtol=controls.rtol, atol=controls.atol,
         max_step=controls.max_step or 0.0)  # LSODA's 0 is no cap
-    solver.set_initial_value(model.m_basis.T @ (s0 - model.unpolarized_coords()), 0.0)
+    solver.set_initial_value(model.chart(s0), 0.0)
     lsoda = solver._integrator
     lsoda.rwork[0] = t_end
     lsoda.call_args[2] = 5
@@ -830,14 +819,13 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     ``IntegrationError("solver failed: ...")``.  M, dM/dt and positivity
     (the populations in 'hyperfine+zeeman', else the least eigenvalue of
     s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
-    readout product (:class:`DepartureOperators`): when the block is full,
-    at the end of the run and before any raise.  So the first step to lose
+    readout product (:class:`CompiledModel`): when the block is full, at
+    the end of the run and before any raise.  So the first step to lose
     positivity is reported, at most CHECK_BLOCK steps late but before any
     later step's failure.  A Newton gate reads M of its state alone, from
-    the first readout row.  s is formed otherwise only for a Newton attempt
-    and the final state.
+    the first readout row.
 
-    Returns (times, magnetizations, rates, s_final, stop, counts), where
+    Returns (times, magnetizations, rates, z_final, stop, counts), where
     ``rates`` holds dM/dt at the recorded times, ``stop`` is 'fixed-point'
     or 'budget' (``t_end`` reached) and ``counts`` holds the accepted
     ``steps`` and the solver's ``nfev`` and ``njev`` as ``int``, read from
@@ -846,7 +834,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     With ``stop_at_fixed_point`` the run ends earlier, on the exact fixed
     point, when :meth:`CompiledModel.stable_fixed_point` finds one near the
     state whose magnetization M* has the sign of M(t) and which |M(t)| has
-    already brought within RESPONSE_FRACTION of |M*|; then ``s_final`` is
+    already brought within RESPONSE_FRACTION of |M*|; then ``z_final`` is
     that fixed point, while the recorded trajectory ends at the last
     accepted step.  The solve is tried when the derivative at the accepted
     state is small (see ``NEWTON_GATE``); that gate is read at the first
@@ -857,15 +845,12 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     solver = _lsoda(model, s0, t_end, controls)
     lsoda = solver._integrator
     run, rhs, jac = lsoda.run, solver.f, solver.jac
-    ops = model.departure
-    m_q, rows_t, offsets = ops.readout[0], ops.readout.T, ops.readout_offset
-    q, u = model.m_basis, model.unpolarized_coords()
+    m_q, rows_t, offsets = model.readout[0], model.readout.T, model.readout_offset
     populations = model.sub.mode == MODE_HFZ
-    dim, n, first_population = model.sub.dim, model.sub.n, 2 + 2 * ops.k
+    dim, n, first_population = model.sub.dim, model.sub.n, 2 + 2 * model.k
     z, t, h = solver.y, 0.0, None
-    times = [0.0]
-    mags = [model.magnetization(s0)]
-    rates = ops.rate(z[None] @ rows_t + offsets).tolist()
+    values = z[None] @ rows_t + offsets
+    times, mags, rates = [0.0], values[:, 0].tolist(), model.rate(values).tolist()
     stop = "budget"
     next_newton = 0.0
     n_steps = 0
@@ -877,14 +862,14 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         z_block = block[:len(block_t)]
         values = z_block @ rows_t + offsets
         min_eigs = (values[:, first_population:].min(axis=1) if populations
-                    else np.array([model.sub.min_eigenvalue(q @ zk + u) for zk in z_block]))
+                    else np.array([model.sub.min_eigenvalue(model.coords(zk)) for zk in z_block]))
         lost = np.flatnonzero(min_eigs < -POSITIVITY_TOL)
         if lost.size:
             raise IntegrationError("state lost positivity",
                                    {"t": block_t[lost[0]], "min_eig": float(min_eigs[lost[0]])})
         times.extend(block_t)
         mags.extend(values[:, 0].tolist())
-        rates.extend(ops.rate(values).tolist())
+        rates.extend(model.rate(values).tolist())
         block_t.clear()
 
     with _lent_work_arrays(lsoda) as iwork:
@@ -917,25 +902,22 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
             if stop_at_fixed_point and t >= next_newton:
                 m = float(m_q @ z) + offsets[0]
                 next_newton = t + STEADY_WINDOW_T1 / gamma
-                f = ops.rhs(t, z)
+                f = model.rhs(t, z)
                 if (abs(float(m_q @ f))
                         <= NEWTON_GATE * gamma * abs(m) + STEADY_ABS_RATE * gamma
                         and math.sqrt(float(f @ f) / n) <= NEWTON_GATE * gamma / dim):
-                    s = q @ z + u
-                    s_star = model.stable_fixed_point(s)
-                    if s_star is not None:
-                        m_star = model.magnetization(s_star)
-                        near = (math.sqrt(float(np.mean((s_star - s) ** 2)))
-                                <= NEWTON_DISTANCE / dim)
+                    z_star = model.stable_fixed_point(z)
+                    if z_star is not None:
+                        m_star = float(m_q @ z_star) + offsets[0]
+                        d = z_star - z  # rms over the n coordinates of s
+                        near = math.sqrt(float(d @ d) / n) <= NEWTON_DISTANCE / dim
                         if (near and np.sign(m_star) == np.sign(m)
                                 and abs(m) >= RESPONSE_FRACTION * abs(m_star)):
                             stop = "fixed-point"
-                            s = s_star
+                            z = z_star
                             break
         flush()
-        if stop == "budget":
-            s = q @ z + u
-        return np.array(times), np.array(mags), np.array(rates), s, stop, counts()
+        return np.array(times), np.array(mags), np.array(rates), z, stop, counts()
 
 
 def _model_for(params: SimParams, model: CompiledModel | None) -> CompiledModel:
@@ -959,9 +941,9 @@ def integrate(params: SimParams, t_end: float,
     model = _model_for(params, model)
     controls = controls or IntegrationControls()
     s0 = model.seed_coords(params.seed_polarization)
-    times, mags, rates, s, _, _ = _integrate_coords(model, s0, t_end, controls)
+    times, mags, rates, z, _, _ = _integrate_coords(model, s0, t_end, controls)
     return Trajectory(times=times, magnetization=mags,
-                      final_state=model.sub.to_matrix(s), rates=rates)
+                      final_state=model.sub.to_matrix(model.coords(z)), rates=rates)
 
 
 @dataclass
@@ -999,19 +981,20 @@ class SteadyResult:
 
 
 def _classified(model: CompiledModel, eps: float) -> np.ndarray | None:
-    """The symmetric fixed point when it is the run's answer without
-    integrating: no bias field, an exact fixed point, and a seed ``eps``
-    that cannot leave it, because it is zero (the symmetric sector is
-    invariant) or the slow mode is negative (a small seed relaxes back)."""
+    """The symmetric fixed point, in chart coordinates, when it is the
+    run's answer without integrating: no bias field, an exact fixed point,
+    and a seed ``eps`` that cannot leave it, because it is zero (the
+    symmetric sector is invariant) or the slow mode is negative (a small
+    seed relaxes back)."""
     bias = model.params.bias
     if bias is not None and bias.amplitude_sq > 0:
         return None
     try:
-        s_star = model.symmetric_fixed_point()
+        z_star = model.symmetric_fixed_point()
     except IntegrationError:  # not a fixed point outside 'hyperfine+zeeman'
         return None
-    if eps == 0.0 or model._growth_rate(s_star) < 0:
-        return s_star
+    if eps == 0.0 or model._growth_rate(z_star) < 0:
+        return z_star
     return None
 
 
@@ -1035,15 +1018,16 @@ def steady_state(params: SimParams, max_time: float | None = None,
         max_time = 2000.0 / params.gamma
     controls = controls or IntegrationControls(rtol=STEADY_RTOL)
     s0 = model.seed_coords(params.seed_polarization)
-    s_sym = _classified(model, params.seed_polarization)
-    if s_sym is not None:
-        times, mags = np.zeros(1), np.array([model.magnetization(s0)])
-        rates = np.array([model.fz_row @ model.rhs_coords(s0)])
-        s, stop = s_sym, "symmetric"
-        counts = {"steps": 0, "nfev": 0, "njev": 0}
+    z = _classified(model, params.seed_polarization)
+    if z is not None:
+        # the seed's M and dM/dt, read as an integrated run reads them
+        values = model.chart(s0)[None] @ model.readout.T + model.readout_offset
+        times, mags, rates = np.zeros(1), values[:, 0], model.rate(values)
+        stop, counts = "symmetric", {"steps": 0, "nfev": 0, "njev": 0}
     else:
-        times, mags, rates, s, stop, counts = _integrate_coords(
+        times, mags, rates, z, stop, counts = _integrate_coords(
             model, s0, max_time, controls, stop_at_fixed_point=True)
+    s = model.coords(z)
     traj = Trajectory(times=times, magnetization=mags,
                       final_state=model.sub.to_matrix(s), rates=rates)
     m_ss = model.magnetization(s)
@@ -1147,7 +1131,8 @@ def _mixed_state_rates(atom: AtomSpec, b_z: float, mode: str, shape: OpticalFiel
     # the first n columns are the unrotated excited matrices
     rho_e = (x[:, :ground.sub.n] @ ground.u).reshape(de, de)
     absorption = float(coll.gamma_q * np.trace(rho_e).real)
-    return absorption, float(ground.fz_row @ (np.real(superop) @ ground.u))
+    rate = ground.m_basis[:, 0] @ (np.real(superop) @ ground.u)  # fz = c q_0
+    return absorption, ground.m_scale * float(rate)
 
 
 def absorption_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:

@@ -466,6 +466,9 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
             if reader.fieldnames is None or set(reader.fieldnames) - {c[0] for c in CELL_COLUMNS}:
                 raise SchemaError(f"unexpected CSV columns {reader.fieldnames!r}")
             for k, row in enumerate(reader, 1):
+                if None in row or None in row.values():  # DictReader's rest key, rest value
+                    raise SchemaError(f"sweep CSV row {k}: {'more' if None in row else 'fewer'}"
+                                      " fields than the header")
                 values = {attr: parse(row[name]) for name, attr, _, parse in CELL_COLUMNS
                           if attr in _CELL_FIELDS and name in row}
                 if legacy:  # schema 0 has no tau_floored column: the floor rule fills it

@@ -102,11 +102,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("conditions.j_convention", "foo"), ("sweep.workers", "-3"),
-        ("sweep.workers", "0"), ("sweep.workers", "two"), ("sweep.workers", "1.5")])
+        ("sweep.workers", "0"), ("sweep.workers", "two"), ("sweep.workers", "1.5"),
+        ("numerics.light_shift", "on"), ("numerics.light_shift", "ture"),
+        ("numerics.light_shift", "2")])
     def test_unknown_choice_rejected_with_key(self, key, value):
         with pytest.raises(ConfigError) as err:
             parse_config(overrides={key: value})
         assert f"[{key}]" in str(err.value)
+
+    @pytest.mark.parametrize("value, on", [("true", True), ("YES", True), ("1", True),
+                                           ("False", False), ("no", False), ("0", False)])
+    def test_light_shift_switch(self, value, on):
+        cfg = parse_config(overrides={"numerics.light_shift": value})
+        assert cfg["numerics", "light_shift"] is on
 
     def test_temperature_law(self):
         cfg = parse_config(overrides={"relaxation.temperature_c": "87"})

@@ -110,18 +110,6 @@ def assert_solver_counts(counts, solver):
     assert all(type(c) is int for c in reported)
 
 
-def s_jacobian(model, s):
-    """d(rhs_coords)/ds in the n state coordinates, r_lin + qJ sum_j
-    [(m_j.s) Q_j + (Q_j s) m_j^T]: the Jacobian of the s-coordinate oracles,
-    checked against finite differences below."""
-    out = model.r_lin.copy()
-    if model.qj > 0:
-        for j in model._active_j:
-            out += (model.qj * (model.m_rows[j] @ s)) * model.q_mats[j]
-            out += model.qj * np.outer(model.q_mats[j] @ s, model.m_rows[j])
-    return out
-
-
 def project_superop(sub, sop):
     """Reference projection of a full-space superoperator into subspace
     coordinates, one basis matrix at a time."""
@@ -130,6 +118,51 @@ def project_superop(sub, sop):
         rho_k = sub.to_matrix(e)
         out[:, k] = sub.from_matrix((sop @ rho_k.reshape(-1)).reshape(rho_k.shape))
     return out
+
+
+def rotated(model, mat):
+    """A map ``mat`` of subspace coordinates in the model's unit-trace
+    chart: Q^T mat [Q | u], acting on (z, 1)."""
+    q = model.m_basis
+    return q.T @ mat @ np.column_stack([q, model.u])
+
+
+def chart_generator(model):
+    """The model's linear generator [lin | lin_offset], acting on (z, 1)."""
+    return np.column_stack([model.lin, model.lin_offset])
+
+
+def reference_rhs(model, s):
+    """d s/dt from the full-space reference path ``rhs_matrix``."""
+    return model.sub.from_matrix(model.rhs_matrix(model.sub.to_matrix(s)))
+
+
+def reference_magnetization(model, s):
+    """Tr(rho F_z) / F_max of the coordinates ``s``."""
+    return np.trace(model.sub.to_matrix(s) @ model.fz).real / model.f_max
+
+
+def reference_jacobian(model):
+    """d(reference_rhs)/ds in the n subspace coordinates, from the
+    full-space reference path: the projected ``lin_superop`` plus
+    qJ sum_j [(m_j.s) Q_j + (Q_j s) m_j^T], where m_j.s = Tr(rho S_j) and
+    Q_j s holds the coordinates of the j-th exchange bracket of rho.
+    Checked against finite differences below."""
+    sub = model.sub
+    lin = project_superop(sub, model.lin_superop)
+    basis = [sub.to_matrix(e) for e in np.eye(sub.n)]
+    m_rows = np.array([[np.trace(rho @ s).real for rho in basis]
+                       for s in model.s_ops.matrices])
+    brackets = [dyn._exchange_vector_bracket(rho, model.s_ops) for rho in basis]
+    q_mats = [np.column_stack([sub.from_matrix(b[j]) for b in brackets]) for j in range(3)]
+
+    def jacobian(s):
+        out = lin.copy()
+        if model.qj > 0:
+            for m, q_mat in zip(m_rows, q_mats):
+                out += model.qj * ((m @ s) * q_mat + np.outer(q_mat @ s, m))
+        return out
+    return jacobian
 
 
 class TestExchangeTerm:
@@ -225,51 +258,55 @@ class TestCompiledModel:
                                  h_over_gamma=0.4, projection_mode=mode)
         model = CompiledModel(p)
         assert model.sub.n == n
+        jacobian, lin = reference_jacobian(model), project_superop(model.sub, model.lin_superop)
+        tr_row = np.zeros(n)
+        tr_row[:model.sub.dim] = 1.0
+        q = model.m_basis
         for _ in range(2):
             s = model.sub.from_matrix(random_density(rng))
-            jac = s_jacobian(model, s)
+            jac = jacobian(s)
             # the rhs is quadratic, so central differences are exact up to
             # rounding; compare against the nonlinear part being tested
             h = 1e-4
-            fd = np.empty_like(jac)
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = h
-                fd[:, k] = (model.rhs_coords(s + e) - model.rhs_coords(s - e)) / (2 * h)
-            feedback = np.abs(jac - model.r_lin).max()
+            fd = np.column_stack([reference_rhs(model, s + e) - reference_rhs(model, s - e)
+                                  for e in h * np.eye(n)]) / (2 * h)
+            feedback = np.abs(jac - lin).max()
             assert feedback > 1.0
             assert np.abs(jac - fd).max() < 1e-4 * feedback
             # trace conservation: the trace row of the Jacobian vanishes
-            assert np.abs(model.tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
+            assert np.abs(tr_row @ jac).max() < 1e-12 * np.abs(jac).max()
+            # and the solver's Jacobian is its rotation into the chart
+            chart_jac = model.jac(0.0, model.chart(s))
+            assert np.abs(chart_jac - q.T @ jac @ q).max() <= 1e-12 * np.abs(jac).max()
 
     @pytest.mark.parametrize("mode", PROJECTION_MODES)
     @pytest.mark.parametrize("j_over_gamma", [0.0, 3.0])
-    def test_departure_operators_are_the_rotated_generator(self, mode, j_over_gamma, rng):
-        # the solver's callbacks and readout against the s-coordinate model,
-        # and the Jacobian against central differences of the callback: the
-        # rhs is quadratic, so these are exact up to rounding at h = 1
+    def test_chart_operators_are_the_rotated_reference(self, mode, j_over_gamma, rng):
+        # the solver's callbacks and readout against the full-space
+        # reference path, and the Jacobian against central differences of
+        # the callback: the rhs is quadratic, so these are exact up to
+        # rounding at h = 1
         p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=j_over_gamma,
                                  h_over_gamma=0.4, projection_mode=mode)
         model = CompiledModel(p)
-        ops = model.departure
-        q, u = model.m_basis, model.unpolarized_coords()
+        q = model.m_basis
         for _ in range(2):
-            z = q.T @ (model.sub.from_matrix(random_density(rng)) - u)
-            s = q @ z + u
-            rhs = q.T @ model.rhs_coords(s)
-            assert np.abs(ops.rhs(0.0, z) - rhs).max() <= 1e-12 * np.abs(rhs).max()
-            jac = np.column_stack([ops.rhs(0.0, z + e) - ops.rhs(0.0, z - e)
+            s = model.sub.from_matrix(random_density(rng))
+            z = model.chart(s)
+            rhs = q.T @ reference_rhs(model, s)
+            assert np.abs(model.rhs(0.0, z) - rhs).max() <= 1e-12 * np.abs(rhs).max()
+            jac = np.column_stack([model.rhs(0.0, z + e) - model.rhs(0.0, z - e)
                                    for e in np.eye(z.size)]) / 2.0
-            assert np.abs(ops.jac(0.0, z) - jac).max() <= 1e-12 * np.abs(jac).max()
+            assert np.abs(model.jac(0.0, z) - jac).max() <= 1e-12 * np.abs(jac).max()
             # M, dM/dt's linear form and feedback factors, the populations
-            values = ops.readout @ z + ops.readout_offset
+            values = model.readout @ z + model.readout_offset
             populations = s[:model.sub.dim] if mode == "hyperfine+zeeman" else []
-            assert values.size == 2 + 2 * ops.k + len(populations)
-            assert np.abs(values[[0, *range(2 + 2 * ops.k, values.size)]]
-                          - [model.fz_row @ s, *populations]).max() <= 1e-12
-            rate = model.fz_row @ model.rhs_coords(s)
-            assert abs(ops.rate(values[None])[0] - rate) <= 1e-12 * np.abs(rhs).max()
-        assert model.departure is ops
+            assert values.size == 2 + 2 * model.k + len(populations)
+            assert np.abs(values[[0, *range(2 + 2 * model.k, values.size)]]
+                          - [reference_magnetization(model, s), *populations]).max() <= 1e-12
+            rate = np.trace(model.rhs_matrix(model.sub.to_matrix(s)) @ model.fz).real
+            assert (abs(model.rate(values[None])[0] - rate / model.f_max)
+                    <= 1e-12 * np.abs(rhs).max())
 
     @pytest.mark.parametrize("mode, j_over_gamma, b_z, k", [
         ("hyperfine+zeeman", 0.0, 1.0, 0),
@@ -282,20 +319,19 @@ class TestCompiledModel:
         # the callbacks against the sequential sum for any number k of
         # feedback components: v = W z + w, then v_lin + v_m1 v_Q1 +
         # v_m2 v_Q2 + ... and its Jacobian, added in that order, with W and
-        # w stacked as DepartureOperators does
-        model = CompiledModel(SimParams.from_rates(1.5, j_over_gamma, 0.4,
-                                                   projection_mode=mode, b_z=b_z))
-        q, u = model.m_basis, model.unpolarized_coords()
-        n = q.shape[1]
-        active = model._active_j if model.qj > 0 else ()
-        assert len(active) == k
-        left = np.vstack([q.T @ model.r_lin]
-                         + [model.m_rows[j][None, :] for j in active]
-                         + [model.qj * (q.T @ model.q_mats[j]) for j in active])
-        w_mat, w_off = left @ q, left @ u
-        ops = model.departure
+        # w stacked as CompiledModel does, from its generator and the
+        # cached feedback parts
+        p = SimParams.from_rates(1.5, j_over_gamma, 0.4, projection_mode=mode, b_z=b_z)
+        model = CompiledModel(p)
+        n = model.m_basis.shape[1]
+        parts = dyn._ground_parts(p.atom, p.b_z, p.projection_mode)
+        feedback = parts.feedback if model.qj > 0 else ()
+        assert len(feedback) == model.k == k
+        stacked = np.vstack([chart_generator(model)] + [m[None, :] for m, _ in feedback]
+                            + [model.qj * block for _, block in feedback])
+        w_mat, w_off = np.ascontiguousarray(stacked[:, :-1]), stacked[:, -1]
         for _ in range(3):
-            z = q.T @ (model.sub.from_matrix(random_density(rng)) - u)
+            z = model.chart(model.sub.from_matrix(random_density(rng)))
             v = w_mat @ z
             v += w_off
             rhs, jac = v[:n], w_mat[:n]
@@ -303,7 +339,7 @@ class TestCompiledModel:
                 m, block = n + i, slice(n + k + i * n, n + k + (i + 1) * n)
                 rhs = rhs + v[m] * v[block]
                 jac = jac + v[m] * w_mat[block] + np.outer(v[block], w_mat[m])
-            for got, ref in ((ops.rhs(0.0, z), rhs), (ops.jac(0.0, z), jac)):
+            for got, ref in ((model.rhs(0.0, z), rhs), (model.jac(0.0, z), jac)):
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
 
@@ -633,9 +669,9 @@ class TestSteadyDetection:
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
                                  seed_polarization=0.0)
         model = CompiledModel(p)
-        s_star = model.symmetric_fixed_point()
-        assert np.abs(model.rhs_coords(s_star)).max() < 1e-9 * GAMMA
-        assert model.magnetization(s_star) == pytest.approx(0.0, abs=1e-12)
+        s_star = model.coords(model.symmetric_fixed_point())
+        assert np.abs(reference_rhs(model, s_star)).max() < 1e-9 * GAMMA
+        assert reference_magnetization(model, s_star) == pytest.approx(0.0, abs=1e-12)
         # (2, 3) is in the ordered phase: fluctuations grow
         assert model.slow_mode_rate() > 0
         p0 = SimParams.from_rates(i_over_gamma=0.3, j_over_gamma=1.0,
@@ -647,13 +683,13 @@ class TestCachedParts:
     @pytest.mark.parametrize("mode, light_shift", [
         ("hyperfine+zeeman", False), ("hyperfine", False), ("none", False),
         ("hyperfine+zeeman", True)])
-    def test_r_lin_matches_projected_full_generator(self, mode, light_shift):
+    def test_chart_generator_matches_projected_full_generator(self, mode, light_shift):
         p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0,
                                  h_over_gamma=0.4, projection_mode=mode,
                                  light_shift=light_shift)
         model = CompiledModel(p)
-        ref = project_superop(model.sub, model.lin_superop)
-        assert np.abs(model.r_lin - ref).max() < 1e-12 * np.abs(ref).max()
+        ref = rotated(model, project_superop(model.sub, model.lin_superop))
+        assert np.abs(chart_generator(model) - ref).max() < 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("i_over_gamma", [0.05, 40.0])
     def test_optical_part_matches_channel(self, i_over_gamma):
@@ -680,22 +716,27 @@ class TestCachedParts:
         kwargs = dict(i_over_gamma=1.5, j_over_gamma=3.0, projection_mode=mode)
         base = CompiledModel(SimParams.from_rates(**kwargs))
         other = CompiledModel(SimParams.from_rates(**kwargs, **change))
-        assert np.abs(other.r_lin - base.r_lin).max() > 1e-4 * np.abs(base.r_lin).max()
+        gen = chart_generator(other)
+        assert (np.abs(gen - chart_generator(base)).max()
+                > 1e-4 * np.abs(chart_generator(base)).max())
         # not the base point's cached parts under a rescaled calibration
-        ref = project_superop(other.sub, other.lin_superop)
-        assert np.abs(other.r_lin - ref).max() < 1e-12 * np.abs(ref).max()
+        ref = rotated(other, project_superop(other.sub, other.lin_superop))
+        assert np.abs(gen - ref).max() < 1e-12 * np.abs(ref).max()
 
     def test_cached_arrays_are_read_only(self):
-        model = CompiledModel(SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0))
-        for arr in (model.q_mats[0], model.m_rows, model.fz_row, model.system.h_g,
-                    model.unpolarized_coords()):
+        p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0)
+        model = CompiledModel(p)
+        parts = dyn._ground_parts(p.atom, p.b_z, p.projection_mode)
+        m_row, block = parts.feedback[0]
+        for arr in (block, m_row, parts.h, parts.t_map, parts.f_map, model.m_basis,
+                    model.system.h_g, model.u):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         # the point's own generator is a fresh array
-        model.r_lin[0, 0] += 0.0
+        model.lin[0, 0] += 0.0
 
     def test_pump_only_model_matches_reference(self, rng):
-        # fields enter r_lin through the cached unit-intensity parts
+        # fields enter the generator through the cached unit-intensity parts
         p = SimParams.from_rates(i_over_gamma=3.0, j_over_gamma=0.0)
         model = CompiledModel(p)
         assert model.qj == 0.0
@@ -804,14 +845,13 @@ class TestSolverCounts:
         # (from about the 1,350th call): the first non-finite state fails
         # the run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        q, u = model.m_basis, model.unpolarized_coords()
         calls = []
 
         def rhs(_t, z):
             calls.append(1)
             return (np.full_like(z, np.nan) if len(calls) > 1600
-                    else q.T @ (model.r_lin @ (q @ z + u)))
-        model.departure.rhs = rhs
+                    else model.lin @ z + model.lin_offset)
+        model.rhs = rhs
         with (pytest.raises(IntegrationError, match="solver failed") as info,
               np.errstate(invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
@@ -826,14 +866,13 @@ class TestSolverCounts:
         # NaN from the fourth call: the first non-finite state must surface
         # at once as IntegrationError, which a sweep cell catches
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        ops = model.departure
-        solver_rhs = ops.rhs
+        solver_rhs = model.rhs
         calls = []
 
         def rhs(t, z):
             calls.append(1)
             return np.full_like(z, np.nan) if len(calls) >= 4 else solver_rhs(t, z)
-        ops.rhs = rhs
+        model.rhs = rhs
         with (pytest.raises(IntegrationError, match="solver failed") as info,
               np.errstate(over="ignore", invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
@@ -899,7 +938,6 @@ class TestSolverCounts:
         from scipy.integrate import LSODA
 
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        ops = model.departure
         calls = {"rhs": 0, "jac": 0}
 
         def counted(name, callback):
@@ -907,8 +945,8 @@ class TestSolverCounts:
                 calls[name] += 1
                 return callback(t, z)
             return wrapped
-        rhs, jac = ops.rhs, ops.jac
-        ops.rhs, ops.jac = counted("rhs", rhs), counted("jac", jac)
+        rhs, jac = model.rhs, model.jac
+        model.rhs, model.jac = counted("rhs", rhs), counted("jac", jac)
         times = []
         build = dyn._lsoda
 
@@ -930,7 +968,7 @@ class TestSolverCounts:
         assert calls["jac"] > 0  # the run reached BDF
         assert (counts["nfev"], counts["njev"]) == (calls["rhs"], calls["jac"])
         assert counts["steps"] == len(times)
-        stock = LSODA(rhs, 0.0, model.m_basis.T @ (s0 - model.unpolarized_coords()), t_end,
+        stock = LSODA(rhs, 0.0, model.chart(s0), t_end,
                       rtol=controls.rtol, atol=controls.atol, jac=jac)
         stock_times = []
         while stock.status == "running":
@@ -953,7 +991,7 @@ def _shift(model, delta_s):
 def _negative_population(model, amount=3e-9):
     """A fault that moves population 0, and ``amount`` more, onto
     population 1: the trace stays and population 0 becomes -amount."""
-    q, u = model.m_basis, model.unpolarized_coords()
+    q, u = model.m_basis, model.u
 
     def fault(z):
         move = q[0] @ z + u[0] + amount
@@ -999,11 +1037,10 @@ class TestBlockChecks:
         assert times.tolist() == run.times
         assert len(times) == counts["steps"] + 1
         # M of each accepted step, as one readout row of its state would give it
-        ops = model.departure
-        ref = [ops.readout[0] @ z + ops.readout_offset[0] for z in run.states[1:]]
+        ref = [model.readout[0] @ z + model.readout_offset[0] for z in run.states[1:]]
         assert np.abs(mags[1:] - ref).max() <= 1e-17
         # and dM/dt of each recorded state, as M's row applied to the callback
-        ref = [ops.readout[0] @ ops.rhs(0.0, z) for z in run.states]
+        ref = [model.readout[0] @ model.rhs(0.0, z) for z in run.states]
         assert len(rates) == len(times)
         assert np.abs(rates - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -1029,7 +1066,7 @@ class TestBlockChecks:
         diag = info.value.diagnostics
         assert set(diag) == {"t", "min_eig"}
         assert diag["t"] == run.times[step]
-        s = model.m_basis @ run.states[step] + model.unpolarized_coords()
+        s = model.coords(run.states[step])
         assert diag["min_eig"] == pytest.approx(model.sub.min_eigenvalue(s), rel=0, abs=1e-15)
         assert diag["min_eig"] < -dyn.POSITIVITY_TOL
 
@@ -1077,8 +1114,10 @@ def _trace_exact_integration(model, t_end):
     def rhs(_t, y):
         return model.rhs_coords(full(y))[:-1]
 
+    jacobian = reference_jacobian(model)
+
     def jac(_t, y):
-        jj = s_jacobian(model, full(y))
+        jj = jacobian(full(y))
         return jj[:-1, :-1] - jj[:-1, -1:]
     y0 = model.seed_coords(model.params.seed_polarization)[:-1]
     sol = solve_ivp(rhs, (0.0, t_end), y0, method="Radau", jac=jac,
@@ -1115,7 +1154,7 @@ class TestExactStops:
         assert (res.converged, res.floored, res.tau) == (True, True, p.t1)
         assert (res.steps, res.nfev, res.njev) == (0, 0, 0)
         assert res.trajectory.times.tolist() == [0.0]
-        s_star = model.symmetric_fixed_point()
+        s_star = model.coords(model.symmetric_fixed_point())
         assert res.m_ss == model.magnetization(s_star)
         assert np.array_equal(res.rho_ss, model.sub.to_matrix(s_star))
 
@@ -1127,8 +1166,11 @@ class TestExactStops:
         res = steady_state(p, model=model)
         assert res.stop == "symmetric"
         seed = model.seed_coords(p.seed_polarization)
-        rate = model.fz_row @ model.rhs_coords(seed)
-        assert res.trajectory.rates.tolist() == [rate]
+        run = dyn._integrate_coords(model, seed, 1e-6, IntegrationControls())
+        assert res.trajectory.magnetization.tolist() == run[1][:1].tolist()
+        assert res.trajectory.rates.tolist() == run[2][:1].tolist()
+        rate = np.trace(model.rhs_matrix(model.sub.to_matrix(seed)) @ model.fz).real
+        assert res.trajectory.rates[0] == pytest.approx(rate / model.f_max, rel=1e-12)
         assert rate < 0  # the seed relaxes back
 
     @pytest.mark.parametrize("i_over_i0, i, j", [(1.04, None, 3.7), (None, 2.0, 3.0)])
@@ -1148,9 +1190,9 @@ class TestExactStops:
 
     @pytest.mark.parametrize("i_over_i0, i, j", [(1.04, None, 3.7), (None, 2.0, 3.0)])
     def test_long_run_keeps_unit_trace(self, i_over_i0, i, j):
-        # the column sums of r_lin are rounded at about 1e-11 /s, but every
-        # state of the chart has unit trace, so a long run cannot drift off
-        # it, nor M off the Newton fixed point
+        # the column sums of the generator are rounded at about 1e-11 /s,
+        # but every state of the chart has unit trace, so a long run cannot
+        # drift off it, nor M off the Newton fixed point
         if i is None:
             i = i_over_i0 * critical_pump_rate(j)
         p = SimParams.from_rates(i, j)
@@ -1173,9 +1215,10 @@ class TestExactStops:
         def crossing(_t, y):
             return abs(model.magnetization(y)) - dyn.RESPONSE_FRACTION * abs(res.m_ss)
         crossing.terminal = True
+        jacobian = reference_jacobian(model)
         sol = solve_ivp(lambda _t, y: model.rhs_coords(y), (0.0, 2000.0 / GAMMA),
                         model.seed_coords(p.seed_polarization), method="Radau",
-                        jac=lambda _t, y: s_jacobian(model, y), rtol=1e-12, atol=1e-14,
+                        jac=lambda _t, y: jacobian(y), rtol=1e-12, atol=1e-14,
                         events=crossing)
         return res.tau, sol.t_events[0][0]
 
@@ -1207,8 +1250,14 @@ class TestExactStops:
         # the unit-trace chart: n - 1 orthonormal trace-free directions, led by M
         assert q.shape == (n, n - 1)
         assert np.allclose(q.T @ q, np.eye(n - 1))
-        assert abs(model.fz_row @ q[:, 0]) == pytest.approx(np.linalg.norm(model.fz_row))
-        assert np.abs(model.tr_row @ q).max() <= 1e-14
+        tr_row = np.zeros(n)
+        tr_row[:model.sub.dim] = 1.0
+        assert np.abs(tr_row @ q).max() <= 1e-14
+        fz_row = np.array([reference_magnetization(model, e) for e in np.eye(n)])
+        assert abs(fz_row @ q[:, 0]) == pytest.approx(np.linalg.norm(fz_row))
+        # so M is read off z alone: fz . s = c z_0, since fz . u = 0
+        assert fz_row @ model.u == 0.0
+        assert np.abs(fz_row @ q - model.readout[0]).max() <= 1e-15
         tight = steady_state(p, model=model)
         loose = steady_state(p, model=model, controls=IntegrationControls(rtol=1e-4))
         assert loose.steps < tight.steps
@@ -1219,12 +1268,12 @@ class TestExactStops:
         # symmetric state, a fixed point that Newton rejects as unstable
         p = SimParams.from_rates(2.0, 3.0, seed_polarization=0.0)
         model = CompiledModel(p)
-        s_star = model.symmetric_fixed_point()
-        assert model.stable_fixed_point(s_star) is None
+        z_star = model.symmetric_fixed_point()
+        assert model.stable_fixed_point(z_star) is None
         res = steady_state(p, model=model)
         assert res.stop == "symmetric"
         assert res.steps == 0
-        assert res.m_ss == model.magnetization(s_star)
+        assert res.m_ss == model.magnetization(model.coords(z_star))
 
     def test_hyperfine_symmetric_state_is_no_fixed_point(self):
         # the linear solve keeps transverse coherences that the feedback
@@ -1269,8 +1318,7 @@ class TestExactStops:
         # once, at the first accepted step of each STEADY_WINDOW_T1 / Gamma
         # window; the solver's own calls come from its integrator's run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
-        ops = model.departure
-        solver_rhs = ops.rhs
+        solver_rhs = model.rhs
         reads = []
 
         def rhs(t, z):
@@ -1280,8 +1328,8 @@ class TestExactStops:
                 assert np.array_equal(z, solver.y)
                 reads.append(solver.t)
             return solver_rhs(t, z)
-        ops.rhs = rhs
-        model.stable_fixed_point = lambda _s: None  # never stops the run
+        model.rhs = rhs
+        model.stable_fixed_point = lambda _z: None  # never stops the run
         times, *_ = dyn._integrate_coords(model, model.seed_coords(1e-4), 40.0 / GAMMA,
                                           IntegrationControls(), stop_at_fixed_point=True)
         expected, due = [], 0.0

@@ -263,6 +263,22 @@ class TestRunSweep:
         with pytest.raises(SchemaError, match="row 2: M_abs"):
             load_sweep(csv_path, man_path)
 
+    @pytest.mark.parametrize("change, what", [(lambda row: row + ["extra", "7"], "more"),
+                                              (lambda row: row[:-1], "fewer")],
+                             ids=["more", "fewer"])
+    def test_row_of_other_length_than_the_header_is_rejected(self, tiny_sweep, tmp_path,
+                                                             change, what):
+        csv_path = str(tmp_path / "cells.csv")
+        man_path = str(tmp_path / "manifest.json")
+        save_sweep(tiny_sweep, csv_path, man_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3] = change(rows[3])
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError, match=f"row 3: {what} fields than the header"):
+            load_sweep(csv_path, man_path)
+
     def test_corrupted_csv(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
         man_path = str(tmp_path / "manifest.json")
