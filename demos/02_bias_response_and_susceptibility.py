@@ -9,8 +9,7 @@ of magnitude -- the precursor of the transition.
 import numpy as np
 
 from spingas import SimParams, steady_state, susceptibility
-
-GAMMA = 58.0
+from spingas.dynamics import GAMMA_BASE
 
 print("Steady magnetization vs bias rate at I = 0, J = 2.3 Gamma:")
 print(f"{'H/Gamma':>8} {'M':>10} {'H/(H+Gamma)':>12}")
@@ -26,6 +25,6 @@ print("The curve follows the classic saturation law qualitatively; the "
 print("\nSusceptibility along J = 2.3 Gamma, approaching the boundary:")
 for i in (0.0, 0.5, 0.9, 1.2, 1.35):
     r = susceptibility(i, 2.3, check_ordered=False)
-    print(f"  I/Gamma = {i:4.2f}:  chi * Gamma = {r.chi * GAMMA:8.3f}"
+    print(f"  I/Gamma = {i:4.2f}:  chi * Gamma = {r.chi * GAMMA_BASE:8.3f}"
           f"   (step-halving change {r.richardson_change:.1e})")
 print("chi diverges toward the critical pump rate near 1.43 Gamma.")

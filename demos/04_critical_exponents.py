@@ -10,10 +10,8 @@ import numpy as np
 
 from spingas import SimParams, steady_state
 from spingas.critfit import FitSpec, fit_delta, fit_gamma, susceptibility, three_step_fit
-from spingas.dynamics import critical_pump_rate
+from spingas.dynamics import GAMMA_BASE, critical_pump_rate
 from spingas.sweep import refine_contour
-
-GAMMA = 58.0
 
 i0 = critical_pump_rate(3.8)
 print(f"critical pump rate on the J = 3.8 Gamma contour: I0 = {i0:.4f} Gamma")
@@ -27,7 +25,7 @@ print(f"order parameter:  beta = {r.exponent:.3f} +- {r.exponent_err:.3f}  "
 i0 = critical_pump_rate(2.3)
 xs = i0 * (1 - np.geomspace(0.03, 0.22, 10))
 chi = np.array([susceptibility(i, 2.3, dh_over_gamma=5e-4,
-                               check_ordered=False).chi * GAMMA for i in xs])
+                               check_ordered=False).chi * GAMMA_BASE for i in xs])
 r = fit_gamma(xs, chi)
 print(f"susceptibility:   gamma = {r.exponent:.3f} +- {r.exponent_err:.3f}  "
       f"(mean-field 1), fitted I0 = {r.x0:.4f}")

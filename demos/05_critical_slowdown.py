@@ -10,10 +10,9 @@ import numpy as np
 
 from spingas import SimParams, response_time, seed_sensitivity
 from spingas.critfit import fit_znu
-from spingas.dynamics import critical_pump_rate
+from spingas.dynamics import GAMMA_BASE, critical_pump_rate
 
-GAMMA = 58.0
-T1 = 1.0 / GAMMA
+T1 = 1.0 / GAMMA_BASE
 
 i0 = critical_pump_rate(3.7)
 print(f"critical pump rate at J = 3.7 Gamma: I0 = {i0:.4f} Gamma")

@@ -64,6 +64,7 @@ from .critfit import (  # noqa: F401
     FitResult,
     FitSpec,
     NoTransitionError,
+    fit,
     fit_delta,
     fit_gamma,
     fit_znu,

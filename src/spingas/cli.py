@@ -14,29 +14,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_axis, parse_config
 from .critfit import (
     FORMS,
     WEIGHTS,
     FitError,
-    FitSpec,
     NoTransitionError,
-    fit_delta,
+    fit,
     reduced_distance,
     susceptibility,
-    three_step_fit,
-    weighted_residuals,
-    _FORM_RULES,
-    _fit_divergent,
-    _model_and_jac,
-    _weights,
 )
 from .dynamics import (
     CompiledModel,
@@ -78,21 +71,21 @@ def _write_json(path: str, payload: dict, cfg: RunConfig) -> None:
 
 
 def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
+    """The first two columns of a series CSV.  Comment ('#') and blank lines
+    are skipped, and a first row that is not numeric is the header."""
     with open(path, newline="") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(rows)))
-    header = next(reader, None)
-    if header is None:
+        rows = [(k, next(csv.reader([line]))) for k, line in enumerate(fh, 1)
+                if line.strip() and not line.startswith("#")]
+    if not rows:
         raise ValueError("empty series file")
     try:
-        float(header[0])
-        rows_iter = [header] + list(reader)
-    except (ValueError, IndexError):
-        rows_iter = list(reader)
-    for row in rows_iter:
+        float(rows[0][1][0])
+    except ValueError:
+        rows = rows[1:]
+    xs, ys = [], []
+    for k, row in rows:
         if len(row) < 2:
-            continue
+            raise ValueError(f"line {k} of {path} holds no x,y pair: {','.join(row)!r}")
         xs.append(float(row[0]))
         ys.append(float(row[1]))
     if not xs:
@@ -207,8 +200,7 @@ def _cmd_contour(args, cfg: RunConfig) -> int:
 
 
 def _cmd_susceptibility(args, cfg: RunConfig) -> int:
-    from .config import _axis
-    i_values = _axis(args.i_values)
+    i_values = parse_axis(args.i_values)
     rows = []
     for i in i_values:
         r = susceptibility(i, args.j, dh_over_gamma=args.dh, gamma=cfg.gamma(),
@@ -227,39 +219,13 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
 
 def _cmd_fit(args, cfg: RunConfig) -> int:
     x, y = _read_xy(args.input)
-    divergent = args.form != "delta" and _FORM_RULES[args.form][1] < 0
-    if divergent or args.form == "delta":  # forms with fixed weights
-        scheme = "gamma-cubed" if divergent else "uniform"
-        if args.weights not in (None, scheme):
-            raise ValueError(f"the {args.form} form always uses {scheme} weights")
-    if args.form == "delta":
-        if args.exclude not in (None, 0):
-            raise ValueError("the delta form excludes no points")
-        result = fit_delta(x, y)
-    elif divergent:
-        result = _fit_divergent(args.form, x, y,
-                                2 if args.exclude is None else args.exclude)
-    else:
-        spec = FitSpec(form=args.form, weights=args.weights or "uniform",
-                       exclude_near_max=args.exclude or 0)
-        result = three_step_fit(x, y, spec)
-    payload = {
-        "form": result.form, "exponent": result.exponent,
-        "exponent_err": result.exponent_err, "x0": result.x0,
-        "x0_err": result.x0_err, "amplitude": result.amplitude,
-        "amplitude_err": result.amplitude_err,
-        "residual_norm": result.residual_norm, "n_used": result.n_used,
-        "n_excluded": result.n_excluded, "weights": result.weight_scheme,
-        "diagnostics": result.diagnostics,
-    }
+    result = fit(args.form, x, y, weights=args.weights, exclude=args.exclude)
+    payload = dataclasses.asdict(result)
+    payload["weights"] = payload.pop("weight_scheme")
     _write_json(args.out + "_fit.json", payload, cfg)
     if result.form != "delta":
-        params = np.array([result.amplitude, result.x0, result.exponent])
-        model, _ = _model_and_jac(result.form, params, x)
-        w = _weights(x, result.weight_scheme)
         buf = _stamp(cfg) + "x,y,model,weight,weighted_residual\n"
-        wr = weighted_residuals(result.form, params, x, y, w)
-        for xi, yi, mi, wi, ri in zip(x, y, model, w, wr):
+        for xi, yi, mi, wi, ri in zip(x, y, *result.evaluate(x, y)):
             buf += f"{xi:.12g},{yi:.12g},{mi:.12g},{wi:.12g},{ri:.12g}\n"
         write_atomic(args.out + "_residuals.csv", buf)
         # log-log table of reduced distance against the measured quantity

@@ -43,7 +43,7 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _axis(text: str) -> tuple[float, ...]:
+def parse_axis(text: str) -> tuple[float, ...]:
     """Parse 'lo:hi:n' (linear) or a comma list into a strictly increasing axis."""
     text = text.strip()
     if ":" in text:
@@ -102,8 +102,8 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("conditions", "s_axis"): (float, "10.0"),
     ("conditions", "attenuation_mode"): (str, "path-averaged"),
     ("conditions", "j_convention"): (str, "collision-rate"),
-    ("sweep", "i_over_gamma"): (_axis, "0.5:6:30"),
-    ("sweep", "j_over_gamma"): (_axis, "0.5:6:30"),
+    ("sweep", "i_over_gamma"): (parse_axis, "0.5:6:30"),
+    ("sweep", "j_over_gamma"): (parse_axis, "0.5:6:30"),
     ("sweep", "workers"): (str, "auto"),
 }
 

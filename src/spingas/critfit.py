@@ -18,10 +18,10 @@ candidates and bounds, and the CLI's log-log table all read that table.
 
 The nonlinear forms are fitted in three stages: a scan over critical-point
 candidates with the exponent free, a refit of the critical point with the
-exponent pinned, and a final fully free refinement.  Divergent-form fits
-optionally drop the points nearest the maximal measured value and weight the
-residuals by (Gamma/X)^3 to compensate for the finite measured values near
-the critical point.
+exponent pinned, and a final fully free refinement.  :func:`fit` holds
+each form's weights and exclusions: divergent-form fits weight the residuals
+by (Gamma/X)^3 to compensate for the finite measured values near the
+critical point, and drop the points nearest the maximal measured value.
 """
 
 from __future__ import annotations
@@ -88,6 +88,16 @@ class FitResult:
     n_excluded: int
     weight_scheme: str
     diagnostics: dict = field(default_factory=dict)
+
+    def evaluate(self, x, y):
+        """Model, weight and weighted residual at each point (x, y)."""
+        if self.form not in _FORM_RULES:
+            raise ValueError(f"the {self.form} form has no per-point evaluation")
+        x = np.asarray(x, dtype=float)
+        model, _ = _model_and_jac(self.form, np.array([self.amplitude, self.x0,
+                                                       self.exponent]), x)
+        w = _weights(x, self.weight_scheme)
+        return model, w, np.sqrt(w) * (model - y)
 
 
 def _weights(x: np.ndarray, scheme: str) -> np.ndarray:
@@ -188,7 +198,7 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
 
     Stage 1 scans critical-point candidates with the exponent free, stage 2
     pins the exponent and refines the critical point, stage 3 frees all
-    three parameters.  Requires at least 6 points at finite, positive x."""
+    three parameters.  Requires at least 6 points, x finite and > 0, y finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.form not in _FORM_RULES:
@@ -197,6 +207,8 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
         raise ValueError("x and y must have equal length")
     if not (np.isfinite(x) & (x > 0)).all():
         raise ValueError("x must be finite and > 0")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if len(x) < 6:
         raise ValueError("need at least 6 points to fit")
     order = np.argsort(x)
@@ -339,26 +351,41 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
     )
 
 
-def _fit_divergent(form: str, x, y, exclude: int) -> FitResult:
-    """Divergent-form fit with the (Gamma/X)^3 weights and near-maximum
-    exclusion; the sensitivity of the exponent to the exclusion count is
-    reported in the diagnostics."""
-    out = three_step_fit(x, y, FitSpec(form=form, weights="gamma-cubed",
-                                       exclude_near_max=exclude))
-    if exclude > 0:
-        alt = three_step_fit(x, y, FitSpec(form=form, weights="gamma-cubed"))
+def fit(form: str, x, y, weights: str | None = None,
+        exclude: int | None = None) -> FitResult:
+    """Fit a series by its form's rules (``None`` takes the default); a
+    setting the form does not take raises ValueError.  beta: uniform or
+    gamma-cubed weights, 0 points excluded by default.  gamma and znu:
+    gamma-cubed weights only, 2 points excluded by default, and any exclusion
+    reports its ``exclusion_sensitivity``.  delta: :func:`fit_delta`."""
+    if form not in FORMS:
+        raise ValueError(f"unknown fit form {form!r}")
+    divergent = form != "delta" and _FORM_RULES[form][1] < 0
+    if form != "beta":  # forms with fixed weights
+        scheme = "gamma-cubed" if divergent else "uniform"
+        if weights not in (None, scheme):
+            raise ValueError(f"the {form} form always uses {scheme} weights")
+        weights = scheme
+    if form == "delta":
+        if exclude not in (None, 0):
+            raise ValueError("the delta form excludes no points")
+        return fit_delta(x, y)
+    if exclude is None:
+        exclude = 2 if divergent else 0
+    out = three_step_fit(x, y, FitSpec(form, weights or "uniform", exclude))
+    if divergent and exclude > 0:
+        alt = three_step_fit(x, y, FitSpec(form, weights))
         out.diagnostics["exclusion_sensitivity"] = out.exponent - alt.exponent
     return out
 
 
 def fit_gamma(x, chi, exclude: int = 2) -> FitResult:
-    """Susceptibility divergence on the disordered side (see
-    :func:`_fit_divergent`)."""
-    return _fit_divergent("gamma", x, chi, exclude)
+    """Susceptibility divergence on the disordered side (see :func:`fit`)."""
+    return fit("gamma", x, chi, exclude=exclude)
 
 
 def fit_znu(x, tau, exclude: int = 2, t1_floor: float | None = None) -> FitResult:
-    """Dynamic slow-down divergence on the ordered side.
+    """Dynamic slow-down divergence on the ordered side (see :func:`fit`).
 
     Points at the dark-lifetime floor carry no divergence information and
     are dropped before fitting; a series entirely at the floor has no
@@ -366,12 +393,13 @@ def fit_znu(x, tau, exclude: int = 2, t1_floor: float | None = None) -> FitResul
     x = np.asarray(x, dtype=float)
     tau = np.asarray(tau, dtype=float)
     if t1_floor is not None:
-        above = tau > 1.5 * t1_floor
+        # a non-finite tau is kept, for the fit to reject
+        above = ~(tau <= 1.5 * t1_floor)
         if not above.any():
             raise NoTransitionError("all response times at the T1 floor: "
                                     "no divergence detected")
         x, tau = x[above], tau[above]
-    return _fit_divergent("znu", x, tau, exclude)
+    return fit("znu", x, tau, exclude=exclude)
 
 
 def fit_delta(h_over_gamma, m) -> FitResult:
@@ -382,6 +410,8 @@ def fit_delta(h_over_gamma, m) -> FitResult:
     linear law wins and the power-law result should not be quoted."""
     h = np.asarray(h_over_gamma, dtype=float)
     m = np.asarray(m, dtype=float)
+    if not (np.isfinite(h).all() and np.isfinite(m).all()):
+        raise ValueError("H and M must be finite")
     ok = (h > 0) & (m > 0)
     if ok.sum() < 4:
         raise FitError("need at least 4 positive (H, M) points")

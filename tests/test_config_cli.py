@@ -220,6 +220,70 @@ class TestCli:
                      "--exclude", "5", "--out", prefix]) == 2
         assert not os.path.exists(prefix + "_fit.json")
 
+    @pytest.mark.parametrize("form", ["beta", "gamma", "znu", "delta"])
+    def test_fit_artifacts_are_the_library_fit(self, tmp_path, form):
+        from spingas.critfit import fit, synthetic_series
+        rng = np.random.default_rng(7)
+        if form == "delta":
+            x = np.geomspace(2e-4, 2e-2, 10)
+            y = x ** (1 / 3.0) * (1 + 0.01 * rng.standard_normal(10))
+        else:
+            x = np.linspace(1.0, 3.2, 30)
+            x0 = {"beta": 1.6, "gamma": 3.4, "znu": 0.8}[form]
+            y = synthetic_series(form, 0.6, x0, 0.5, x, noise=0.01, rng=rng)
+        series = self._series(tmp_path, [repr(float(v)) for v in x],
+                              [repr(float(v)) for v in y])
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", form, "--out", prefix]) == 0
+        payload = json.load(open(prefix + "_fit.json"))
+        r = fit(form, x, y)
+        expected = {
+            "form": r.form, "exponent": r.exponent, "exponent_err": r.exponent_err,
+            "x0": r.x0, "x0_err": r.x0_err, "amplitude": r.amplitude,
+            "amplitude_err": r.amplitude_err, "residual_norm": r.residual_norm,
+            "n_used": r.n_used, "n_excluded": r.n_excluded, "weights": r.weight_scheme,
+            "diagnostics": r.diagnostics, "tool_version": payload["tool_version"],
+            "config_hash": payload["config_hash"]}
+        # compared as JSON text, where NaN (delta's x0) equals itself
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            expected, sort_keys=True, default=str)
+        if form == "delta":
+            assert not os.path.exists(prefix + "_residuals.csv")
+            return
+        rows = open(prefix + "_residuals.csv").read().splitlines()[2:]
+        assert rows == [",".join(f"{v:.12g}" for v in point)
+                        for point in zip(x, y, *r.evaluate(x, y))]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_rejects_a_non_finite_ordinate(self, tmp_path, capsys, bad):
+        from spingas.critfit import synthetic_series
+        x = np.linspace(1.7, 3.2, 20)
+        y = [str(v) for v in synthetic_series("beta", 0.6, 1.6, 0.5, x)]
+        y[5] = bad
+        series = self._series(tmp_path, x, y)
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", series, "--form", "beta", "--out", prefix]) == 2
+        assert "y must be finite" in capsys.readouterr().err
+        assert not os.path.exists(prefix + "_fit.json")
+
+    def test_fit_rejects_a_row_without_a_pair(self, tmp_path, capsys):
+        from spingas.critfit import synthetic_series
+        x = np.linspace(1.7, 3.2, 20)
+        rows = [f"{a},{b}" for a, b in zip(x, synthetic_series("beta", 0.6, 1.6, 0.5, x))]
+        series = tmp_path / "series.csv"
+        # blank lines are skipped; a row with one field is an error
+        series.write_text("# comment\nx,y\n\n" + "\n".join(rows) + "\n\n")
+        prefix = str(tmp_path / "fit")
+        assert main(["fit", "--input", str(series), "--form", "beta", "--out", prefix]) == 0
+        assert json.load(open(prefix + "_fit.json"))["n_used"] == 20
+        rows[7] = rows[7].split(",")[0]
+        series.write_text("# comment\nx,y\n\n" + "\n".join(rows) + "\n\n")
+        prefix = str(tmp_path / "cut")
+        capsys.readouterr()
+        assert main(["fit", "--input", str(series), "--form", "beta", "--out", prefix]) == 2
+        assert "line 11 of" in capsys.readouterr().err
+        assert not os.path.exists(prefix + "_fit.json")
+
     def test_fit_rejects_nonpositive_abscissae(self, tmp_path):
         series = self._series(tmp_path, np.linspace(0.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
         prefix = str(tmp_path / "fit")

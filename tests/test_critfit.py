@@ -6,6 +6,7 @@ from spingas.critfit import (
     FitError,
     FitSpec,
     NoTransitionError,
+    fit,
     fit_delta,
     fit_gamma,
     fit_znu,
@@ -142,6 +143,23 @@ class TestMechanics:
         with pytest.raises(ValueError, match="finite and > 0"):
             three_step_fit(x, np.linspace(1.0, 2.0, 10), FitSpec(form=form))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_ordinates(self, bad):
+        # a NaN (an unconverged cell) or an inf never becomes a fitted point
+        x = np.linspace(1.7, 3.2, 20)
+        series = {"beta": synthetic_series("beta", 0.6, 1.6, 0.5, x),
+                  "gamma": synthetic_series("gamma", 2.0, 3.4, 1.0, x),
+                  "znu": synthetic_series("znu", 0.02, 1.6, 1.0, x),
+                  "delta": x ** (1 / 3.0)}
+        for form, y in series.items():
+            y[5] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                fit(form, x, y)
+        with pytest.raises(ValueError, match="y must be finite"):
+            three_step_fit(x, series["beta"], FitSpec(form="beta"))
+        with pytest.raises(ValueError, match="y must be finite"):
+            fit_znu(x, series["znu"], t1_floor=1 / GAMMA)
+
     def test_all_zero_series(self):
         x = np.linspace(1, 3, 10)
         with pytest.raises(NoTransitionError):
@@ -164,6 +182,73 @@ class TestMechanics:
         r = fit_delta(h, 0.7 * h)
         assert r.diagnostics["linear_preferred"]
         assert r.diagnostics["linear_coefficient"] == pytest.approx(0.7)
+
+
+class TestFitRules:
+    """:func:`fit` decides each form's weights and exclusions."""
+
+    @pytest.mark.parametrize("form", ["gamma", "znu"])
+    def test_divergent_forms_take_only_gamma_cubed_weights(self, form):
+        x = np.linspace(1.0, 3.2, 40)
+        with pytest.raises(ValueError, match=f"the {form} form always uses "
+                                             "gamma-cubed weights"):
+            fit(form, x, np.linspace(1.0, 2.0, 40), weights="uniform")
+
+    @pytest.mark.parametrize("weights, exclude, message", [
+        ("gamma-cubed", None, "always uses uniform weights"),
+        (None, 3, "excludes no points"), ("uniform", -1, "excludes no points")])
+    def test_delta_takes_no_weights_or_exclusion(self, weights, exclude, message):
+        h = np.logspace(-1.5, 0.5, 15)
+        with pytest.raises(ValueError, match=message):
+            fit("delta", h, h ** (1 / 3.0), weights=weights, exclude=exclude)
+
+    def test_unknown_form(self):
+        with pytest.raises(ValueError, match="unknown fit form"):
+            fit("alpha", np.linspace(1.0, 2.0, 10), np.linspace(1.0, 2.0, 10))
+
+    @pytest.mark.parametrize("form, x0, n_excluded, weights", [
+        ("beta", 1.6, 0, "uniform"), ("gamma", 3.4, 2, "gamma-cubed"),
+        ("znu", 0.8, 2, "gamma-cubed")])
+    def test_defaults_follow_the_form(self, form, x0, n_excluded, weights):
+        x = np.linspace(1.0, 3.2, 40)
+        r = fit(form, x, synthetic_series(form, 0.6, x0, 0.5, x))
+        assert (r.n_excluded, r.weight_scheme) == (n_excluded, weights)
+        assert ("exclusion_sensitivity" in r.diagnostics) is (n_excluded > 0)
+
+    def test_delta_is_fit_delta(self):
+        h = np.logspace(-1.5, 0.5, 15)
+        r = fit("delta", h, h ** (1 / 3.0), weights="uniform", exclude=0)
+        assert repr(r) == repr(fit_delta(h, h ** (1 / 3.0)))  # x0 is NaN
+        assert (r.n_excluded, r.weight_scheme) == (0, "uniform")
+
+    def test_beta_takes_either_weights_and_any_exclusion(self):
+        x = np.linspace(1.0, 3.2, 40)
+        y = synthetic_series("beta", 0.6, 1.6, 0.5, x)
+        r = fit("beta", x, y, weights="gamma-cubed", exclude=3)
+        assert (r.n_excluded, r.weight_scheme, r.n_used) == (3, "gamma-cubed", 37)
+        assert "exclusion_sensitivity" not in r.diagnostics
+
+    def test_named_fits_are_fit(self):
+        rng = np.random.default_rng(12)
+        x = np.linspace(0.4, 1.32, 30)
+        y = synthetic_series("gamma", 2.0, 1.4, 1.0, x, noise=0.02, rng=rng)
+        assert fit_gamma(x, y, exclude=1) == fit("gamma", x, y, exclude=1)
+        x = np.linspace(1.7, 3.4, 30)
+        y = synthetic_series("znu", 0.02, 1.6, 1.0, x, noise=0.01, rng=rng)
+        assert fit_znu(x, y) == fit("znu", x, y)
+
+    def test_evaluate_is_the_weighted_model(self):
+        x = np.linspace(0.4, 1.3, 12)
+        y = synthetic_series("gamma", 2.0, 1.4, 1.0, x, noise=0.05,
+                             rng=np.random.default_rng(4))
+        r = fit("gamma", x, y)
+        model, w, wr = r.evaluate(x, y)
+        assert np.array_equal(model, r.amplitude * (r.x0 / x - 1.0) ** -r.exponent)
+        assert np.array_equal(w, x ** -3.0)
+        assert np.array_equal(wr, np.sqrt(w) * (model - y))
+        h = np.logspace(-1.5, 0.5, 15)
+        with pytest.raises(ValueError, match="no per-point evaluation"):
+            fit("delta", h, h ** (1 / 3.0)).evaluate(h, h)
 
 
 class TestSusceptibility:
