@@ -18,15 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields, replace
 
 from . import units
-from .dynamics import PROJECTION_MODES, IntegrationControls, gamma_of_temperature
+from .dynamics import IntegrationControls, SimParams, gamma_of_temperature
 from .optics import CollisionParams, DopplerSpec, doppler_width
-from .spin_algebra import AtomSpec
-from .sweep import (ATTENUATION_MODES, J_CONVENTIONS, ConditionsMap,
-                    lorentzian_cross_section)
+from .spin_algebra import HALF, AtomSpec
+from .sweep import ConditionsMap, lorentzian_cross_section
 
 
 class ConfigError(ValueError):
@@ -119,8 +117,8 @@ class RunConfig:
     def atom(self) -> AtomSpec:
         v = self.values
         return AtomSpec(
-            nuclear_spin=Fraction(v[("atom", "nuclear_spin")]).limit_denominator(2),
-            electron_spin=Fraction(1, 2),
+            nuclear_spin=v[("atom", "nuclear_spin")],
+            electron_spin=HALF,
             a_ground=v[("atom", "a_ground")],
             a_excited=v[("atom", "a_excited")],
             g_ground=v[("atom", "g_ground")],
@@ -219,26 +217,24 @@ def _parse_value(section: str, key: str, raw: str, line: int | None):
     return value
 
 
+# Default instances of the objects the configuration builds: a value is
+# checked by the rule of each one that has a field of its key's name.
+_SIM = SimParams()
+_OWNERS = [(owner, {f.name for f in fields(owner)}) for owner in (
+    _SIM, _SIM.atom, _SIM.coll, _SIM.doppler, IntegrationControls(), ConditionsMap())]
+
+
 def _validate(section: str, key: str, value, line: int | None):
     where = f"{section}.{key}"
     numbers = value if isinstance(value, tuple) else (value,)
     if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
         raise ConfigError(f"value must be finite, got {value}", where, line)
-    positive = {("relaxation", "gamma"), ("collisions", "gamma_c"),
-                ("collisions", "q_slowdown"), ("collisions", "sigma_ex_v"),
-                ("conditions", "sigma_e"),
-                ("conditions", "cell_length"), ("conditions", "s_axis"),
-                ("numerics", "rtol"), ("numerics", "atol")}
-    if (section, key) in positive and value is not None and value <= 0:
-        raise ConfigError(f"value must be > 0, got {value}", where, line)
-    if (section, key) == ("numerics", "projection_mode") and value not in PROJECTION_MODES:
-        raise ConfigError(f"unknown projection mode {value!r}", where, line)
-    if (section, key) == ("numerics", "seed_polarization") and abs(value) > 0.01:
-        raise ConfigError("|seed_polarization| must be <= 0.01", where, line)
-    if (section, key) == ("conditions", "attenuation_mode") and value not in ATTENUATION_MODES:
-        raise ConfigError(f"unknown attenuation mode {value!r}", where, line)
-    if (section, key) == ("conditions", "j_convention") and value not in J_CONVENTIONS:
-        raise ConfigError(f"unknown J convention {value!r}", where, line)
+    for owner, names in _OWNERS:
+        if key in names:
+            try:
+                replace(owner, **{key: value})
+            except ValueError as exc:
+                raise ConfigError(str(exc), where, line) from exc
     if (section, key) == ("sweep", "workers") and value != "auto" and \
             not (value.isdecimal() and int(value) >= 1):
         raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {value!r}",

@@ -379,26 +379,24 @@ def fit(form: str, x, y, weights: str | None = None,
     return out
 
 
-def fit_gamma(x, chi, exclude: int = 2) -> FitResult:
+def fit_gamma(x, chi, exclude: int | None = None) -> FitResult:
     """Susceptibility divergence on the disordered side (see :func:`fit`)."""
     return fit("gamma", x, chi, exclude=exclude)
 
 
-def fit_znu(x, tau, exclude: int = 2, t1_floor: float | None = None) -> FitResult:
+def fit_znu(x, tau, exclude: int | None = None, t1_floor: float | None = None) -> FitResult:
     """Dynamic slow-down divergence on the ordered side (see :func:`fit`).
 
-    Points at the dark-lifetime floor carry no divergence information and
-    are dropped before fitting; a series entirely at the floor has no
-    transition to fit."""
-    x = np.asarray(x, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    Points at the dark-lifetime floor, tau = ``t1_floor`` to a relative
+    1e-12 (the tau :func:`steady_state` gives a floored point), carry no
+    divergence information and are dropped; a series entirely at the floor
+    has no transition to fit.  A non-finite tau is kept, for the fit to reject."""
     if t1_floor is not None:
-        # a non-finite tau is kept, for the fit to reject
-        above = ~(tau <= 1.5 * t1_floor)
-        if not above.any():
+        kept = [not math.isclose(t, t1_floor, rel_tol=1e-12) for t in tau]
+        if not any(kept):
             raise NoTransitionError("all response times at the T1 floor: "
                                     "no divergence detected")
-        x, tau = x[above], tau[above]
+        x, tau = np.asarray(x, dtype=float)[kept], np.asarray(tau, dtype=float)[kept]
     return fit("znu", x, tau, exclude=exclude)
 
 

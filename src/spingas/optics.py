@@ -144,7 +144,9 @@ class CollisionParams:
     q_slowdown: float    # nuclear slow-down factor of electron-spin rates
 
     def __post_init__(self):
-        for name in ("gamma_c", "gamma_q", "gamma_p"):
+        if not self.gamma_c > 0:  # the elimination of the optical coherences needs it
+            raise ValueError("gamma_c must be > 0")
+        for name in ("gamma_q", "gamma_p"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.q_slowdown <= 1:

@@ -356,27 +356,35 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
         })
 
 
+def _contour(result: SweepResult, axis: str, value: float, quantity: str):
+    """The grid line nearest ``value`` on ``axis`` and the ``quantity`` of its
+    cells, NaN wherever the cell did not converge, so that no contour or
+    fit reads a partial magnetization."""
+    along = np.array(result.grid.i_over_gamma)
+    across = np.array(result.grid.j_over_gamma)
+    cells = np.array(result.cells, dtype=object).reshape(len(across), len(along))
+    if axis == "fixed-I":  # the transpose of a fixed-J line
+        along, across, cells = across, along, cells.T
+    elif axis != "fixed-J":
+        raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
+    if not across[0] <= value <= across[-1]:
+        raise ValueError(f"{axis[-1]}/Gamma = {value} outside grid range")
+    line = cells[np.argmin(np.abs(across - value))]
+    return along, np.array([getattr(c, QUANTITIES[quantity]) if c.converged else math.nan
+                            for c in line])
+
+
 def extract_contour(result: SweepResult, axis: str, value: float,
                     quantity: str = "m_abs") -> tuple[np.ndarray, np.ndarray]:
-    """1-D series along the nearest grid line.
+    """1-D series of 'm_abs' or 'tau' along the nearest grid line, NaN
+    wherever the cell did not converge.
 
     ``axis='fixed-J'`` returns (I/Gamma, quantity) on the J line nearest
     ``value``; ``axis='fixed-I'`` the transpose.  No interpolation between
     lines is attempted (nearest-grid-line semantics)."""
-    gi = np.array(result.grid.i_over_gamma)
-    gj = np.array(result.grid.j_over_gamma)
-    mat = result.matrix(quantity)
-    if axis == "fixed-J":
-        if not gj[0] <= value <= gj[-1]:
-            raise ValueError(f"J/Gamma = {value} outside grid range")
-        jj = int(np.argmin(np.abs(gj - value)))
-        return gi.copy(), mat[jj, :].copy()
-    if axis == "fixed-I":
-        if not gi[0] <= value <= gi[-1]:
-            raise ValueError(f"I/Gamma = {value} outside grid range")
-        ii = int(np.argmin(np.abs(gi - value)))
-        return gj.copy(), mat[:, ii].copy()
-    raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
+    if quantity not in MAP_QUANTITIES:
+        raise ValueError(f"quantity must be 'm_abs' or 'tau', not {quantity!r}")
+    return _contour(result, axis, value, quantity)
 
 
 def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
@@ -386,19 +394,15 @@ def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
 
     ``axis='fixed-J'`` varies I/Gamma over ``points`` at J/Gamma = value;
     ``axis='fixed-I'`` varies J/Gamma; any other axis raises ValueError.
-    ``quantity`` is 'm_signed', 'm_abs' or 'tau'; it is NaN wherever the
-    cell did not converge, so a fit never consumes a partial
-    magnetization.  ``sweep_kwargs`` (gamma, workers, max_time, controls
-    and :class:`SimParams` fields) go to :func:`run_sweep`."""
+    ``quantity`` is 'm_signed', 'm_abs' or 'tau', read as in
+    :func:`extract_contour`.  ``sweep_kwargs`` (gamma, workers, max_time,
+    controls and :class:`SimParams` fields) go to :func:`run_sweep`."""
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be 'm_signed', 'm_abs' or 'tau', not {quantity!r}")
     if axis not in ("fixed-J", "fixed-I"):
         raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
     line = (points, [value]) if axis == "fixed-J" else ([value], points)
-    result = run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs)
-    xs = result.grid.i_over_gamma if axis == "fixed-J" else result.grid.j_over_gamma
-    ys = [getattr(c, QUANTITIES[quantity]) if c.converged else float("nan") for c in result.cells]
-    return np.array(xs), np.array(ys)
+    return _contour(run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs), axis, value, quantity)
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -81,6 +81,22 @@ class TestConfig:
             parse_config(overrides={"collisions.sigma_ex_v": value})
         assert "collisions.sigma_ex_v" in str(err.value)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("collisions.q_slowdown", "0.5", "exceed 1"), ("collisions.q_slowdown", "1", "exceed 1"),
+        ("collisions.gamma_c", "0 MHz", "> 0"), ("collisions.gamma_q", "-1 MHz", ">= 0"),
+        ("collisions.gamma_p", "-1 MHz", ">= 0"), ("numerics.atol", "-1e-14", ">= 0"),
+        ("numerics.rtol", "0", "> 0"), ("doppler.width", "-1 MHz", ">= 0"),
+        ("doppler.quadrature_order", "0", ">= 1"), ("atom.nuclear_spin", "3.3", "half-integer"),
+        ("atom.nuclear_spin", "-1/2", "non-negative")])
+    def test_out_of_range_value_rejected_with_the_owners_rule(self, key, value, message):
+        # the object that reads the value decides its range
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(overrides={key: value})
+        assert f"[{key}]" in str(err.value)
+
+    def test_zero_atol_is_accepted(self):
+        assert parse_config(overrides={"numerics.atol": "0"}).controls().atol == 0.0
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [
         "numerics.rtol", "numerics.atol", "numerics.seed_polarization",
@@ -155,6 +171,13 @@ class TestCli:
         assert payload["tool_version"]
         assert payload["config_hash"]
         assert payload["mode"] == "fixed-horizon" and "steady" not in payload
+
+    def test_out_of_range_q_slowdown_is_a_config_error(self, capsys):
+        assert main(["--set", "collisions.q_slowdown=0.5", "simulate",
+                     "--i", "0.4", "--j", "1.0", "--t-end", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: q_slowdown must exceed 1")
+        assert "[collisions.q_slowdown]" in err
 
     def test_sweep_contour_pipeline(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"

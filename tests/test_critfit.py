@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ class TestMechanics:
         with pytest.raises(NoTransitionError):
             fit_znu(x, tau, t1_floor=1 / GAMMA)
 
+    def test_znu_keeps_ordered_times_just_above_the_floor(self):
+        # the last points are genuine response times between T1 and 1.5 T1
+        x = np.geomspace(1.7, 20, 14)
+        tau = synthetic_series("znu", 0.02, 1.6, 1.0, x)
+        assert ((tau > 1 / GAMMA) & (tau <= 1.5 / GAMMA)).sum() >= 2
+        r = fit_znu(x, tau, t1_floor=1 / GAMMA)
+        assert (r.n_used, r.n_excluded) == (12, 2)
+        assert r == fit("znu", x, tau)
+
+    def test_znu_drops_the_points_at_the_floor(self):
+        x = np.geomspace(1.7, 20, 14)
+        tau = synthetic_series("znu", 0.02, 1.6, 1.0, x)
+        tau[6] = 1 / GAMMA  # the tau steady_state gives a floored point
+        r = fit_znu(x, tau, t1_floor=1 / GAMMA)
+        assert r.n_used == 11
+        assert r == fit("znu", np.delete(x, 6), np.delete(tau, 6))
+
     def test_delta_rejects_bad_input(self):
         with pytest.raises(FitError):
             fit_delta([0.1, 0.2, 0.3, 0.4], [-1, 0.1, 0.2, 0.3])
@@ -236,6 +255,10 @@ class TestFitRules:
         x = np.linspace(1.7, 3.4, 30)
         y = synthetic_series("znu", 0.02, 1.6, 1.0, x, noise=0.01, rng=rng)
         assert fit_znu(x, y) == fit("znu", x, y)
+
+    @pytest.mark.parametrize("named", [fit_gamma, fit_znu])
+    def test_named_fits_take_the_default_exclusion_of_fit(self, named):
+        assert inspect.signature(named).parameters["exclude"].default is None
 
     def test_evaluate_is_the_weighted_model(self):
         x = np.linspace(0.4, 1.3, 12)

@@ -343,6 +343,12 @@ class TestRunSweep:
         assert any("floor rule" in note for note in back.provenance["migrations"])
 
 
+@pytest.fixture(scope="module")
+def unconverged_sweep():
+    # (1.0, 3.8) needs about 1.9 s to settle, (0.4, 3.8) about 0.6 s
+    return run_sweep(SweepGrid.from_rates([0.4, 1.0], [3.8]), workers=1, max_time=1.0)
+
+
 class TestContours:
     def test_fixed_j(self, tiny_sweep):
         xs, ys = extract_contour(tiny_sweep, "fixed-J", 0.8)
@@ -388,6 +394,33 @@ class TestContours:
                                     quantity=quantity, max_time=1.0)
             assert np.isfinite(ys[0])
             assert math.isnan(ys[1])
+
+    @pytest.mark.parametrize("quantity", ["m_abs", "tau"])
+    def test_unconverged_cell_reads_nan(self, unconverged_sweep, quantity):
+        cell = unconverged_sweep.cell(1, 0)
+        assert not cell.converged and cell.m_abs > 0.1
+        _, ys = extract_contour(unconverged_sweep, "fixed-J", 3.8, quantity=quantity)
+        assert np.isfinite(ys[0]) and math.isnan(ys[1])
+        _, ys = extract_contour(unconverged_sweep, "fixed-I", 1.0, quantity=quantity)
+        assert math.isnan(ys[0])
+        _, refined = refine_contour("fixed-J", 3.8, [0.4, 1.0], workers=1,
+                                    quantity=quantity, max_time=1.0)
+        np.testing.assert_array_equal(refined, extract_contour(
+            unconverged_sweep, "fixed-J", 3.8, quantity=quantity)[1])
+        # the maps keep the partial magnetization
+        assert unconverged_sweep.matrix("m_abs")[0, 1] == cell.m_abs
+
+    def test_cli_contour_reads_nan_for_an_unconverged_cell(self, unconverged_sweep, tmp_path):
+        from spingas.cli import main
+        prefix = str(tmp_path / "sw")
+        save_sweep(unconverged_sweep, prefix + "_cells.csv", prefix + "_manifest.json")
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--cells", prefix + "_cells.csv",
+                     "--manifest", prefix + "_manifest.json", "--axis", "fixed-J",
+                     "--value", "3.8", "--quantity", "m_abs", "--out", out]) == 0
+        rows = [line for line in open(out).read().splitlines() if not line.startswith("#")]
+        assert rows[0] == "I_over_Gamma,m_abs"
+        assert rows[2] == "1,nan"
 
 
 class TestOutputs:
