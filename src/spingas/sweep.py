@@ -13,8 +13,10 @@ Lorentzian wing estimate of the pump-detuned absorption cross-section.
 
 Grids may equally be specified directly on the calibrated (I/Gamma,
 J/Gamma) axes.  Each cell runs an independent steady-state and
-response-time simulation; results are deterministic and independent of the
-worker count because cells never share state.
+response-time simulation.  With several workers the cells run in forked
+processes that claim one cell at a time and send their cells back when
+none is left; results are deterministic and independent of the worker
+count because cells never share state.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import io
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+import traceback
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -255,8 +259,13 @@ def _sweep_task(args):
 
 
 def default_workers() -> int:
-    """Pool size when the caller names none: the core count, at most 8."""
-    return max(1, min(8, os.cpu_count() or 1))
+    """Worker count when the caller names none: the cores this process may
+    run on (its CPU affinity, where the platform reports one), at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(8, cores))
 
 
 def _pin_blas_threads() -> int | None:
@@ -293,24 +302,79 @@ def _pin_blas_threads() -> int | None:
 BLAS_THREADS = _pin_blas_threads()
 
 
+def _claim_tasks(tasks: list, claimed, send) -> None:
+    """A forked worker's loop: take the next unclaimed task index from the
+    shared counter ``claimed`` until none is left, then send the cells as
+    one {index: cell} dict over ``send``, or the exception a cell raised
+    with its traceback text."""
+    try:
+        cells = {}
+        while True:
+            with claimed.get_lock():
+                k = claimed.value
+                claimed.value = k + 1
+            if k >= len(tasks):
+                break
+            cells[k] = _sweep_task(tasks[k])
+        send.send(cells)
+    except Exception as exc:
+        send.send((exc, traceback.format_exc()))
+
+
 def _run_tasks(tasks: list, workers: int, base: SimParams) -> list:
-    """The cells of ``_sweep_task`` over the tasks, in task order, in a
-    fork pool when there are workers to share them.  The model of
-    ``base`` is compiled here first, so the workers inherit its cached
-    parts and calibrations instead of each building them again.  ``scipy.integrate``, which the integrator
-    imports on first use, is imported here too, so that no worker pays for
-    that import."""
+    """The cells of ``_sweep_task`` over the tasks, in task order.
+
+    With more than one worker and more than two tasks, the cells run in
+    ``min(workers, len(tasks))`` forked processes that inherit the task
+    list and claim one task at a time from a shared counter, so no worker
+    idles while another still holds a batch of cells.  Each sends its cells
+    once, at the end, over its own pipe.  An exception a cell raised in a
+    worker is raised here, caused by a ``RuntimeError`` that holds the
+    worker's traceback; a worker that exits without sending raises
+    ``RuntimeError`` with its exit code.  No worker outlives the call.
+    The model of ``base`` is compiled here first, so the workers inherit
+    its cached parts and calibrations instead of each building them again.
+    ``scipy.integrate``, which the integrator imports on first use, is
+    imported here too, so that no worker pays for that import."""
     if workers <= 1 or len(tasks) <= 2:
         return list(map(_sweep_task, tasks))
     CompiledModel(base)
     import scipy.integrate  # noqa: F401
     ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(processes=workers)
+    claimed = ctx.Value("l", 0)
+    children = {}  # the receiving end of each worker's pipe -> the worker
     try:
-        return pool.map(_sweep_task, tasks, chunksize=4)
+        for _ in range(min(workers, len(tasks))):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_claim_tasks, args=(tasks, claimed, send))
+            child.start()
+            send.close()  # so that the pipe reads EOF once the worker has gone
+            children[recv] = child
+        cells = {}
+        pending = list(children)
+        while pending:
+            for recv in multiprocessing.connection.wait(pending):
+                pending.remove(recv)
+                try:
+                    sent = recv.recv()
+                except EOFError:
+                    child = children[recv]
+                    child.join()
+                    raise RuntimeError(f"a sweep worker exited with code {child.exitcode} "
+                                       "before sending its cells") from None
+                if isinstance(sent, tuple):
+                    exc, trace = sent
+                    raise exc from RuntimeError(f"raised in a sweep worker:\n{trace}")
+                cells.update(sent)
+        for child in children.values():
+            child.join()  # each exits on its own once its cells are sent
+        return [cells[k] for k in range(len(tasks))]
     finally:
-        pool.close()
-        pool.join()
+        for recv, child in children.items():
+            if child.is_alive():
+                child.kill()
+            child.join()
+            recv.close()
 
 
 def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,

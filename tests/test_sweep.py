@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import astuple
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 import spingas
+from spingas import sweep
 from spingas.sweep import (
     CellResult,
     ConditionsMap,
@@ -105,6 +109,20 @@ class TestGrid:
         assert grid.i_over_gamma[1] == pytest.approx(cmap.s_axis * 10.0 / GAMMA)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture(scope="module")
 def tiny_sweep():
     grid = SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2], cmap=None)
@@ -143,14 +161,14 @@ class TestRunSweep:
         assert abs(serial[1][2]) > 0.2
 
     def test_workers_inherit_scipy_integrate(self):
-        # the integrator imports scipy.integrate on first use; the pool
+        # the integrator imports scipy.integrate on first use; the sweep
         # imports it before it forks, so that no worker pays for the import
         src = os.path.dirname(os.path.dirname(spingas.__file__))
         script = ("import os, sys\n"
                   "from spingas import sweep\n"
                   "task = sweep._sweep_task\n"
                   "def logged(args):\n"
-                  "    print(os.getpid(), 'scipy.integrate' in sys.modules, flush=True)\n"
+                  "    os.write(1, f'{os.getpid()} {\"scipy.integrate\" in sys.modules}\\n'.encode())\n"
                   "    return task(args)\n"
                   "sweep._sweep_task = logged\n"
                   "assert 'scipy.integrate' not in sys.modules\n"
@@ -163,8 +181,72 @@ class TestRunSweep:
         main_pid = out[0].split()[1]
         calls = [line.split() for line in out[1:] if line]
         assert len(calls) == 4
-        assert main_pid not in {pid for pid, _ in calls}  # the pool's workers ran them
+        assert main_pid not in {pid for pid, _ in calls}  # the forked workers ran them
         assert all(seen == "True" for _, seen in calls)
+
+    def test_saved_sweep_is_independent_of_the_worker_count(self, tmp_path):
+        # ordered and disordered cells; 7 workers are more than the 6 cells
+        grid = SweepGrid.from_rates([0.4, 1.5, 3.0], [3.0, 3.8])
+        saved = []
+        for workers in (1, 2, 3, 7):
+            result = run_sweep(grid, workers=workers)
+            assert [c.tau_floored for c in result.cells] == [True, False, False] * 2
+            paths = [tmp_path / f"w{workers}_cells.csv", tmp_path / f"w{workers}_manifest.json"]
+            save_sweep(result, *map(str, paths))
+            saved.append([path.read_bytes() for path in paths])
+        assert all(files == saved[0] for files in saved[1:])
+
+    def test_every_cell_runs_once_with_more_workers_than_cores(self, monkeypatch, tmp_path):
+        # a lost update of the shared counter would run a cell twice or never
+        log = str(tmp_path / "claims")
+
+        def claim(args):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{args[0]!r} {args[1]!r}\n".encode())
+            os.close(fd)
+            return args[0], args[1]
+        monkeypatch.setattr(sweep, "_sweep_task", claim)
+        grid = SweepGrid.from_rates(range(1, 21), range(1, 11))
+        with deadline(60):
+            cells = run_sweep(grid, workers=sweep.default_workers() + 2).cells
+        expected = [(i, j) for j in grid.j_over_gamma for i in grid.i_over_gamma]
+        assert cells == expected
+        with open(log) as fh:
+            assert sorted(fh.read().splitlines()) == sorted(f"{i!r} {j!r}" for i, j in expected)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _fail_at_i_04(monkeypatch, fail):
+        """Make every cell at I/Gamma = 0.4 call ``fail`` before its run."""
+        task = sweep._sweep_task
+
+        def failing(args):
+            if args[0] == 0.4:
+                fail()
+            return task(args)
+        monkeypatch.setattr(sweep, "_sweep_task", failing)
+
+    def test_an_exception_in_a_worker_is_raised_in_the_caller(self, monkeypatch):
+        def fail():
+            raise ZeroDivisionError("a failing cell")
+        self._fail_at_i_04(monkeypatch, fail)
+        with deadline(60), pytest.raises(ZeroDivisionError, match="a failing cell") as info:
+            run_sweep(SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2]), workers=2)
+        assert "ZeroDivisionError: a failing cell" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_exits_without_sending_raises(self, monkeypatch):
+        self._fail_at_i_04(monkeypatch, lambda: os._exit(3))
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
+            run_sweep(SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2]), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_default_workers_counts_the_cores_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sweep.default_workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+        assert sweep.default_workers() == 8
 
     @staticmethod
     def _bytes_under_blas_threads(args, paths):
