@@ -24,7 +24,6 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_axis, parse_config
 from .critfit import (
     FORMS,
-    WEIGHTS,
     FitError,
     NoTransitionError,
     fit,
@@ -111,14 +110,9 @@ def _cmd_table2(args, cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
-    sim_kwargs = cfg.sim_kwargs()
-    if args.mode is not None:
-        sim_kwargs["projection_mode"] = args.mode
-    if args.seed is not None:
-        sim_kwargs["seed_polarization"] = args.seed
     params = SimParams.from_rates(
         i_over_gamma=args.i, j_over_gamma=args.j, h_over_gamma=args.h,
-        gamma=cfg.gamma(), **sim_kwargs)
+        gamma=cfg.gamma(), **cfg.sim_kwargs())
     model = CompiledModel(params)
     if args.dump_optics:
         from .spin_algebra import Operator, operator_to_csv
@@ -209,17 +203,19 @@ def _cmd_susceptibility(args, cfg: RunConfig) -> int:
         print(f"I/Gamma={i:.4f}: chi*Gamma={r.chi * cfg.gamma():.4f} "
               f"(richardson {r.richardson_change:.2e}"
               f"{', ordered' if r.ordered_flag else ''})")
-    buf = _stamp(cfg) + "I_over_Gamma,chi,chi_coarse,richardson_change,ordered\n"
+    buf = _stamp(cfg) + ("I_over_Gamma,chi,chi_coarse,richardson_change,ordered,"
+                         "J_over_Gamma,dh_over_Gamma\n")
     for i, r in rows:
         buf += (f"{i:.12g},{r.chi:.12g},{r.chi_coarse:.12g},"
-                f"{r.richardson_change:.6g},{int(r.ordered_flag)}\n")
+                f"{r.richardson_change:.6g},{int(r.ordered_flag)},"
+                f"{args.j:.12g},{r.dh_over_gamma:.12g}\n")
     write_atomic(args.out, buf)
     return EXIT_OK
 
 
 def _cmd_fit(args, cfg: RunConfig) -> int:
     x, y = _read_xy(args.input)
-    result = fit(args.form, x, y, weights=args.weights, exclude=args.exclude)
+    result = fit(args.form, x, y, exclude=args.exclude)
     payload = dataclasses.asdict(result)
     payload["weights"] = payload.pop("weight_scheme")
     _write_json(args.out + "_fit.json", payload, cfg)
@@ -263,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=float, default=0.0, help="pump rate I/Gamma")
     p.add_argument("--j", type=float, default=0.0, help="exchange rate J/Gamma")
     p.add_argument("--h", type=float, default=0.0, help="bias rate H/Gamma")
-    p.add_argument("--mode", choices=("hyperfine+zeeman", "hyperfine", "none"),
-                   default=None, help="coherence projection mode")
-    p.add_argument("--seed", type=float, default=None,
-                   help="symmetry-breaking seed polarization")
     p.add_argument("--t-end", type=float, default=None,
                    help="fixed horizon in seconds (default: run to steady state)")
     p.add_argument("--trajectory", action="store_true",
@@ -299,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="critical-exponent fit of a series")
     p.add_argument("--input", required=True, help="CSV with columns x,y")
     p.add_argument("--form", choices=FORMS, required=True)
-    p.add_argument("--weights", choices=WEIGHTS, default=None,
-                   help="residual weights (default: uniform for beta and "
-                        "delta, gamma-cubed for gamma/znu, which allow no other)")
     p.add_argument("--exclude", type=int, default=None,
                    help="points near the maximum to drop (default: 0 for "
                         "beta, 2 for gamma/znu)")

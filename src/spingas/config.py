@@ -97,7 +97,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("numerics", "light_shift"): (_flag, "false"),
     ("conditions", "sigma_e"): (float, ""),
     ("conditions", "cell_length"): (float, "1.5"),
-    ("conditions", "s_axis"): (float, "10.0"),
     ("conditions", "attenuation_mode"): (str, "path-averaged"),
     ("conditions", "j_convention"): (str, "collision-rate"),
     ("sweep", "i_over_gamma"): (parse_axis, "0.5:6:30"),
@@ -157,7 +156,6 @@ class RunConfig:
             sigma_e = lorentzian_cross_section(v[("fields", "pump_detuning")])
         return ConditionsMap(
             sigma_ex_v=v[("collisions", "sigma_ex_v")],
-            s_axis=v[("conditions", "s_axis")],
             sigma_e=sigma_e,
             cell_length=v[("conditions", "cell_length")],
             attenuation_mode=v[("conditions", "attenuation_mode")],

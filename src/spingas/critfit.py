@@ -19,9 +19,10 @@ candidates and bounds, and the CLI's log-log table all read that table.
 The nonlinear forms are fitted in three stages: a scan over critical-point
 candidates with the exponent free, a refit of the critical point with the
 exponent pinned, and a final fully free refinement.  :func:`fit` holds
-each form's weights and exclusions: divergent-form fits weight the residuals
-by (Gamma/X)^3 to compensate for the finite measured values near the
-critical point, and drop the points nearest the maximal measured value.
+each form's weights and exclusions.  The form fixes the weights: the
+divergent forms weight the residuals by (Gamma/X)^3 to compensate for the
+finite measured values near the critical point, and by default drop the
+points nearest the maximal measured value.
 """
 
 from __future__ import annotations
@@ -351,28 +352,24 @@ def susceptibility(i_over_gamma: float, j_over_gamma: float,
     )
 
 
-def fit(form: str, x, y, weights: str | None = None,
-        exclude: int | None = None) -> FitResult:
-    """Fit a series by its form's rules (``None`` takes the default); a
-    setting the form does not take raises ValueError.  beta: uniform or
-    gamma-cubed weights, 0 points excluded by default.  gamma and znu:
-    gamma-cubed weights only, 2 points excluded by default, and any exclusion
-    reports its ``exclusion_sensitivity``.  delta: :func:`fit_delta`."""
+def fit(form: str, x, y, exclude: int | None = None) -> FitResult:
+    """Fit a series by its form's rules (``None`` takes the default
+    exclusion); an exclusion the form does not take raises ValueError.  The
+    form fixes the weights.  beta: uniform weights, 0 points excluded by
+    default.  gamma and znu: gamma-cubed weights, 2 points excluded by
+    default, and any exclusion reports its ``exclusion_sensitivity``.
+    delta: :func:`fit_delta`, uniform weights and no exclusion."""
     if form not in FORMS:
         raise ValueError(f"unknown fit form {form!r}")
-    divergent = form != "delta" and _FORM_RULES[form][1] < 0
-    if form != "beta":  # forms with fixed weights
-        scheme = "gamma-cubed" if divergent else "uniform"
-        if weights not in (None, scheme):
-            raise ValueError(f"the {form} form always uses {scheme} weights")
-        weights = scheme
     if form == "delta":
         if exclude not in (None, 0):
             raise ValueError("the delta form excludes no points")
         return fit_delta(x, y)
+    divergent = _FORM_RULES[form][1] < 0
+    weights = "gamma-cubed" if divergent else "uniform"
     if exclude is None:
         exclude = 2 if divergent else 0
-    out = three_step_fit(x, y, FitSpec(form, weights or "uniform", exclude))
+    out = three_step_fit(x, y, FitSpec(form, weights, exclude))
     if divergent and exclude > 0:
         alt = three_step_fit(x, y, FitSpec(form, weights))
         out.diagnostics["exclusion_sensitivity"] = out.exponent - alt.exponent

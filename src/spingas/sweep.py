@@ -26,6 +26,7 @@ import ctypes
 import glob
 import importlib.util
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -478,7 +479,7 @@ def write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save_sweep(result: SweepResult, csv_path: str, manifest_path: str | None = None,
+def save_sweep(result: SweepResult, csv_path: str, manifest_path: str,
                header_comment: str | None = None) -> None:
     """Write the per-cell CSV and a JSON manifest (atomic rename)."""
     buf = io.StringIO()
@@ -489,13 +490,12 @@ def save_sweep(result: SweepResult, csv_path: str, manifest_path: str | None = N
     for c in result.cells:
         w.writerow([write(getattr(c, attr)) for _, attr, write, _ in CELL_COLUMNS])
     write_atomic(csv_path, buf.getvalue())
-    if manifest_path is not None:
-        manifest = {
-            "provenance": result.provenance,
-            "grid": {f.name: [None if math.isnan(x) else x for x in getattr(result.grid, f.name)]
-                     for f in fields(SweepGrid)},
-        }
-        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest = {
+        "provenance": result.provenance,
+        "grid": {f.name: [None if math.isnan(x) else x for x in getattr(result.grid, f.name)]
+                 for f in fields(SweepGrid)},
+    }
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 class SchemaError(RuntimeError):
@@ -530,7 +530,9 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
         grid = SweepGrid(**{f.name: tuple(math.nan if x is None else x for x in gspec[f.name])
                             for f in fields(SweepGrid)})
         with open(csv_path, newline="") as fh:
-            reader = csv.DictReader(row for row in fh if not row.startswith("#"))
+            # only the comment lines above the header: a quoted error text
+            # may hold lines that start with '#'
+            reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
             if reader.fieldnames is None or set(reader.fieldnames) - {c[0] for c in CELL_COLUMNS}:
                 raise SchemaError(f"unexpected CSV columns {reader.fieldnames!r}")
             for k, row in enumerate(reader, 1):

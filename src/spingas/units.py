@@ -1,14 +1,12 @@
 """Unit handling.
 
 Every energy, rate, and detuning inside the package is stored as an angular
-frequency in rad/s.  Values are created from tagged strings ("2.3 GHz",
-"58 /s", "1 G", "2.8 MHz/G") or from (value, unit) pairs, so a bare float
-never silently crosses an interface with the wrong 2*pi factor.
+frequency in rad/s.  Each parser takes one tagged string ("2.3 GHz",
+"58 /s", "1 G", "2.8 MHz/G"), so a bare float never silently crosses an
+interface with the wrong 2*pi factor.
 
-Quantities quoted in Hz-family units are by convention ordinary frequencies
-and are multiplied by 2*pi on entry.  Set ``angular_input=True`` on the
-parsing helpers to treat them as already-angular instead; the choice is a
-single documented switch so it can be flipped globally from configuration.
+Quantities quoted in Hz-family units are ordinary frequencies and are
+multiplied by 2*pi on entry; rate units ("/s", "rad/s") are taken verbatim.
 """
 
 from __future__ import annotations
@@ -53,60 +51,41 @@ def parse_fraction(text: str) -> float:
     return float(text)
 
 
-def frequency(value: str | float, unit: str | None = None,
-              angular_input: bool = False) -> float:
+def frequency(text: str) -> float:
     """Convert a tagged frequency/rate to an angular frequency in rad/s.
 
-    Accepts Hz-family units (ordinary frequency unless ``angular_input``)
-    and rate units ("/s", "rad/s"), which are taken verbatim.
+    Accepts Hz-family units (ordinary frequency) and rate units ("/s",
+    "rad/s"), which are taken verbatim.
     """
-    if isinstance(value, str):
-        if unit is not None:
-            raise UnitError("pass either a tagged string or (value, unit)")
-        value, unit = _split(value)
-    if unit is None:
-        raise UnitError("frequency value requires a unit tag")
-    key = unit.lower().strip()
+    value, unit = _split(text)
+    key = unit.lower()
     if key in _RATE_UNITS:
-        return float(value)
+        return value
     if key in _FREQ_SCALE:
-        scale = _FREQ_SCALE[key]
-        factor = 1.0 if angular_input else TWO_PI
-        return float(value) * scale * factor
+        return value * _FREQ_SCALE[key] * TWO_PI
     raise UnitError(f"unknown frequency unit {unit!r}")
 
 
-def frequency_per_gauss(value: str | float, unit: str | None = None,
-                        angular_input: bool = False) -> float:
+def frequency_per_gauss(text: str) -> float:
     """Convert a gyromagnetic-style tag ("2.8 MHz/G") to rad/s per gauss."""
-    if isinstance(value, str):
-        value, unit = _split(value)
-    if unit is None:
-        raise UnitError("field-coupling value requires a unit tag")
-    key = unit.lower().strip()
-    if not key.endswith("/g"):
-        raise UnitError(f"expected a per-gauss unit, got {unit!r}")
-    return frequency(value, key[:-2], angular_input=angular_input)
+    text = text.strip()
+    if not text.lower().endswith("/g"):
+        raise UnitError(f"expected a per-gauss unit, got {text!r}")
+    return frequency(text[:-2])
 
 
-def magnetic_field(value: str | float, unit: str | None = None) -> float:
+def magnetic_field(text: str) -> float:
     """Convert a field tag to gauss."""
-    if isinstance(value, str):
-        value, unit = _split(value)
-    if unit is None:
-        raise UnitError("magnetic field requires a unit tag")
-    key = unit.lower().strip()
-    scale = {"g": 1.0, "mg": 1e-3, "ug": 1e-6, "t": 1e4, "mt": 10.0}.get(key)
+    value, unit = _split(text)
+    scale = {"g": 1.0, "mg": 1e-3, "ug": 1e-6, "t": 1e4, "mt": 10.0}.get(unit.lower())
     if scale is None:
         raise UnitError(f"unknown magnetic-field unit {unit!r}")
-    return float(value) * scale
+    return value * scale
 
 
-def plain_number(value: str | float) -> float:
+def plain_number(text: str) -> float:
     """Parse a dimensionless number, rejecting any trailing unit tag."""
-    if isinstance(value, str):
-        num, rest = _split(value)
-        if rest:
-            raise UnitError(f"unexpected unit tag {rest!r} on dimensionless value")
-        return num
-    return float(value)
+    value, rest = _split(text)
+    if rest:
+        raise UnitError(f"unexpected unit tag {rest!r} on dimensionless value")
+    return value

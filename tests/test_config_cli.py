@@ -8,7 +8,7 @@ import pytest
 
 from spingas import dynamics as dyn
 from spingas.cli import main
-from spingas.config import ConfigError, parse_config
+from spingas.config import _SCHEMA, ConfigError, parse_config
 
 
 @pytest.fixture()
@@ -100,8 +100,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [
         "numerics.rtol", "numerics.atol", "numerics.seed_polarization",
-        "collisions.sigma_ex_v", "conditions.sigma_e", "conditions.cell_length",
-        "conditions.s_axis"])
+        "collisions.sigma_ex_v", "conditions.sigma_e", "conditions.cell_length"])
     def test_non_finite_value_rejected_with_key_and_line(self, tmp_path, key, value):
         section, _, name = key.partition(".")
         path = tmp_path / "run.ini"
@@ -226,15 +225,6 @@ class TestCli:
         assert main(["fit", "--input", series, "--form", form, "--out", prefix]) == 0
         payload = json.load(open(prefix + "_fit.json"))
         assert (payload["n_excluded"], payload["weights"]) == (n_excluded, weights)
-
-    @pytest.mark.parametrize("form, weights", [
-        ("gamma", "uniform"), ("znu", "uniform"), ("delta", "gamma-cubed")])
-    def test_fit_rejects_weights_the_form_ignores(self, tmp_path, form, weights):
-        series = self._series(tmp_path, np.linspace(1.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
-        prefix = str(tmp_path / "fit")
-        assert main(["fit", "--input", series, "--form", form,
-                     "--weights", weights, "--out", prefix]) == 2
-        assert not os.path.exists(prefix + "_fit.json")
 
     def test_fit_rejects_an_exclusion_the_form_ignores(self, tmp_path):
         series = self._series(tmp_path, np.linspace(1.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
@@ -376,12 +366,14 @@ class TestCli:
         assert "[FAIL] Clebsch-Gordan unitarity" in out
         assert "selftest FAILED" in out
 
-    @pytest.mark.parametrize("flag", ["--i", "--j", "--h", "--seed"])
-    def test_simulate_rejects_non_finite_input(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--i", "nan", "--j", "3"], ["simulate", "--i", "2", "--j", "nan"],
+        ["simulate", "--i", "2", "--j", "3", "--h", "nan"],
+        ["--set", "numerics.seed_polarization=nan", "simulate", "--i", "2", "--j", "3"]],
+        ids=["--i", "--j", "--h", "seed"])
+    def test_simulate_rejects_non_finite_input(self, tmp_path, capsys, argv):
         # a NaN pump rate used to run a pump-free cell and report it converged
-        rates = {"--i": "2", "--j": "3", flag: "nan"}
-        argv = [a for item in rates.items() for a in item]
-        rc = main(["simulate", *argv, "--out", str(tmp_path / "r")])
+        rc = main([*argv, "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "r_summary.json"))
@@ -421,7 +413,7 @@ class TestCli:
         cmap = ConditionsMap()
         direct = run_sweep(SweepGrid.from_rates((0.4, 2.0), (3.0,), cmap=cmap),
                            cmap=cmap, workers=1)
-        save_sweep(direct, str(tmp_path / "direct.csv"))
+        save_sweep(direct, str(tmp_path / "direct.csv"), str(tmp_path / "direct.json"))
         assert rows(prefix + "_cells.csv") == rows(str(tmp_path / "direct.csv"))
         assert main(axes + ["--set", "numerics.rtol=1e-4", "sweep",
                             "--out", prefix]) == 0
@@ -439,6 +431,26 @@ class TestCli:
                     if not r.startswith("#")]
 
         assert rows("collisions.gamma_c=1 GHz") != rows()
+
+    @pytest.mark.parametrize("key", sorted(
+        [f"{section}.{key}" for section, key in _SCHEMA if section == "conditions"]
+        + ["collisions.sigma_ex_v"]))
+    def test_condition_keys_reach_the_sweep_cells(self, tmp_path, capsys, key):
+        # at a disordered point, which is classified without integrating
+        value = {"conditions.sigma_e": "1e-12", "conditions.cell_length": "3.0",
+                 "conditions.attenuation_mode": "point",
+                 "conditions.j_convention": "measured",
+                 "collisions.sigma_ex_v": "1e-9"}[key]
+
+        def rows(*overrides):
+            sets = [a for o in overrides for a in ("--set", o)]
+            prefix = str(tmp_path / "sw")
+            assert main(["--set", "sweep.i_over_gamma=0.4", "--set", "sweep.j_over_gamma=3.0",
+                         *sets, "sweep", "--out", prefix]) == 0
+            return [r for r in open(prefix + "_cells.csv").read().splitlines()
+                    if not r.startswith("#")]
+
+        assert rows(f"{key}={value}") != rows()
 
     def test_susceptibility_receives_tolerances(self, tmp_path, capsys, lsoda_rtols):
         # observed on the steady states' integrations themselves: each ends
@@ -519,6 +531,20 @@ class TestCli:
         first = float(lines[2].split(",")[1])
         assert first * 58.0 == pytest.approx(1.0, rel=0.02)
 
+    def test_susceptibility_rows_record_j_and_dh(self, tmp_path, capsys):
+        from spingas.cli import _read_xy
+        out = str(tmp_path / "chi.csv")
+        assert main(["susceptibility", "--j", "3.0", "--dh", "2e-3", "--i-values", "0.0,0.4",
+                     "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert lines[1] == ("I_over_Gamma,chi,chi_coarse,richardson_change,ordered,"
+                            "J_over_Gamma,dh_over_Gamma")
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[-2:] for row in rows] == [["3", "0.002"]] * 2
+        # spingas fit --input still reads I and chi
+        i_values, chi = _read_xy(out)
+        assert (list(i_values), list(chi)) == ([0.0, 0.4], [float(row[1]) for row in rows])
+
     def test_dump_optics(self, tmp_path):
         rc = main(["simulate", "--i", "0.5", "--j", "1.0", "--t-end", "0.01",
                    "--dump-optics", str(tmp_path / "opt"),
@@ -529,13 +555,29 @@ class TestCli:
         assert len(w_csv) == 2 + 256
         assert os.path.exists(tmp_path / "opt_rho_e.csv")
 
-    def test_mode_and_seed_flags(self, tmp_path):
-        rc = main(["--set", "fields.b_z=0.1 mG",
-                   "simulate", "--i", "0.5", "--j", "1.0", "--t-end", "0.005",
-                   "--mode", "hyperfine", "--seed", "1e-3",
+    @pytest.mark.parametrize("argv", [["simulate", "--mode", "hyperfine"],
+                                      ["simulate", "--seed", "1e-3"],
+                                      ["fit", "--input", "x.csv", "--form", "beta",
+                                       "--weights", "uniform"]],
+                             ids=["mode", "seed", "weights"])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        # each of these set a value the config hash never saw
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_mode_and_seed_come_from_the_config(self, tmp_path):
+        overrides = {"fields.b_z": "0.1 mG", "numerics.projection_mode": "hyperfine",
+                     "numerics.seed_polarization": "1e-3"}
+        sets = [a for item in overrides.items() for a in ("--set", "=".join(item))]
+        rc = main([*sets, "simulate", "--i", "0.5", "--j", "1.0", "--t-end", "0.005",
                    "--out", str(tmp_path / "r")])
         assert rc == 0
         payload = json.loads((tmp_path / "r_summary.json").read_text())
         assert payload["params"]["projection_mode"] == "hyperfine"
         assert payload["params"]["seed_polarization"] == 1e-3
         assert payload["invariants"]["trace_deviation"] < 1e-9
+        assert payload["config_hash"] == parse_config(overrides=overrides).hash()
+        assert payload["config_hash"] != parse_config(
+            overrides={"fields.b_z": "0.1 mG"}).hash()

@@ -204,22 +204,14 @@ class TestMechanics:
 
 
 class TestFitRules:
-    """:func:`fit` decides each form's weights and exclusions."""
+    """:func:`fit` decides each form's weights and exclusions; the form
+    fixes the weights."""
 
-    @pytest.mark.parametrize("form", ["gamma", "znu"])
-    def test_divergent_forms_take_only_gamma_cubed_weights(self, form):
-        x = np.linspace(1.0, 3.2, 40)
-        with pytest.raises(ValueError, match=f"the {form} form always uses "
-                                             "gamma-cubed weights"):
-            fit(form, x, np.linspace(1.0, 2.0, 40), weights="uniform")
-
-    @pytest.mark.parametrize("weights, exclude, message", [
-        ("gamma-cubed", None, "always uses uniform weights"),
-        (None, 3, "excludes no points"), ("uniform", -1, "excludes no points")])
-    def test_delta_takes_no_weights_or_exclusion(self, weights, exclude, message):
+    @pytest.mark.parametrize("exclude", [3, -1])
+    def test_delta_takes_no_exclusion(self, exclude):
         h = np.logspace(-1.5, 0.5, 15)
-        with pytest.raises(ValueError, match=message):
-            fit("delta", h, h ** (1 / 3.0), weights=weights, exclude=exclude)
+        with pytest.raises(ValueError, match="excludes no points"):
+            fit("delta", h, h ** (1 / 3.0), exclude=exclude)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError, match="unknown fit form"):
@@ -236,15 +228,15 @@ class TestFitRules:
 
     def test_delta_is_fit_delta(self):
         h = np.logspace(-1.5, 0.5, 15)
-        r = fit("delta", h, h ** (1 / 3.0), weights="uniform", exclude=0)
+        r = fit("delta", h, h ** (1 / 3.0), exclude=0)
         assert repr(r) == repr(fit_delta(h, h ** (1 / 3.0)))  # x0 is NaN
         assert (r.n_excluded, r.weight_scheme) == (0, "uniform")
 
-    def test_beta_takes_either_weights_and_any_exclusion(self):
+    def test_beta_takes_any_exclusion(self):
         x = np.linspace(1.0, 3.2, 40)
         y = synthetic_series("beta", 0.6, 1.6, 0.5, x)
-        r = fit("beta", x, y, weights="gamma-cubed", exclude=3)
-        assert (r.n_excluded, r.weight_scheme, r.n_used) == (3, "gamma-cubed", 37)
+        r = fit("beta", x, y, exclude=3)
+        assert (r.n_excluded, r.weight_scheme, r.n_used) == (3, "uniform", 37)
         assert "exclusion_sensitivity" not in r.diagnostics
 
     def test_named_fits_are_fit(self):

@@ -323,6 +323,17 @@ class TestRunSweep:
         for first, second in (paths[0::2], paths[1::2]):
             assert open(first, "rb").read() == open(second, "rb").read()
 
+    def test_error_text_lines_that_start_with_a_hash_survive_the_roundtrip(self, tmp_path):
+        # only the comment lines above the header are skipped on load
+        grid = SweepGrid.from_rates([1.0], [2.0])
+        cell = CellResult(i_over_gamma=1.0, j_over_gamma=2.0, n=math.nan, phi=math.nan,
+                          i_effective=1.0, m_signed=math.nan, tau_s=math.nan,
+                          tau_floored=False, converged=False, eps=1e-4, error="a\n#b")
+        paths = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
+        save_sweep(SweepResult(grid=grid, cells=[cell], provenance={"schema_version": 1}),
+                   *paths, header_comment="a header comment")
+        assert load_sweep(*paths).cells[0].error == "a\n#b"
+
     def test_committed_phase_diagram_resaves_byte_for_byte(self, tmp_path):
         out = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
         committed = [os.path.join(out, "phase_diagram_cells.csv"),

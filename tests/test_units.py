@@ -16,10 +16,6 @@ def test_rates_taken_verbatim():
     assert units.frequency("10 rad/s") == 10.0
 
 
-def test_angular_input_switch():
-    assert units.frequency("1 GHz", angular_input=True) == 1e9
-
-
 def test_per_gauss():
     assert units.frequency_per_gauss("2.8 MHz/G") == pytest.approx(2 * math.pi * 2.8e6)
     with pytest.raises(units.UnitError):
