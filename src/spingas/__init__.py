@@ -55,7 +55,6 @@ from .sweep import (  # noqa: F401
     density_scan,
     extract_contour,
     load_sweep,
-    map_conditions,
     refine_contour,
     run_sweep,
     save_sweep,

@@ -42,7 +42,7 @@ from .sweep import (
     MAP_QUANTITIES,
     SchemaError,
     SweepGrid,
-    extract_contour,
+    _contour,
     gnuplot_matrix,
     load_sweep,
     run_sweep,
@@ -183,11 +183,13 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
 
 def _cmd_contour(args, cfg: RunConfig) -> int:
     result = load_sweep(args.cells, args.manifest)
-    xs, ys = extract_contour(result, args.axis, args.value, quantity=args.quantity)
-    label = "I_over_Gamma" if args.axis == "fixed-J" else "J_over_Gamma"
-    buf = _stamp(cfg) + f"{label},{args.quantity}\n"
+    xs, ys, line = _contour(result, args.axis, args.value, args.quantity)
+    along, across = "I_over_Gamma", "J_over_Gamma"
+    if args.axis == "fixed-I":
+        along, across = across, along
+    buf = _stamp(cfg) + f"{along},{args.quantity},{across}\n"
     for x, y in zip(xs, ys):
-        buf += f"{x:.12g},{y:.12g}\n"
+        buf += f"{x:.12g},{y:.12g},{line:.12g}\n"
     write_atomic(args.out, buf)
     print(f"contour with {len(xs)} points written to {args.out}")
     return EXIT_OK

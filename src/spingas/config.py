@@ -8,9 +8,9 @@ The file is INI-like::
     q_slowdown = 4.57
 
 Every field has a default matching the reference parameter set, unknown
-keys are rejected with line numbers, and each resolved field records
-whether it came from the file/flags or from the defaults.  The canonical
-resolved form is hashed into every output artifact.
+keys are rejected with line numbers, and Gamma and the Doppler width each
+take at most one of their two keys.  The canonical resolved form, hashed
+into every output artifact, so fixes every value a run reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import units
-from .dynamics import IntegrationControls, SimParams, gamma_of_temperature
+from .dynamics import GAMMA_BASE, IntegrationControls, SimParams, gamma_of_temperature
 from .optics import CollisionParams, DopplerSpec, doppler_width
 from .spin_algebra import HALF, AtomSpec
 from .sweep import ConditionsMap, lorentzian_cross_section
@@ -82,13 +82,13 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("collisions", "gamma_p"): (units.frequency, "219 MHz"),
     ("collisions", "q_slowdown"): (units.plain_number, "4.57"),
     ("collisions", "sigma_ex_v"): (float, "7e-10"),
-    ("relaxation", "gamma"): (units.frequency, "58 /s"),
+    ("relaxation", "gamma"): (units.frequency, ""),
     ("relaxation", "temperature_c"): (units.plain_number, ""),
     ("fields", "b_z"): (units.magnetic_field, "1 G"),
     ("fields", "pump_detuning"): (units.frequency, "700 MHz"),
     ("fields", "bias_detuning"): (units.frequency, "1.2 GHz"),
     ("doppler", "width"): (units.frequency, ""),
-    ("doppler", "temperature_c"): (units.plain_number, "87"),
+    ("doppler", "temperature_c"): (units.plain_number, ""),
     ("doppler", "quadrature_order"): (int, "40"),
     ("numerics", "rtol"): (float, ""),
     ("numerics", "atol"): (float, ""),
@@ -108,7 +108,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
 @dataclass
 class RunConfig:
     values: dict
-    provenance: dict
 
     def __getitem__(self, key: tuple[str, str]):
         return self.values[key]
@@ -135,19 +134,18 @@ class RunConfig:
 
     def doppler(self) -> DopplerSpec:
         v = self.values
-        width = v[("doppler", "width")]
+        width, t = v[("doppler", "width")], v[("doppler", "temperature_c")]
         if width is None:
-            width = doppler_width(v[("doppler", "temperature_c")])
+            width = doppler_width() if t is None else doppler_width(t)
         return DopplerSpec(width=width,
                            quadrature_order=v[("doppler", "quadrature_order")])
 
     def gamma(self) -> float:
         v = self.values
-        t = v[("relaxation", "temperature_c")]
-        if self.provenance[("relaxation", "temperature_c")] == "user" and \
-           self.provenance[("relaxation", "gamma")] == "default":
+        gamma, t = v[("relaxation", "gamma")], v[("relaxation", "temperature_c")]
+        if t is not None:
             return gamma_of_temperature(t)
-        return v[("relaxation", "gamma")]
+        return GAMMA_BASE if gamma is None else gamma
 
     def conditions(self) -> ConditionsMap:
         v = self.values
@@ -245,12 +243,10 @@ def parse_config(path: str | None = None,
 
     Overrides use dotted keys ('relaxation.gamma').  Unknown keys, missing
     unit tags, and out-of-range values are rejected with the offending
-    field path and line."""
+    field path and line, and so are both keys of one derived value."""
     values = {}
-    provenance = {}
     for (section, key), (_, default) in _SCHEMA.items():
         values[(section, key)] = _parse_value(section, key, default, None)
-        provenance[(section, key)] = "default"
 
     if path is not None:
         try:
@@ -277,13 +273,15 @@ def parse_config(path: str | None = None,
             if (section, key) not in _SCHEMA:
                 raise ConfigError(f"unknown key {key!r}", section, lineno)
             values[(section, key)] = _parse_value(section, key, raw_val, lineno)
-            provenance[(section, key)] = "user"
 
     for dotted, raw_val in (overrides or {}).items():
         section, _, key = dotted.partition(".")
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown key {dotted!r}")
         values[(section, key)] = _parse_value(section, key, raw_val, None)
-        provenance[(section, key)] = "user"
 
-    return RunConfig(values=values, provenance=provenance)
+    for section, key in (("relaxation", "gamma"), ("doppler", "width")):
+        if None not in (values[(section, key)], values[(section, "temperature_c")]):
+            raise ConfigError(f"{section}.{key} and {section}.temperature_c set the same "
+                              "value: set one of them")
+    return RunConfig(values=values)

@@ -1,18 +1,10 @@
-"""Phase-diagram sweeps: physical-knob mapping, grids, parallel execution,
-persistence.
+"""Phase-diagram sweeps on the calibrated (I/Gamma, J/Gamma) axes: grids,
+parallel execution, persistence.
 
-Experimental control knobs map to model rates as
-
-    J = n <sigma_ex v>          (optionally divided by the slow-down q)
-    I = s_axis * Phi * attenuation(n)
-
-with attenuation either the point value exp(-n sigma_e L), its path average
-(1 - exp(-n sigma_e L)) / (n sigma_e L), or off.  Only the product
-n sigma_e L matters for the diagram topology; sigma_e defaults to a
-Lorentzian wing estimate of the pump-detuned absorption cross-section.
-
-Grids may equally be specified directly on the calibrated (I/Gamma,
-J/Gamma) axes.  Each cell runs an independent steady-state and
+The vapor density n of a J line, J = n <sigma_ex v> (optionally divided by
+the slow-down q), attenuates its pump to I * attenuation(n): the point
+value exp(-n sigma_e L), its path average (1 - exp(-n sigma_e L)) /
+(n sigma_e L), or off.  Each cell runs an independent steady-state and
 response-time simulation.  With several workers the cells run in forked
 processes that claim one cell at a time and send their cells back when
 none is left; results are deterministic and independent of the worker
@@ -50,7 +42,7 @@ from .dynamics import (
     steady_state,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # The pressure-broadened absorption line: peak cross-section (cm^2), HWHM.
 LINE_PEAK_CM2 = 2.2e-11
@@ -70,10 +62,10 @@ def lorentzian_cross_section(detuning: float | None = None) -> float:
 
 @dataclass(frozen=True)
 class ConditionsMap:
-    """Physical constants mapping (density, power) to (J, I)."""
+    """Physical constants mapping the vapor density to J and to the pump's
+    attenuation."""
 
     sigma_ex_v: float = 7e-10          # cm^3/s
-    s_axis: float = 10.0               # axis-rate (1/s) per mW at n -> 0
     sigma_e: float = field(default_factory=lorentzian_cross_section)
     cell_length: float = 1.5           # cm
     attenuation_mode: str = "path-averaged"
@@ -81,7 +73,7 @@ class ConditionsMap:
     q_slowdown: float = 4.57
 
     def __post_init__(self):
-        for name in ("sigma_ex_v", "s_axis", "sigma_e", "cell_length"):
+        for name in ("sigma_ex_v", "sigma_e", "cell_length"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.attenuation_mode not in ATTENUATION_MODES:
@@ -97,35 +89,28 @@ class ConditionsMap:
             return math.exp(-od)
         return (1.0 - math.exp(-od)) / od
 
+    def j_from_density(self, n: float) -> float:
+        """The exchange rate J (1/s) at density n (cm^-3)."""
+        if n < 0:
+            raise ValueError("density must be >= 0")
+        q = self.q_slowdown if self.j_convention == "measured" else 1.0
+        return n * self.sigma_ex_v / q
+
     def density_from_j(self, j_rate: float) -> float:
-        n = j_rate / self.sigma_ex_v
-        if self.j_convention == "measured":
-            n *= self.q_slowdown
-        return n
-
-
-def map_conditions(n: float, phi: float, cmap: ConditionsMap) -> tuple[float, float]:
-    """(density cm^-3, power mW) -> (J rate, effective I rate), both 1/s."""
-    if n < 0 or phi < 0:
-        raise ValueError("density and power must be >= 0")
-    j = n * cmap.sigma_ex_v
-    if cmap.j_convention == "measured":
-        j /= cmap.q_slowdown
-    i = cmap.s_axis * phi * cmap.attenuation(n)
-    return j, i
+        q = self.q_slowdown if self.j_convention == "measured" else 1.0
+        return j_rate / self.sigma_ex_v * q
 
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Rectangular grid of sweep points on the (I/Gamma, J/Gamma) axes.
 
-    ``densities`` / ``powers`` carry the physical labels when the grid was
-    built from them (NaN otherwise)."""
+    ``densities`` holds the vapor density of each J line, which attenuates
+    its pump, or NaN where the line has none (no attenuation)."""
 
     i_over_gamma: tuple[float, ...]
     j_over_gamma: tuple[float, ...]
     densities: tuple[float, ...]
-    powers: tuple[float, ...]
 
     def __post_init__(self):
         for name in ("i_over_gamma", "j_over_gamma"):
@@ -142,28 +127,14 @@ class SweepGrid:
                    cmap: ConditionsMap | None = None,
                    gamma: float = GAMMA_BASE) -> "SweepGrid":
         """Grid on the rate axes; densities derived from J when a map is
-        given (so attenuation can be applied), powers left unlabeled."""
+        given (so attenuation can be applied)."""
         i_ax = tuple(float(x) for x in i_over_gamma)
         j_ax = tuple(float(x) for x in j_over_gamma)
         if cmap is not None:
             dens = tuple(cmap.density_from_j(j * gamma) for j in j_ax)
         else:
             dens = tuple(float("nan") for _ in j_ax)
-        pows = tuple(float("nan") for _ in i_ax)
-        return cls(i_over_gamma=i_ax, j_over_gamma=j_ax,
-                   densities=dens, powers=pows)
-
-    @classmethod
-    def from_physical(cls, densities, powers, cmap: ConditionsMap,
-                      gamma: float = GAMMA_BASE) -> "SweepGrid":
-        dens = tuple(float(n) for n in densities)
-        pows = tuple(float(p) for p in powers)
-        j_ax = tuple(map_conditions(n, 0.0, cmap)[0] / gamma for n in dens)
-        # I axis labels use the unattenuated rate; attenuation is applied
-        # per-cell from the density of each row.
-        i_ax = tuple(cmap.s_axis * p / gamma for p in pows)
-        return cls(i_over_gamma=i_ax, j_over_gamma=j_ax,
-                   densities=dens, powers=pows)
+        return cls(i_over_gamma=i_ax, j_over_gamma=j_ax, densities=dens)
 
     def cells(self):
         for jj, j in enumerate(self.j_over_gamma):
@@ -176,7 +147,6 @@ class CellResult:
     i_over_gamma: float
     j_over_gamma: float
     n: float
-    phi: float
     i_effective: float
     m_signed: float
     tau_s: float
@@ -200,7 +170,6 @@ _TEXT = (str, str)
 # the loader checks it and stores nothing from it.
 CELL_COLUMNS = (
     ("n", "n", *_FLOAT),
-    ("phi", "phi", *_FLOAT),
     ("J_over_Gamma", "j_over_gamma", *_FLOAT),
     ("I_over_Gamma", "i_over_gamma", *_FLOAT),
     ("I_effective", "i_effective", *_FLOAT),
@@ -238,7 +207,7 @@ class SweepResult:
 
 
 def _sweep_task(args):
-    i_axis, j_axis, i_eff, n, phi, gamma, sim_kwargs, max_time, controls = args
+    i_axis, j_axis, i_eff, n, gamma, sim_kwargs, max_time, controls = args
     p = SimParams.from_rates(i_over_gamma=i_eff, j_over_gamma=j_axis,
                              gamma=gamma, **sim_kwargs)
     nan = float("nan")
@@ -253,7 +222,7 @@ def _sweep_task(args):
     except IntegrationError as exc:
         error = str(exc)
     return CellResult(
-        i_over_gamma=i_axis, j_over_gamma=j_axis, n=n, phi=phi,
+        i_over_gamma=i_axis, j_over_gamma=j_axis, n=n,
         i_effective=i_eff, m_signed=m_ss, tau_s=tau,
         tau_floored=floored, converged=converged, eps=p.seed_polarization,
         error=error)
@@ -389,19 +358,21 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
     ``sim_kwargs`` are further :class:`SimParams` fields of every cell
     (projection_mode, seed_polarization, b_z, atom, coll, doppler,
     light_shift, ...), with the :class:`SimParams` defaults for the rest;
-    the manifest records the first three as resolved.  Cell failures are
+    the manifest records the first three as resolved, and the conditions
+    map if a grid line has a density (else ``null``).  Cell failures are
     recorded per cell and never abort the sweep.  The output is bitwise
     independent of the worker count."""
     cmap = cmap if cmap is not None else ConditionsMap()
     workers = workers if workers is not None else default_workers()
     base = SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
                                 gamma=gamma, **sim_kwargs)
+    attenuated = any(map(math.isfinite, grid.densities))
     tasks = []
-    for ii, jj, i_axis, j_axis in grid.cells():
+    for _, jj, i_axis, j_axis in grid.cells():
         n = grid.densities[jj]
         att = cmap.attenuation(n) if math.isfinite(n) else 1.0
-        tasks.append((i_axis, j_axis, i_axis * att, n, grid.powers[ii],
-                      gamma, sim_kwargs, max_time, controls))
+        tasks.append((i_axis, j_axis, i_axis * att, n, gamma, sim_kwargs,
+                      max_time, controls))
     return SweepResult(
         grid=grid, cells=_run_tasks(tasks, workers, base),
         provenance={
@@ -411,20 +382,17 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
             "projection_mode": base.projection_mode,
             "seed_polarization": base.seed_polarization,
             "b_z": base.b_z,
-            "attenuation_mode": cmap.attenuation_mode,
-            "sigma_e": cmap.sigma_e,
-            "sigma_ex_v": cmap.sigma_ex_v,
-            "cell_length": cmap.cell_length,
-            "j_convention": cmap.j_convention,
+            **{name: getattr(cmap, name) if attenuated else None for name in (
+                "attenuation_mode", "sigma_e", "sigma_ex_v", "cell_length", "j_convention")},
             "blas_threads": BLAS_THREADS,
             "migrations": [],
         })
 
 
 def _contour(result: SweepResult, axis: str, value: float, quantity: str):
-    """The grid line nearest ``value`` on ``axis`` and the ``quantity`` of its
+    """The grid line nearest ``value`` on ``axis``, the ``quantity`` of its
     cells, NaN wherever the cell did not converge, so that no contour or
-    fit reads a partial magnetization."""
+    fit reads a partial magnetization, and the value of the line read."""
     along = np.array(result.grid.i_over_gamma)
     across = np.array(result.grid.j_over_gamma)
     cells = np.array(result.cells, dtype=object).reshape(len(across), len(along))
@@ -434,9 +402,9 @@ def _contour(result: SweepResult, axis: str, value: float, quantity: str):
         raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
     if not across[0] <= value <= across[-1]:
         raise ValueError(f"{axis[-1]}/Gamma = {value} outside grid range")
-    line = cells[np.argmin(np.abs(across - value))]
+    k = np.argmin(np.abs(across - value))
     return along, np.array([getattr(c, QUANTITIES[quantity]) if c.converged else math.nan
-                            for c in line])
+                            for c in cells[k]]), float(across[k])
 
 
 def extract_contour(result: SweepResult, axis: str, value: float,
@@ -449,7 +417,7 @@ def extract_contour(result: SweepResult, axis: str, value: float,
     lines is attempted (nearest-grid-line semantics)."""
     if quantity not in MAP_QUANTITIES:
         raise ValueError(f"quantity must be 'm_abs' or 'tau', not {quantity!r}")
-    return _contour(result, axis, value, quantity)
+    return _contour(result, axis, value, quantity)[:2]
 
 
 def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
@@ -467,7 +435,8 @@ def refine_contour(axis: str, value: float, points, quantity: str = "m_signed",
     if axis not in ("fixed-J", "fixed-I"):
         raise ValueError("axis must be 'fixed-J' or 'fixed-I'")
     line = (points, [value]) if axis == "fixed-J" else ([value], points)
-    return _contour(run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs), axis, value, quantity)
+    return _contour(run_sweep(SweepGrid.from_rates(*line), **sweep_kwargs),
+                    axis, value, quantity)[:2]
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -517,10 +486,12 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
     if legacy:
         migrations.append("migrated schema 0 -> 1: filled a missing tau_floored "
                           "from the floor rule, converged and M_abs < TAU_FLOOR_M")
-        version = 1
-    if version != SCHEMA_VERSION:
+    dropped = {"phi"} if version in (0, 1) else set()  # a pump power no sweep set
+    if dropped:
+        migrations.append("migrated schema 1 -> 2: dropped the phi column and the grid's powers")
+    elif version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported sweep schema version {version!r}")
-    prov["schema_version"] = version
+    prov["schema_version"] = SCHEMA_VERSION
     prov["migrations"] = migrations
     gspec = manifest.get("grid")
     if gspec is None:
@@ -533,7 +504,8 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
             # only the comment lines above the header: a quoted error text
             # may hold lines that start with '#'
             reader = csv.DictReader(itertools.dropwhile(lambda line: line.startswith("#"), fh))
-            if reader.fieldnames is None or set(reader.fieldnames) - {c[0] for c in CELL_COLUMNS}:
+            if reader.fieldnames is None or \
+                    set(reader.fieldnames) - {c[0] for c in CELL_COLUMNS} - dropped:
                 raise SchemaError(f"unexpected CSV columns {reader.fieldnames!r}")
             for k, row in enumerate(reader, 1):
                 if None in row or None in row.values():  # DictReader's rest key, rest value
@@ -576,7 +548,6 @@ def density_scan(power_i_over_gamma: float, densities,
     effective I drops by attenuation."""
     cmap = cmap if cmap is not None else ConditionsMap()
     densities = tuple(float(n) for n in densities)
-    j_ax = tuple(map_conditions(n, 0.0, cmap)[0] / gamma for n in densities)
-    grid = SweepGrid(i_over_gamma=(power_i_over_gamma,), j_over_gamma=j_ax,
-                     densities=densities, powers=(float("nan"),))
+    j_ax = tuple(cmap.j_from_density(n) / gamma for n in densities)
+    grid = SweepGrid(i_over_gamma=(power_i_over_gamma,), j_over_gamma=j_ax, densities=densities)
     return run_sweep(grid, gamma=gamma, cmap=cmap, workers=workers, **sim_kwargs)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -39,15 +40,12 @@ class TestConfig:
         atom = cfg.atom()
         assert float(atom.nuclear_spin) == 3.5
         assert atom.a_ground == pytest.approx(2 * math.pi * 2.3e9)
-        assert all(v == "default" for v in cfg.provenance.values())
 
-    def test_file_and_provenance(self, tmp_path):
+    def test_file_value_is_read(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[relaxation]\ngamma = 70 /s\n")
         cfg = parse_config(str(path))
         assert cfg.gamma() == 70.0
-        assert cfg.provenance[("relaxation", "gamma")] == "user"
-        assert cfg.provenance[("collisions", "q_slowdown")] == "default"
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -135,6 +133,49 @@ class TestConfig:
         cfg = parse_config(overrides={"relaxation.temperature_c": "87"})
         assert cfg.gamma() == pytest.approx(58.0 + 0.35 * 12)
 
+    def test_temperature_alone_sets_gamma(self):
+        assert parse_config(overrides={"relaxation.temperature_c": "80"}).gamma() == 59.75
+
+    def test_doppler_width_defaults_to_its_owners(self):
+        from spingas.optics import doppler_width
+        assert parse_config().doppler().width == doppler_width()
+        assert parse_config(overrides={"doppler.temperature_c": "60"}).doppler().width == \
+            doppler_width(60.0)
+        assert parse_config(overrides={"doppler.width": "200 MHz"}).doppler().width == \
+            pytest.approx(2 * math.pi * 2e8)
+
+    @pytest.mark.parametrize("first, second", [
+        (("relaxation.gamma", "58 /s"), ("relaxation.temperature_c", "80")),
+        (("doppler.width", "200 MHz"), ("doppler.temperature_c", "87"))])
+    def test_both_keys_of_one_value_are_rejected(self, tmp_path, first, second):
+        # from --set and from a file alike
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides=dict([first, second]))
+        assert first[0] in str(err.value) and second[0] in str(err.value)
+        section = first[0].partition(".")[0]
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n" + "".join(
+            f"{key.partition('.')[2]} = {value}\n" for key, value in (first, second)))
+        with pytest.raises(ConfigError, match=f"{first[0]} and {second[0]}"):
+            parse_config(str(path))
+
+    def test_equal_hashes_give_equal_values(self):
+        # every value Gamma and the Doppler width are derived from is hashed
+        options = {"relaxation.gamma": [None, "58 /s", "60 /s"],
+                   "relaxation.temperature_c": [None, "75", "80"],
+                   "doppler.width": [None, "200 MHz"],
+                   "doppler.temperature_c": [None, "87", "60"]}
+        seen = {}
+        for choice in itertools.product(*options.values()):
+            try:
+                cfg = parse_config(overrides={key: value for key, value in zip(options, choice)
+                                              if value is not None})
+            except ConfigError:
+                continue
+            values = (cfg.gamma(), cfg.doppler())
+            assert seen.setdefault(cfg.hash(), values) == values
+        assert len(seen) == 5 * 4  # the valid settings of Gamma times those of the width
+
     def test_hash_ignores_workers(self):
         a = parse_config()
         b = parse_config(overrides={"sweep.workers": "3"})
@@ -192,7 +233,7 @@ class TestCli:
                    "--axis", "fixed-J", "--value", "0.8", "--out", out_csv])
         assert rc == 0
         body = open(out_csv).read().splitlines()
-        assert body[1] == "I_over_Gamma,m_abs"
+        assert body[1] == "I_over_Gamma,m_abs,J_over_Gamma"
 
     def test_fit_roundtrip(self, tmp_path):
         from spingas.critfit import synthetic_series

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spingas
 from spingas import sweep
@@ -25,34 +28,33 @@ from spingas.sweep import (
     gnuplot_matrix,
     load_sweep,
     lorentzian_cross_section,
-    map_conditions,
     refine_contour,
     run_sweep,
     save_sweep,
 )
 
 GAMMA = 58.0
+OUT = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CONDITION_KEYS = ("attenuation_mode", "sigma_e", "sigma_ex_v", "cell_length", "j_convention")
 
 
-class TestMapConditions:
+class TestConditionsMap:
     def test_zero_density(self):
         cmap = ConditionsMap()
-        j, i = map_conditions(0.0, 5.0, cmap)
-        assert j == 0.0
+        assert cmap.j_from_density(0.0) == 0.0
         assert cmap.attenuation(0.0) == 1.0
 
     def test_j_linear_in_density(self):
         cmap = ConditionsMap()
-        j1, _ = map_conditions(1e12, 1.0, cmap)
-        j2, _ = map_conditions(2e12, 1.0, cmap)
+        j1 = cmap.j_from_density(1e12)
+        j2 = cmap.j_from_density(2e12)
         assert j2 == pytest.approx(2 * j1)
         assert j1 == pytest.approx(1e12 * cmap.sigma_ex_v)
 
-    def test_i_linear_without_attenuation(self):
+    def test_no_attenuation_when_off(self):
         cmap = ConditionsMap(attenuation_mode="off")
-        _, i1 = map_conditions(1e12, 1.0, cmap)
-        _, i2 = map_conditions(1e12, 2.0, cmap)
-        assert i2 == 2 * i1
+        assert cmap.attenuation(1e12) == cmap.attenuation(1e14) == 1.0
 
     def test_path_average_closed_form(self):
         # oracle: (1/L) integral_0^L exp(-n sigma y) dy = (1 - e^-OD)/OD
@@ -68,15 +70,24 @@ class TestMapConditions:
     def test_monotonicity(self):
         cmap = ConditionsMap()
         ns = np.linspace(1e11, 5e13, 40)
-        js = [map_conditions(n, 1.0, cmap)[0] for n in ns]
-        i_eff = [map_conditions(n, 1.0, cmap)[1] for n in ns]
+        js = [cmap.j_from_density(n) for n in ns]
+        att = [cmap.attenuation(n) for n in ns]
         assert all(b > a for a, b in zip(js, js[1:]))
-        assert all(b <= a for a, b in zip(i_eff, i_eff[1:]))
+        assert all(b <= a for a, b in zip(att, att[1:]))
+
+    @pytest.mark.parametrize("convention", ["collision-rate", "measured"])
+    def test_density_and_j_are_inverse(self, convention):
+        cmap = ConditionsMap(j_convention=convention)
+        assert cmap.density_from_j(cmap.j_from_density(3e12)) == pytest.approx(3e12)
 
     def test_measured_convention(self):
         cmap = ConditionsMap(j_convention="measured")
-        j, _ = map_conditions(1e12, 1.0, cmap)
+        j = cmap.j_from_density(1e12)
         assert j == pytest.approx(1e12 * cmap.sigma_ex_v / cmap.q_slowdown)
+
+    def test_negative_density_rejected(self):
+        with pytest.raises(ValueError, match="density"):
+            ConditionsMap().j_from_density(-1.0)
 
     def test_cross_section_estimate(self):
         # pump-detuned wing value close to 8e-13 cm^2
@@ -101,12 +112,6 @@ class TestGrid:
             SweepGrid.from_rates([0.5, bad], [1.0])
         with pytest.raises(ValueError, match="j_over_gamma axis values must be finite"):
             SweepGrid.from_rates([0.5], [bad])
-
-    def test_from_physical(self):
-        cmap = ConditionsMap()
-        grid = SweepGrid.from_physical([1e12, 2e12], [5.0, 10.0], cmap)
-        assert grid.j_over_gamma[0] == pytest.approx(1e12 * cmap.sigma_ex_v / GAMMA)
-        assert grid.i_over_gamma[1] == pytest.approx(cmap.s_axis * 10.0 / GAMMA)
 
 
 @contextlib.contextmanager
@@ -326,22 +331,54 @@ class TestRunSweep:
     def test_error_text_lines_that_start_with_a_hash_survive_the_roundtrip(self, tmp_path):
         # only the comment lines above the header are skipped on load
         grid = SweepGrid.from_rates([1.0], [2.0])
-        cell = CellResult(i_over_gamma=1.0, j_over_gamma=2.0, n=math.nan, phi=math.nan,
+        cell = CellResult(i_over_gamma=1.0, j_over_gamma=2.0, n=math.nan,
                           i_effective=1.0, m_signed=math.nan, tau_s=math.nan,
                           tau_floored=False, converged=False, eps=1e-4, error="a\n#b")
         paths = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
-        save_sweep(SweepResult(grid=grid, cells=[cell], provenance={"schema_version": 1}),
+        save_sweep(SweepResult(grid=grid, cells=[cell], provenance={"schema_version": 2}),
                    *paths, header_comment="a header comment")
         assert load_sweep(*paths).cells[0].error == "a\n#b"
 
     def test_committed_phase_diagram_resaves_byte_for_byte(self, tmp_path):
-        out = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "out")
-        committed = [os.path.join(out, "phase_diagram_cells.csv"),
-                     os.path.join(out, "phase_diagram_manifest.json")]
+        committed = [os.path.join(OUT, "phase_diagram_cells.csv"),
+                     os.path.join(OUT, "phase_diagram_manifest.json")]
         again = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
         save_sweep(load_sweep(*committed), *again)
         for path, copy in zip(committed, again):
             assert open(path, "rb").read() == open(copy, "rb").read()
+
+    def test_schema_1_pair_migrates_to_schema_2(self, tmp_path):
+        # demo 03's phase diagram as schema 1 saved it, with the always-NaN
+        # phi column and the grid's powers
+        old = [str(tmp_path / "cells.csv"), str(tmp_path / "manifest.json")]
+        for name, path in zip(("schema1_cells.csv", "schema1_manifest.json"), old):
+            shutil.copy(os.path.join(DATA, name), path)
+        back = load_sweep(*old)
+        assert back.provenance["schema_version"] == 2
+        assert back.provenance["migrations"] == [
+            "migrated schema 1 -> 2: dropped the phi column and the grid's powers"]
+        again = [str(tmp_path / "again.csv"), str(tmp_path / "again.json")]
+        save_sweep(back, *again)
+        # the same cells and manifest as the current code writes for that sweep
+        assert open(again[0], "rb").read() == \
+            open(os.path.join(OUT, "phase_diagram_cells.csv"), "rb").read()
+        manifest = json.load(open(again[1]))
+        assert manifest["provenance"].pop("migrations") == back.provenance["migrations"]
+        current = json.load(open(os.path.join(OUT, "phase_diagram_manifest.json")))
+        assert current["provenance"].pop("migrations") == []
+        assert manifest == current and "powers" not in manifest["grid"]
+
+    def test_manifest_records_the_conditions_only_where_applied(self, tiny_sweep):
+        # no grid line has a density, so no cell was attenuated
+        assert all(math.isnan(n) for n in tiny_sweep.grid.densities)
+        assert all(c.i_effective == c.i_over_gamma for c in tiny_sweep.cells)
+        assert [tiny_sweep.provenance[k] for k in CONDITION_KEYS] == [None] * 5
+        cmap = ConditionsMap(attenuation_mode="point", j_convention="measured")
+        attenuated = run_sweep(SweepGrid.from_rates([0.2], [0.8], cmap=cmap),
+                               cmap=cmap, workers=1)
+        assert attenuated.cells[0].i_effective < 0.2
+        assert [attenuated.provenance[k] for k in CONDITION_KEYS] == \
+            [getattr(cmap, k) for k in CONDITION_KEYS]
 
     def test_m_abs_that_is_not_the_abs_of_m_signed_is_rejected(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
@@ -396,9 +433,9 @@ class TestRunSweep:
         man_path = str(tmp_path / "manifest.json")
         save_sweep(tiny_sweep, csv_path, man_path)
         manifest = json.load(open(man_path))
-        del manifest["grid"]["powers"]
+        del manifest["grid"]["densities"]
         json.dump(manifest, open(man_path, "w"))
-        with pytest.raises(SchemaError, match="powers"):
+        with pytest.raises(SchemaError, match="densities"):
             load_sweep(csv_path, man_path)
 
     def test_old_schema_migrates_with_note(self, tiny_sweep, tmp_path):
@@ -409,12 +446,12 @@ class TestRunSweep:
         manifest["provenance"]["schema_version"] = 0
         json.dump(manifest, open(man_path, "w"))
         back = load_sweep(csv_path, man_path)
-        assert back.provenance["schema_version"] == 1
+        assert back.provenance["schema_version"] == 2
         assert any("migrated" in note for note in back.provenance["migrations"])
 
     def test_schema_0_without_floor_column_gets_the_floor_rule(self, tmp_path):
         grid = SweepGrid.from_rates([1.0, 2.0, 3.0], [2.0])
-        cells = [CellResult(i_over_gamma=i, j_over_gamma=2.0, n=math.nan, phi=math.nan,
+        cells = [CellResult(i_over_gamma=i, j_over_gamma=2.0, n=math.nan,
                             i_effective=i, m_signed=m, tau_s=tau,
                             tau_floored=False, converged=conv, eps=1e-4)
                  for i, m, tau, conv in ((1.0, 5e-4, 1.0 / GAMMA, True),
@@ -512,8 +549,31 @@ class TestContours:
                      "--manifest", prefix + "_manifest.json", "--axis", "fixed-J",
                      "--value", "3.8", "--quantity", "m_abs", "--out", out]) == 0
         rows = [line for line in open(out).read().splitlines() if not line.startswith("#")]
-        assert rows[0] == "I_over_Gamma,m_abs"
-        assert rows[2] == "1,nan"
+        assert rows[0] == "I_over_Gamma,m_abs,J_over_Gamma"
+        assert rows[2] == "1,nan,3.8"
+
+    @pytest.mark.parametrize("axis, value, header, line", [
+        ("fixed-J", 0.9, "I_over_Gamma,m_abs,J_over_Gamma", 0.8),
+        ("fixed-J", 0.95, "I_over_Gamma,m_abs,J_over_Gamma", 0.8),
+        ("fixed-J", 1.05, "I_over_Gamma,m_abs,J_over_Gamma", 1.2),
+        ("fixed-I", 0.35, "J_over_Gamma,m_abs,I_over_Gamma", 0.4)])
+    def test_cli_contour_records_the_line_it_read(self, tiny_sweep, tmp_path,
+                                                   axis, value, header, line):
+        from spingas.cli import _read_xy, main
+        prefix = str(tmp_path / "sw")
+        save_sweep(tiny_sweep, prefix + "_cells.csv", prefix + "_manifest.json")
+        out = str(tmp_path / "contour.csv")
+        assert main(["contour", "--cells", prefix + "_cells.csv",
+                     "--manifest", prefix + "_manifest.json", "--axis", axis,
+                     "--value", str(value), "--out", out]) == 0
+        rows = [r for r in open(out).read().splitlines() if not r.startswith("#")]
+        assert rows[0] == header
+        assert [float(r.split(",")[2]) for r in rows[1:]] == [line, line]
+        # `spingas fit --input` still reads the line's x and y
+        xs, ys = _read_xy(out)
+        want_x, want_y = extract_contour(tiny_sweep, axis, value)
+        np.testing.assert_array_equal(xs, want_x)
+        np.testing.assert_allclose(ys, want_y, rtol=1e-11)
 
 
 class TestOutputs:
@@ -528,3 +588,58 @@ class TestOutputs:
         scan = density_scan(0.3, [5e10, 1e11], cmap=cmap, workers=1)
         assert len(scan.cells) == 2
         assert scan.cells[0].j_over_gamma < scan.cells[1].j_over_gamma
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# error texts: the characters that CSV quoting, line splitting and the
+# comment rule act on, among any others
+ERROR_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n#'), st.characters()), max_size=12)
+
+
+@st.composite
+def sweep_results(draw):
+    axis = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=3, unique=True).map(sorted)
+    i_ax, j_ax = draw(axis), draw(axis)
+    grid = SweepGrid(i_over_gamma=tuple(i_ax), j_over_gamma=tuple(j_ax),
+                     densities=tuple(draw(st.lists(ANY_FLOAT, min_size=len(j_ax),
+                                                   max_size=len(j_ax)))))
+    cell = st.builds(CellResult, i_over_gamma=ANY_FLOAT, j_over_gamma=ANY_FLOAT,
+                     n=ANY_FLOAT, i_effective=ANY_FLOAT, m_signed=ANY_FLOAT,
+                     tau_s=ANY_FLOAT, tau_floored=st.booleans(),
+                     converged=st.booleans(), eps=ANY_FLOAT, error=ERROR_TEXT)
+    n = len(i_ax) * len(j_ax)
+    cells = draw(st.lists(cell, min_size=n, max_size=n))
+    return SweepResult(grid=grid, cells=cells,
+                       provenance={"schema_version": 2, "migrations": []})
+
+
+def _cells(error, m_signed=0.5):
+    return SweepResult(
+        grid=SweepGrid.from_rates([1.0], [2.0]),
+        cells=[CellResult(i_over_gamma=1.0, j_over_gamma=2.0, n=math.nan, i_effective=1.0,
+                          m_signed=m_signed, tau_s=math.inf, tau_floored=True,
+                          converged=False, eps=-math.inf, error=error)],
+        provenance={"schema_version": 2, "migrations": []})
+
+
+class TestRoundtripProperty:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(result=sweep_results(),
+           header=st.none() | st.text(st.characters(exclude_characters="\r\n"),
+                                      max_size=8))
+    @example(result=_cells("a\n#b"), header="a header")
+    @example(result=_cells('x, "y"\r\n# z\r'), header=None)
+    @example(result=_cells("\r", m_signed=-0.0), header="")
+    @example(result=_cells("#\n#", m_signed=math.nan), header="#")
+    def test_save_load_save_is_byte_identical(self, tmp_path_factory, result, header):
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        first = [str(tmp / "a.csv"), str(tmp / "a.json")]
+        again = [str(tmp / "b.csv"), str(tmp / "b.json")]
+        save_sweep(result, *first, header_comment=header)
+        back = load_sweep(*first)
+        save_sweep(back, *again, header_comment=header)
+        for a, b in zip(first, again):
+            assert open(a, "rb").read() == open(b, "rb").read()
+        for a, b in zip(result.cells, back.cells):
+            np.testing.assert_equal(astuple(b), astuple(a))
