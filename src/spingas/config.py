@@ -7,10 +7,12 @@ The file is INI-like::
     gamma_c = 1.86 GHz
     q_slowdown = 4.57
 
-Every field has a default matching the reference parameter set, unknown
-keys are rejected with line numbers, and Gamma and the Doppler width each
-take at most one of their two keys.  The canonical resolved form, hashed
-into every output artifact, so fixes every value a run reads.
+Every field has a default matching the reference parameter set, and
+unknown keys are rejected with line numbers.  ``_SCHEMA`` names each key's
+owner once, which builds and checks its value; a temperature's owner is
+the law whose output sets Gamma or the Doppler width, so each takes at
+most one of its two keys.  The canonical resolved form, hashed into every
+output artifact, so fixes every value a run reads.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from . import units
-from .dynamics import GAMMA_BASE, IntegrationControls, SimParams, gamma_of_temperature
+from .dynamics import IntegrationControls, SimParams, gamma_of_temperature
 from .optics import CollisionParams, DopplerSpec, doppler_width
-from .spin_algebra import HALF, AtomSpec
-from .sweep import ConditionsMap, lorentzian_cross_section
+from .spin_algebra import AtomSpec
+from .sweep import ConditionsMap, SweepGrid, lorentzian_cross_section
 
 
 class ConfigError(ValueError):
@@ -70,39 +72,60 @@ def _flag(text: str) -> bool:
     return _FLAGS[text.lower()]
 
 
-# (section, key) -> (parser, default-as-text)
+# (section, key) -> (parser, default-as-text, owner).  The owner is the
+# object whose field of the key's name the value sets; a law, (target key,
+# law), whose output sets the target's field; or None.
+_LAW_GAMMA = (("relaxation", "gamma"), gamma_of_temperature)
+_LAW_WIDTH = (("doppler", "width"), doppler_width)
 _SCHEMA: dict[tuple[str, str], tuple] = {
-    ("atom", "nuclear_spin"): (units.parse_fraction, "7/2"),
-    ("atom", "a_ground"): (units.frequency, "2.3 GHz"),
-    ("atom", "a_excited"): (units.frequency, "290 MHz"),
-    ("atom", "g_ground"): (units.frequency_per_gauss, "2.8 MHz/G"),
-    ("atom", "g_excited"): (units.frequency_per_gauss, "0.9 MHz/G"),
-    ("collisions", "gamma_c"): (units.frequency, "1.86 GHz"),
-    ("collisions", "gamma_q"): (units.frequency, "265 MHz"),
-    ("collisions", "gamma_p"): (units.frequency, "219 MHz"),
-    ("collisions", "q_slowdown"): (units.plain_number, "4.57"),
-    ("collisions", "sigma_ex_v"): (float, "7e-10"),
-    ("relaxation", "gamma"): (units.frequency, ""),
-    ("relaxation", "temperature_c"): (units.plain_number, ""),
-    ("fields", "b_z"): (units.magnetic_field, "1 G"),
-    ("fields", "pump_detuning"): (units.frequency, "700 MHz"),
-    ("fields", "bias_detuning"): (units.frequency, "1.2 GHz"),
-    ("doppler", "width"): (units.frequency, ""),
-    ("doppler", "temperature_c"): (units.plain_number, ""),
-    ("doppler", "quadrature_order"): (int, "40"),
-    ("numerics", "rtol"): (float, ""),
-    ("numerics", "atol"): (float, ""),
-    ("numerics", "projection_mode"): (str, "hyperfine+zeeman"),
-    ("numerics", "seed_polarization"): (float, "1e-4"),
-    ("numerics", "light_shift"): (_flag, "false"),
-    ("conditions", "sigma_e"): (float, ""),
-    ("conditions", "cell_length"): (float, "1.5"),
-    ("conditions", "attenuation_mode"): (str, "path-averaged"),
-    ("conditions", "j_convention"): (str, "collision-rate"),
-    ("sweep", "i_over_gamma"): (parse_axis, "0.5:6:30"),
-    ("sweep", "j_over_gamma"): (parse_axis, "0.5:6:30"),
-    ("sweep", "workers"): (str, "auto"),
+    ("atom", "nuclear_spin"): (units.parse_fraction, "7/2", AtomSpec),
+    ("atom", "a_ground"): (units.frequency, "2.3 GHz", AtomSpec),
+    ("atom", "a_excited"): (units.frequency, "290 MHz", AtomSpec),
+    ("atom", "g_ground"): (units.frequency_per_gauss, "2.8 MHz/G", AtomSpec),
+    ("atom", "g_excited"): (units.frequency_per_gauss, "0.9 MHz/G", AtomSpec),
+    ("collisions", "gamma_c"): (units.frequency, "1.86 GHz", CollisionParams),
+    ("collisions", "gamma_q"): (units.frequency, "265 MHz", CollisionParams),
+    ("collisions", "gamma_p"): (units.frequency, "219 MHz", CollisionParams),
+    ("collisions", "q_slowdown"): (units.plain_number, "4.57", CollisionParams),
+    ("collisions", "sigma_ex_v"): (float, "7e-10", ConditionsMap),
+    ("relaxation", "gamma"): (units.frequency, "", SimParams),
+    ("relaxation", "temperature_c"): (units.plain_number, "", _LAW_GAMMA),
+    ("fields", "b_z"): (units.magnetic_field, "1 G", SimParams),
+    ("fields", "pump_detuning"): (units.frequency, "700 MHz", None),
+    ("fields", "bias_detuning"): (units.frequency, "1.2 GHz", None),
+    ("doppler", "width"): (units.frequency, "", DopplerSpec),
+    ("doppler", "temperature_c"): (units.plain_number, "", _LAW_WIDTH),
+    ("doppler", "quadrature_order"): (int, "40", DopplerSpec),
+    ("numerics", "rtol"): (float, "", IntegrationControls),
+    ("numerics", "atol"): (float, "", IntegrationControls),
+    ("numerics", "projection_mode"): (str, "hyperfine+zeeman", SimParams),
+    ("numerics", "seed_polarization"): (float, "1e-4", SimParams),
+    ("numerics", "light_shift"): (_flag, "false", SimParams),
+    ("conditions", "sigma_e"): (float, "", ConditionsMap),
+    ("conditions", "cell_length"): (float, "1.5", ConditionsMap),
+    ("conditions", "attenuation_mode"): (str, "path-averaged", ConditionsMap),
+    ("conditions", "j_convention"): (str, "collision-rate", ConditionsMap),
+    ("sweep", "i_over_gamma"): (parse_axis, "0.5:6:30", SweepGrid),
+    ("sweep", "j_over_gamma"): (parse_axis, "0.5:6:30", SweepGrid),
+    ("sweep", "workers"): (str, "auto", None),
 }
+
+# The default instance of each owner object.  The grid's is one cell: only
+# its axis rule is read, one axis at a time.
+_SIM = SimParams()
+_DEFAULTS = {type(owner): owner for owner in (
+    _SIM, _SIM.atom, _SIM.coll, _SIM.doppler, IntegrationControls(), ConditionsMap(),
+    SweepGrid((1.0,), (1.0,), (math.nan,)))}
+
+
+def _target(section: str, key: str, value) -> tuple:
+    """The owner, field and value that a key's value sets; a law's input
+    sets its target's field to the law's output."""
+    owner = _SCHEMA[section, key][2]
+    if isinstance(owner, tuple):
+        (section, key), law = owner
+        owner, value = _SCHEMA[section, key][2], law(value)
+    return owner, key, value
 
 
 @dataclass
@@ -112,80 +135,54 @@ class RunConfig:
     def __getitem__(self, key: tuple[str, str]):
         return self.values[key]
 
+    def _set(self, owner: type) -> dict:
+        """The values set for the fields of ``owner``."""
+        targets = (_target(section, key, value)
+                   for (section, key), value in self.values.items() if value is not None)
+        return {name: value for own, name, value in targets if own is owner}
+
+    def _build(self, owner: type, **borrowed):
+        """``owner``'s default with the values set for its fields."""
+        return replace(_DEFAULTS[owner], **{**borrowed, **self._set(owner)})
+
     def atom(self) -> AtomSpec:
-        v = self.values
-        return AtomSpec(
-            nuclear_spin=v[("atom", "nuclear_spin")],
-            electron_spin=HALF,
-            a_ground=v[("atom", "a_ground")],
-            a_excited=v[("atom", "a_excited")],
-            g_ground=v[("atom", "g_ground")],
-            g_excited=v[("atom", "g_excited")],
-        )
+        return self._build(AtomSpec)
 
     def collisions(self) -> CollisionParams:
-        v = self.values
-        return CollisionParams(
-            gamma_c=v[("collisions", "gamma_c")],
-            gamma_q=v[("collisions", "gamma_q")],
-            gamma_p=v[("collisions", "gamma_p")],
-            q_slowdown=v[("collisions", "q_slowdown")],
-        )
+        return self._build(CollisionParams)
 
     def doppler(self) -> DopplerSpec:
-        v = self.values
-        width, t = v[("doppler", "width")], v[("doppler", "temperature_c")]
-        if width is None:
-            width = doppler_width() if t is None else doppler_width(t)
-        return DopplerSpec(width=width,
-                           quadrature_order=v[("doppler", "quadrature_order")])
+        return self._build(DopplerSpec)
 
     def gamma(self) -> float:
-        v = self.values
-        gamma, t = v[("relaxation", "gamma")], v[("relaxation", "temperature_c")]
-        if t is not None:
-            return gamma_of_temperature(t)
-        return GAMMA_BASE if gamma is None else gamma
+        return self._build(SimParams).gamma
 
     def conditions(self) -> ConditionsMap:
+        """The conditions map; its q is the collisions', and sigma_e
+        defaults to the line's cross-section at the pump detuning."""
         v = self.values
-        sigma_e = v[("conditions", "sigma_e")]
-        if sigma_e is None:
-            sigma_e = lorentzian_cross_section(v[("fields", "pump_detuning")])
-        return ConditionsMap(
-            sigma_ex_v=v[("collisions", "sigma_ex_v")],
-            sigma_e=sigma_e,
-            cell_length=v[("conditions", "cell_length")],
-            attenuation_mode=v[("conditions", "attenuation_mode")],
-            j_convention=v[("conditions", "j_convention")],
-            q_slowdown=v[("collisions", "q_slowdown")],
-        )
+        return self._build(ConditionsMap, q_slowdown=v["collisions", "q_slowdown"],
+                           sigma_e=lorentzian_cross_section(v["fields", "pump_detuning"]))
 
     def workers(self) -> int | None:
         w = self.values[("sweep", "workers")]
         return None if w == "auto" else int(w)
 
     def sim_kwargs(self) -> dict:
-        v = self.values
-        return {
-            "atom": self.atom(),
-            "coll": self.collisions(),
-            "doppler": self.doppler(),
-            "b_z": v[("fields", "b_z")],
-            "projection_mode": v[("numerics", "projection_mode")],
-            "seed_polarization": v[("numerics", "seed_polarization")],
-            "light_shift": v[("numerics", "light_shift")],
-            "pump_detuning": v[("fields", "pump_detuning")],
-            "bias_detuning": v[("fields", "bias_detuning")],
-        }
+        """The :meth:`SimParams.from_rates` keywords: the parts, the
+        :class:`SimParams` fields set but Gamma (see :meth:`gamma`), and the
+        detunings."""
+        sim = self._set(SimParams)
+        sim.pop("gamma", None)
+        return {"atom": self.atom(), "coll": self.collisions(), "doppler": self.doppler(),
+                **sim, "pump_detuning": self.values["fields", "pump_detuning"],
+                "bias_detuning": self.values["fields", "bias_detuning"]}
 
     def controls(self) -> IntegrationControls | None:
         """The tolerances set for every integration, or ``None``, which
         leaves each entry point at its own default (see
         :class:`spingas.dynamics.IntegrationControls`)."""
-        tols = {key: self.values[("numerics", key)] for key in ("rtol", "atol")
-                if self.values[("numerics", key)] is not None}
-        return IntegrationControls(**tols) if tols else None
+        return self._build(IntegrationControls) if self._set(IntegrationControls) else None
 
     def canonical(self) -> dict:
         out = {}
@@ -201,40 +198,30 @@ class RunConfig:
 
 
 def _parse_value(section: str, key: str, raw: str, line: int | None):
-    parser, _ = _SCHEMA[(section, key)]
+    """Parse a value and check it by replacing it into its owner's default;
+    a law's input is checked as the law's output."""
     raw = raw.strip()
     if raw == "":
         return None
-    try:
-        value = parser(raw)
-    except (ValueError, units.UnitError) as exc:
-        raise ConfigError(f"bad value {raw!r}: {exc}", f"{section}.{key}", line) from exc
-    _validate(section, key, value, line)
-    return value
-
-
-# Default instances of the objects the configuration builds: a value is
-# checked by the rule of each one that has a field of its key's name.
-_SIM = SimParams()
-_OWNERS = [(owner, {f.name for f in fields(owner)}) for owner in (
-    _SIM, _SIM.atom, _SIM.coll, _SIM.doppler, IntegrationControls(), ConditionsMap())]
-
-
-def _validate(section: str, key: str, value, line: int | None):
     where = f"{section}.{key}"
-    numbers = value if isinstance(value, tuple) else (value,)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-        raise ConfigError(f"value must be finite, got {value}", where, line)
-    for owner, names in _OWNERS:
-        if key in names:
-            try:
-                replace(owner, **{key: value})
-            except ValueError as exc:
-                raise ConfigError(str(exc), where, line) from exc
-    if (section, key) == ("sweep", "workers") and value != "auto" and \
+    try:
+        value = _SCHEMA[section, key][0](raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {raw!r}: {exc}", where, line) from exc
+    try:
+        owner, name, checked = _target(section, key, value)
+        numbers = checked if isinstance(checked, tuple) else (checked,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ValueError(f"value must be finite, got {checked}")
+        if owner is not None:
+            replace(_DEFAULTS[owner], **{name: checked})
+    except ValueError as exc:
+        raise ConfigError(str(exc), where, line) from exc
+    if where == "sweep.workers" and value != "auto" and \
             not (value.isdecimal() and int(value) >= 1):
         raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {value!r}",
                           where, line)
+    return value
 
 
 def parse_config(path: str | None = None,
@@ -244,9 +231,8 @@ def parse_config(path: str | None = None,
     Overrides use dotted keys ('relaxation.gamma').  Unknown keys, missing
     unit tags, and out-of-range values are rejected with the offending
     field path and line, and so are both keys of one derived value."""
-    values = {}
-    for (section, key), (_, default) in _SCHEMA.items():
-        values[(section, key)] = _parse_value(section, key, default, None)
+    values = {(section, key): _parse_value(section, key, default, None)
+              for (section, key), (_, default, _) in _SCHEMA.items()}
 
     if path is not None:
         try:
@@ -280,8 +266,8 @@ def parse_config(path: str | None = None,
             raise ConfigError(f"unknown key {dotted!r}")
         values[(section, key)] = _parse_value(section, key, raw_val, None)
 
-    for section, key in (("relaxation", "gamma"), ("doppler", "width")):
-        if None not in (values[(section, key)], values[(section, "temperature_c")]):
-            raise ConfigError(f"{section}.{key} and {section}.temperature_c set the same "
+    for (section, key), (_, _, owner) in _SCHEMA.items():
+        if isinstance(owner, tuple) and None not in (values[owner[0]], values[section, key]):
+            raise ConfigError(f"{'.'.join(owner[0])} and {section}.{key} set the same "
                               "value: set one of them")
     return RunConfig(values=values)

@@ -18,11 +18,11 @@ candidates and bounds, and the CLI's log-log table all read that table.
 
 The nonlinear forms are fitted in three stages: a scan over critical-point
 candidates with the exponent free, a refit of the critical point with the
-exponent pinned, and a final fully free refinement.  :func:`fit` holds
-each form's weights and exclusions.  The form fixes the weights: the
-divergent forms weight the residuals by (Gamma/X)^3 to compensate for the
-finite measured values near the critical point, and by default drop the
-points nearest the maximal measured value.
+exponent pinned, and a final fully free refinement.  The form fixes the
+weights of every fit: (Gamma/X)^3 for the divergent forms, to compensate
+for the finite measured values near the critical point, uniform for beta.
+:func:`fit` holds each form's exclusions: by default the divergent forms
+drop the points nearest the maximal measured value.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .dynamics import (
 )
 
 FORMS = ("beta", "gamma", "znu", "delta")
-WEIGHTS = ("uniform", "gamma-cubed")
 
 # The form table, (side, exponent sign), of the module docstring.
 _FORM_RULES = {"beta": (+1.0, +1.0), "gamma": (-1.0, -1.0), "znu": (+1.0, -1.0)}
@@ -63,14 +62,11 @@ class NoTransitionError(FitError):
 @dataclass(frozen=True)
 class FitSpec:
     form: str
-    weights: str = "uniform"
     exclude_near_max: int = 0
 
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown fit form {self.form!r}")
-        if self.weights not in WEIGHTS:
-            raise ValueError(f"unknown weight scheme {self.weights!r}")
         if self.exclude_near_max < 0:
             raise ValueError("exclusion count must be >= 0")
 
@@ -199,7 +195,8 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
 
     Stage 1 scans critical-point candidates with the exponent free, stage 2
     pins the exponent and refines the critical point, stage 3 frees all
-    three parameters.  Requires at least 6 points, x finite and > 0, y finite."""
+    three parameters.  The form fixes the weights.  Requires at least 6
+    points, x finite and > 0, y finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.form not in _FORM_RULES:
@@ -226,7 +223,8 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
         n_excluded = int((~keep).sum())
         if len(x) < 6:
             raise ValueError("exclusion left fewer than 6 points")
-    w = _weights(x, spec.weights)
+    scheme = "gamma-cubed" if _FORM_RULES[spec.form][1] < 0 else "uniform"
+    w = _weights(x, scheme)
 
     stage_log = []
     best = None
@@ -294,7 +292,7 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
         exponent=float(p_final[2]), x0=float(p_final[1]), amplitude=float(p_final[0]),
         exponent_err=float(errs[2]), x0_err=float(errs[1]), amplitude_err=float(errs[0]),
         residual_norm=float(np.sqrt(r @ r)),
-        n_used=len(x), n_excluded=n_excluded, weight_scheme=spec.weights,
+        n_used=len(x), n_excluded=n_excluded, weight_scheme=scheme,
         diagnostics={"stages": stage_log},
     )
 
@@ -366,12 +364,11 @@ def fit(form: str, x, y, exclude: int | None = None) -> FitResult:
             raise ValueError("the delta form excludes no points")
         return fit_delta(x, y)
     divergent = _FORM_RULES[form][1] < 0
-    weights = "gamma-cubed" if divergent else "uniform"
     if exclude is None:
         exclude = 2 if divergent else 0
-    out = three_step_fit(x, y, FitSpec(form, weights, exclude))
+    out = three_step_fit(x, y, FitSpec(form, exclude))
     if divergent and exclude > 0:
-        alt = three_step_fit(x, y, FitSpec(form, weights))
+        alt = three_step_fit(x, y, FitSpec(form))
         out.diagnostics["exclusion_sensitivity"] = out.exponent - alt.exponent
     return out
 

@@ -191,6 +191,8 @@ class DopplerSpec:
 def doppler_width(temperature_c: float = 87.0) -> float:
     """1/e half-width of k.v for a cesium vapor on the D1 line, rad/s."""
     t_k = temperature_c + 273.15
+    if t_k < 0:
+        raise ValueError(f"temperature {temperature_c} C is below absolute zero")
     v = math.sqrt(2.0 * BOLTZMANN_J_PER_K * t_k / CS_MASS_KG)
     return 2.0 * math.pi / D1_WAVELENGTH_M * v
 

@@ -3,13 +3,18 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingas import dynamics as dyn
 from spingas.cli import main
 from spingas.config import _SCHEMA, ConfigError, parse_config
+from spingas.optics import doppler_width
+from spingas.sweep import ConditionsMap, SweepGrid
 
 
 @pytest.fixture()
@@ -23,6 +28,38 @@ def lsoda_rtols(monkeypatch):
         return build(model, s0, t_end, controls)
     monkeypatch.setattr(dyn, "_lsoda", spy)
     return seen
+
+
+_SIM = dyn.SimParams()
+_GRID = SweepGrid((1.0,), (1.0,), (math.nan,))
+# Each float key -> (unit tag, its owner's default instance or None, the
+# owner's field it sets, the law from the value to that field or None).
+# The tags scale by 1, so the owner sees the drawn float itself.
+_NUMERIC_KEYS = {
+    "atom.a_ground": ("/s", _SIM.atom, "a_ground", None),
+    "atom.a_excited": ("/s", _SIM.atom, "a_excited", None),
+    "atom.g_ground": ("/s/G", _SIM.atom, "g_ground", None),
+    "atom.g_excited": ("/s/G", _SIM.atom, "g_excited", None),
+    "collisions.gamma_c": ("/s", _SIM.coll, "gamma_c", None),
+    "collisions.gamma_q": ("/s", _SIM.coll, "gamma_q", None),
+    "collisions.gamma_p": ("/s", _SIM.coll, "gamma_p", None),
+    "collisions.q_slowdown": ("", _SIM.coll, "q_slowdown", None),
+    "collisions.sigma_ex_v": ("", ConditionsMap(), "sigma_ex_v", None),
+    "relaxation.gamma": ("/s", _SIM, "gamma", None),
+    "relaxation.temperature_c": ("", _SIM, "gamma", dyn.gamma_of_temperature),
+    "fields.b_z": ("G", _SIM, "b_z", None),
+    "fields.pump_detuning": ("/s", None, None, None),
+    "fields.bias_detuning": ("/s", None, None, None),
+    "doppler.width": ("/s", _SIM.doppler, "width", None),
+    "doppler.temperature_c": ("", _SIM.doppler, "width", doppler_width),
+    "numerics.rtol": ("", dyn.IntegrationControls(), "rtol", None),
+    "numerics.atol": ("", dyn.IntegrationControls(), "atol", None),
+    "numerics.seed_polarization": ("", _SIM, "seed_polarization", None),
+    "conditions.sigma_e": ("", ConditionsMap(), "sigma_e", None),
+    "conditions.cell_length": ("", ConditionsMap(), "cell_length", None),
+    "sweep.i_over_gamma": ("", _GRID, "i_over_gamma", lambda x: (x,)),
+    "sweep.j_over_gamma": ("", _GRID, "j_over_gamma", lambda x: (x,)),
+}
 
 
 class TestConfig:
@@ -85,12 +122,35 @@ class TestConfig:
         ("collisions.gamma_p", "-1 MHz", ">= 0"), ("numerics.atol", "-1e-14", ">= 0"),
         ("numerics.rtol", "0", "> 0"), ("doppler.width", "-1 MHz", ">= 0"),
         ("doppler.quadrature_order", "0", ">= 1"), ("atom.nuclear_spin", "3.3", "half-integer"),
-        ("atom.nuclear_spin", "-1/2", "non-negative")])
+        ("atom.nuclear_spin", "-1/2", "non-negative"),
+        ("relaxation.temperature_c", "-200", "gamma must be > 0"),
+        ("doppler.temperature_c", "-300", "below absolute zero"),
+        ("sweep.i_over_gamma", "2,1", "strictly increasing")])
     def test_out_of_range_value_rejected_with_the_owners_rule(self, key, value, message):
         # the object that reads the value decides its range
         with pytest.raises(ConfigError, match=message) as err:
             parse_config(overrides={key: value})
         assert f"[{key}]" in str(err.value)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(x=st.sampled_from([0.0, -0.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+           | st.floats())
+    @pytest.mark.parametrize("key", sorted(_NUMERIC_KEYS))
+    def test_a_value_is_accepted_exactly_when_its_owner_accepts_it(self, key, x):
+        tag, owner, name, law = _NUMERIC_KEYS[key]
+        try:
+            value = x if law is None else law(x)
+            accepted = all(map(math.isfinite, np.atleast_1d(value)))
+            if accepted and owner is not None:
+                replace(owner, **{name: value})
+        except ValueError:
+            accepted = False
+        try:
+            parse_config(overrides={key: f"{x!r} {tag}".strip()})
+        except ConfigError as exc:
+            assert not accepted and f"[{key}]" in str(exc)
+        else:
+            assert accepted
 
     def test_zero_atol_is_accepted(self):
         assert parse_config(overrides={"numerics.atol": "0"}).controls().atol == 0.0
@@ -218,6 +278,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: q_slowdown must exceed 1")
         assert "[collisions.q_slowdown]" in err
+
+    def test_out_of_range_temperature_is_a_config_error(self, capsys):
+        # checked as Gamma when the key is parsed, before any command runs
+        assert main(["--set", "relaxation.temperature_c=-200", "table2"]) == 2
+        assert "[relaxation.temperature_c]" in capsys.readouterr().err
 
     def test_sweep_contour_pipeline(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"

@@ -9,6 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spingas import dynamics as dyn
 from spingas import optics
@@ -207,6 +210,16 @@ class TestExchangeTerm:
         explicit *= qj
         out = spin_exchange_term(rho, qj, system.ops_g["S"])
         assert np.abs(out - explicit).max() < 1e-12
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(beta=st.floats(-3.0, 3.0), qj=st.floats(1.0, 1e5))
+    def test_annihilates_spin_temperature_states(self, system, beta, qj):
+        # exact oracle: exchange conserves F_z and drives to exp(beta F_z)/Z,
+        # so it vanishes there (rounding is ~1e-16 qj; a random rho gives ~1e-2 qj)
+        rho = expm(beta * system.ops_g["F"].z.matrix)
+        rho /= np.trace(rho).real
+        out = spin_exchange_term(rho, qj, system.ops_g["S"])
+        assert np.abs(out).max() <= 1e-13 * qj
 
 
 class TestProjection:
