@@ -23,6 +23,10 @@ weights of every fit: (Gamma/X)^3 for the divergent forms, to compensate
 for the finite measured values near the critical point, uniform for beta.
 :func:`fit` holds each form's exclusions: by default the divergent forms
 drop the points nearest the maximal measured value.
+
+The solver, ``scipy.optimize.least_squares``, is imported on the first fit,
+so importing the package, building models and reading sweeps load no
+scipy module.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dynamics import (
     GAMMA_BASE,
@@ -197,6 +200,8 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
     pins the exponent and refines the critical point, stage 3 frees all
     three parameters.  The form fixes the weights.  Requires at least 6
     points, x finite and > 0, y finite."""
+    from scipy.optimize import least_squares  # imported on first use
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if spec.form not in _FORM_RULES:
@@ -423,8 +428,8 @@ def fit_delta(h_over_gamma, m) -> FitResult:
     # model comparison against the linear law (slope pinned to 1)
     c_lin = math.exp((lm - lh).mean())
     resid_lin = lm - (lh + math.log(c_lin))
-    bic_pow = n * math.log(float(resid @ resid) / n) + 2 * math.log(n)
-    bic_lin = n * math.log(float(resid_lin @ resid_lin) / n) + 1 * math.log(n)
+    bic_pow = _bic(float(resid @ resid), n, 2)
+    bic_lin = _bic(float(resid_lin @ resid_lin), n, 1)
     # a slope indistinguishable from (or within 5% of) unity is reported as
     # the plain pumping law even when the extra parameter shaves residuals
     linear_preferred = bool(bic_lin <= bic_pow
@@ -443,6 +448,14 @@ def fit_delta(h_over_gamma, m) -> FitResult:
             "linear_coefficient": c_lin,
         },
     )
+
+
+def _bic(sse: float, n: int, k: int) -> float:
+    """Bayesian information criterion of a k-parameter least-squares fit to
+    n points with residual sum of squares sse; -inf for an exact fit."""
+    if sse == 0.0:
+        return -math.inf
+    return n * math.log(sse / n) + k * math.log(n)
 
 
 def synthetic_series(form: str, amplitude: float, x0: float, exponent: float,

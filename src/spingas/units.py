@@ -43,11 +43,15 @@ def _split(text: str) -> tuple[float, str]:
 
 
 def parse_fraction(text: str) -> float:
-    """Parse a plain or slash-fraction number like ``7/2``."""
+    """Parse a plain or slash-fraction number like ``7/2``; a zero
+    denominator raises UnitError."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        return float(num) / float(den)
+        num, den = float(num), float(den)
+        if den == 0.0:
+            raise UnitError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 

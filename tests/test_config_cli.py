@@ -284,6 +284,13 @@ class TestCli:
         assert main(["--set", "relaxation.temperature_c=-200", "table2"]) == 2
         assert "[relaxation.temperature_c]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1/0", "0/0"])
+    def test_zero_denominator_is_a_config_error(self, value, capsys):
+        assert main(["--set", f"atom.nuclear_spin={value}", "table2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad value")
+        assert "zero denominator" in err and "[atom.nuclear_spin]" in err
+
     def test_sweep_contour_pipeline(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[sweep]\ni_over_gamma = 0.2,0.4\nj_over_gamma = 0.8,1.2\n")

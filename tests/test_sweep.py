@@ -189,6 +189,34 @@ class TestRunSweep:
         assert main_pid not in {pid for pid, _ in calls}  # the forked workers ran them
         assert all(seen == "True" for _, seen in calls)
 
+    def test_cold_start_loads_no_solver(self, tmp_path):
+        # importing the package, building the set-up probe's model (see
+        # benchmark/setup_probe.py), classifying a point and printing a table
+        # load neither scipy solver package; a fit imports its solver on
+        # first use
+        src = os.path.dirname(os.path.dirname(spingas.__file__))
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "import spingas\n"
+                  "from spingas import cli, critfit\n"
+                  "from spingas.dynamics import CompiledModel, SimParams\n"
+                  "CompiledModel(SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,\n"
+                  "                                   h_over_gamma=1e-3))\n"
+                  "p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)\n"
+                  "assert CompiledModel(p).slow_mode_rate() > 0  # ordered\n"
+                  "assert cli.main(['table2']) == 0\n"
+                  "print('loaded', [m for m in ('scipy.optimize', 'scipy.integrate')\n"
+                  "                 if m in sys.modules])\n"
+                  "x = np.linspace(1.0, 3.2, 40)\n"
+                  "r = critfit.fit('beta', x, critfit.synthetic_series('beta', 0.6, 1.6, 0.5, x))\n"
+                  "print('exponent', r.exponent)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                             cwd=tmp_path, capture_output=True, text=True).stdout.splitlines()
+        assert "loaded []" in out
+        exponent = float(out[-1].split()[1])
+        assert exponent == pytest.approx(0.5, rel=1e-6)
+
     def test_saved_sweep_is_independent_of_the_worker_count(self, tmp_path):
         # ordered and disordered cells; 7 workers are more than the 6 cells
         grid = SweepGrid.from_rates([0.4, 1.5, 3.0], [3.0, 3.8])

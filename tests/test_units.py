@@ -39,3 +39,9 @@ def test_missing_or_unknown_units_rejected():
 def test_fractions():
     assert units.parse_fraction("7/2") == 3.5
     assert units.parse_fraction("4") == 4.0
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "7/-0", " 3 / 0.0 "])
+def test_fraction_with_zero_denominator_rejected(text):
+    with pytest.raises(units.UnitError, match="zero denominator"):
+        units.parse_fraction(text)
