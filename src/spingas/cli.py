@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: simulate, sweep, contour, susceptibility, fit, table2,
-selftest.  All artifacts are written atomically, embed the tool version and
+Subcommands: simulate, sweep, contour, susceptibility, fit, table2.
+All artifacts are written atomically, embed the tool version and
 the resolved-configuration hash, and are byte-identical for identical
 configurations (the worker count never affects output content, and the
 package runs BLAS on one thread from its import on).
@@ -237,12 +237,6 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args, cfg: RunConfig) -> int:
-    from .selftest import run_selftest
-    ok = run_selftest(verbose=True)
-    return EXIT_OK if ok else EXIT_NUMERICAL
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spingas",
@@ -297,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points near the maximum to drop (default: 0 for "
                         "beta, 2 for gamma/znu)")
     p.add_argument("--out", default="spingas_fit", help="output prefix")
-
-    sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
 
 
@@ -309,7 +301,6 @@ _COMMANDS = {
     "contour": _cmd_contour,
     "susceptibility": _cmd_susceptibility,
     "fit": _cmd_fit,
-    "selftest": _cmd_selftest,
 }
 
 

@@ -16,10 +16,15 @@ the vanishing beta form, -p for the divergent gamma and znu forms).  The
 model, its Jacobian, the log-log inner fit, the side of the critical-point
 candidates and bounds, and the CLI's log-log table all read that table.
 
-The nonlinear forms are fitted in three stages: a scan over critical-point
-candidates with the exponent free, a refit of the critical point with the
-exponent pinned, and a final fully free refinement.  The form fixes the
-weights of every fit: (Gamma/X)^3 for the divergent forms, to compensate
+The nonlinear forms are fitted in two stages (:func:`three_step_fit`, a
+name kept from an earlier three-stage design): a log-log scan over
+critical-point candidates, then one bounded least-squares refinement of
+the critical point and the exponent, with the amplitude, which enters
+linearly, solved in closed form at each step (variable projection; Golub
+and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  Both run on the data
+divided by max x and max |y| and on the weights over their mean, so the
+fit does not depend on the data's units.  The form fixes the weights of
+every fit: (Gamma/X)^3 for the divergent forms, to compensate
 for the finite measured values near the critical point, uniform for beta.
 :func:`fit` holds each form's exclusions: by default the divergent forms
 drop the points nearest the maximal measured value.
@@ -194,12 +199,16 @@ def _covariance(jac: np.ndarray, residuals: np.ndarray) -> np.ndarray:
 
 
 def three_step_fit(x, y, spec: FitSpec) -> FitResult:
-    """Staged weighted fit of one of the critical forms.
+    """Weighted fit of one of the critical forms, in two stages (the name
+    is kept from an earlier three-stage design).
 
-    Stage 1 scans critical-point candidates with the exponent free, stage 2
-    pins the exponent and refines the critical point, stage 3 frees all
-    three parameters.  The form fixes the weights.  Requires at least 6
-    points, x finite and > 0, y finite."""
+    Stage 1 scans critical-point candidates by log-log regression.  Stage 2
+    refines (x0, exponent) from the best one by one bounded least-squares
+    solve, with the amplitude solved in closed form at every step.  Both run
+    on x / max x, y / max |y| and the weights over their mean, so rescaling x
+    or y rescales x0 or the amplitude and leaves the exponent.  The form
+    fixes the weights.  Requires at least 6 points, x finite and > 0, y
+    finite."""
     from scipy.optimize import least_squares  # imported on first use
 
     x = np.asarray(x, dtype=float)
@@ -230,68 +239,61 @@ def three_step_fit(x, y, spec: FitSpec) -> FitResult:
             raise ValueError("exclusion left fewer than 6 points")
     scheme = "gamma-cubed" if _FORM_RULES[spec.form][1] < 0 else "uniform"
     w = _weights(x, scheme)
+    # the fit's units: the results scale back by (amplitude, x0, exponent)
+    scale = np.array([np.abs(y).max(), x.max(), 1.0])
+    xs, ys, ws = x / scale[1], y / scale[0], w / w.mean()
 
-    stage_log = []
     best = None
-    for x0 in _stage1_candidates(spec.form, x, y):
-        inner = _log_linear_inner(spec.form, x0, x, y, w)
+    for x0 in _stage1_candidates(spec.form, xs, ys):
+        inner = _log_linear_inner(spec.form, x0, xs, ys, ws)
         if inner is None:
             continue
         a, p = inner
-        r = weighted_residuals(spec.form, (a, x0, p), x, y, w)
+        r = weighted_residuals(spec.form, (a, x0, p), xs, ys, ws)
         r = r[np.isfinite(r)]
         sse = float(r @ r)
         if best is None or sse < best[0]:
             best = (sse, a, x0, p)
     if best is None:
         raise NoTransitionError("no critical-point candidate produced a valid fit")
-    _, a1, x01, p1 = best
-    stage_log.append({"stage": 1, "amplitude": a1, "x0": x01, "exponent": p1})
+    p_stage1 = np.array(best[1:]) * scale
 
-    sig = _signal(y)
-    xa = x[sig] if sig.any() else x
+    sig = _signal(ys)
+    xa = xs[sig] if sig.any() else xs
     if spec.form == "beta":
-        lo_x0, hi_x0 = x.min() * 0.2, x.max()
+        lo_x0, hi_x0 = xs.min() * 0.2, 1.0
     elif _FORM_RULES[spec.form][0] < 0:
         lo_x0, hi_x0 = xa.max() * 1.0000001, xa.max() * 3.0
     else:
         lo_x0, hi_x0 = xa.min() * 0.05, xa.min() * 0.9999999
+    sw = np.sqrt(ws)
 
-    def solve(free_mask, start):
-        start = np.asarray(start, dtype=float)
-        idx = np.nonzero(free_mask)[0]
+    def projected(q):
+        """At (x0, exponent) = q: the amplitude a = sum(w f y) / sum(w f^2) of
+        the unit-amplitude model f, the residuals (1e12 where f is infinite)
+        and their Jacobian sqrt(w) (a df + f da)."""
+        f, df = _model_and_jac(spec.form, np.array([1.0, *q]), xs)
+        fin = np.isfinite(f)
+        f, df = np.where(fin, f, 0.0), df[:, 1:]
+        den = float(ws @ f ** 2)
+        a = float(ws @ (f * ys)) / den
+        da = ((ws * ys) @ df - 2.0 * a * ((ws * f) @ df)) / den
+        jac = sw[:, None] * (a * df + f[:, None] * da)
+        return a, np.where(fin, sw * (a * f - ys), 1e12), jac
 
-        def pack(q):
-            full = start.copy()
-            full[idx] = q
-            return full
-
-        def fun(q):
-            r = weighted_residuals(spec.form, pack(q), x, y, w)
-            return np.where(np.isfinite(r), r, 1e12)
-
-        def jac(q):
-            _, j = _model_and_jac(spec.form, pack(q), x)
-            jw = np.sqrt(w)[:, None] * j
-            return jw[:, idx]
-
-        lo = np.array([1e-12, lo_x0, 1e-3])[idx]
-        hi = np.array([np.inf, hi_x0, 50.0])[idx]
-        q0 = np.clip(start[idx], lo, hi)
-        sol = least_squares(fun, q0, jac=jac, bounds=(lo, hi),
-                            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        return pack(sol.x), sol
-
-    p_stage2, _ = solve(np.array([True, True, False]), [a1, x01, p1])
-    stage_log.append({"stage": 2, "amplitude": p_stage2[0], "x0": p_stage2[1],
-                      "exponent": p_stage2[2]})
-    p_final, sol = solve(np.array([True, True, True]), p_stage2)
-    stage_log.append({"stage": 3, "amplitude": p_final[0], "x0": p_final[1],
-                      "exponent": p_final[2]})
+    lo, hi = [lo_x0, 1e-3], [hi_x0, 50.0]
+    sol = least_squares(lambda q: projected(q)[1], np.clip(best[2:], lo, hi),
+                        jac=lambda q: projected(q)[2], bounds=(lo, hi),
+                        method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    p_fit = np.array([projected(sol.x)[0], *sol.x])
+    _, j_fit = _model_and_jac(spec.form, p_fit, xs)
+    errs = np.sqrt(np.abs(np.diag(_covariance(sw[:, None] * j_fit, sol.fun)))) * scale
+    p_final = p_fit * scale
 
     r = weighted_residuals(spec.form, p_final, x, y, w)
     r = np.where(np.isfinite(r), r, 0.0)
-    errs = np.sqrt(np.abs(np.diag(_covariance(sol.jac, sol.fun))))
+    stage_log = [{"stage": k, "amplitude": p[0], "x0": p[1], "exponent": p[2]}
+                 for k, p in ((1, p_stage1), (2, p_final))]
     return FitResult(
         form=spec.form,
         exponent=float(p_final[2]), x0=float(p_final[1]), amplitude=float(p_final[0]),

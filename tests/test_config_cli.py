@@ -465,20 +465,6 @@ class TestCli:
         assert "[conditions.j_convention]" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        checks = [line for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("[")]
-        assert checks and all(line.startswith("[PASS]") for line in checks)
-
-    def test_failing_selftest_check_is_a_numerical_failure(self, monkeypatch, capsys):
-        from spingas import selftest
-        monkeypatch.setattr(selftest, "clebsch_gordan", lambda *args: 0.0)
-        assert main(["selftest"]) == 3
-        out = capsys.readouterr().out
-        assert "[FAIL] Clebsch-Gordan unitarity" in out
-        assert "selftest FAILED" in out
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--i", "nan", "--j", "3"], ["simulate", "--i", "2", "--j", "nan"],
         ["simulate", "--i", "2", "--j", "3", "--h", "nan"],

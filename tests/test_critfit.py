@@ -287,19 +287,19 @@ def _used_points(x, y, n_excluded):
 
 class TestRecoveryProperty:
     """:func:`fit` recovers the parameters of a noiseless synthetic series,
-    and :meth:`FitResult.evaluate` gives the residual the fit reports."""
+    gives the same exponent for a series in other units, and
+    :meth:`FitResult.evaluate` gives the residual the fit reports."""
 
     @settings(max_examples=45, derandomize=True, database=None, deadline=None)
     @given(form=st.sampled_from(("beta", "gamma", "znu")),
            exponent=st.floats(0.2, 3.0), x0=st.floats(0.3, 10.0),
-           amplitude=st.floats(1e-2, 1e2), n=st.integers(8, 30),
+           amplitude=st.floats(1e-12, 1e12), n=st.integers(8, 30),
            gap=st.floats(0.005, 0.1), span=st.floats(1.5, 4.0))
-    # the solver's gradient tolerance does not scale with the data and stops
-    # the fit of a small series early: recovery depends on the series' scale
+    # small series, which a solver tolerance in the data's units stops early
     @example(form="gamma", exponent=0.8, x0=1.4, amplitude=1e-7, n=30, gap=0.0571,
-             span=3.5).xfail(raises=AssertionError, reason="scale-dependent stop")
+             span=3.5)
     @example(form="znu", exponent=0.8, x0=1.6, amplitude=1e-7, n=30, gap=0.0625,
-             span=2.125).xfail(raises=AssertionError, reason="scale-dependent stop")
+             span=2.125)
     def test_noiseless_series_is_recovered(self, form, exponent, x0, amplitude,
                                            n, gap, span):
         x = _series_grid(form, x0, n, gap, span)
@@ -322,6 +322,20 @@ class TestRecoveryProperty:
         _, _, wr = r.evaluate(*_used_points(x, y, r.n_excluded))
         assert r.residual_norm > 0
         assert np.sqrt(wr @ wr) == pytest.approx(r.residual_norm, rel=1e-12)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(form=st.sampled_from(("beta", "gamma", "znu")),
+           seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 30),
+           log_k=st.floats(-2.0, 2.0), log_c=st.floats(-12.0, 12.0))
+    def test_rescaled_series_gives_the_same_fit(self, form, seed, n, log_k, log_c):
+        x = _series_grid(form, 1.6, n, 0.02, 2.5)
+        y = synthetic_series(form, 0.6, 1.6, 0.8, x, noise=0.05,
+                             rng=np.random.default_rng(seed))
+        k, c = 10.0 ** log_k, 10.0 ** log_c
+        r, rs = fit(form, x, y), fit(form, k * x, c * y)
+        assert rs.exponent == pytest.approx(r.exponent, rel=1e-6)
+        assert rs.x0 == pytest.approx(k * r.x0, rel=1e-6)
+        assert rs.amplitude == pytest.approx(c * r.amplitude, rel=1e-6)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(delta=st.floats(1.0, 6.0), amplitude=st.floats(1e-2, 1e2),
