@@ -33,12 +33,13 @@ fields' summed action (:func:`_field_action`).  The generator is stiff
 (decay rates up to about 8e3 /s beside a slow mode near zero), so it is
 integrated with LSODA, which switches to BDF where the problem is stiff,
 on the analytic Jacobian, at atol 1e-14 and an rtol that applies to M
-itself (:func:`_lsoda`): 1e-10 for a trajectory, 1e-8 for a steady state
-by default (:class:`IntegrationControls`).  The loop of
-:func:`_integrate_coords` drives scipy's ``lsoda`` integrator one step at
-a time itself, on work arrays reused from run to run; it checks that each
-accepted step is finite and reads M, dM/dt and positivity for a block of
-steps at a time.
+itself (:func:`_integrate_coords`): 1e-10 for a trajectory, 1e-8 for a
+steady state by default (:class:`IntegrationControls`).  The loop of
+:func:`_integrate_coords` calls ODEPACK's compiled LSODA driver, loaded
+from scipy's extension file alone (:func:`_lsoda_step`), one step at a
+time itself, on work arrays reused from run to run (:func:`_lsoda`); it
+checks that each accepted step is finite and reads M, dM/dt and positivity
+for a block of steps at a time.
 
 A steady state (:func:`steady_state`) converges only on an exact fixed
 point.  Without a bias field, a symmetric state that is an exact fixed point
@@ -78,7 +79,10 @@ exponents, or any other dimensionless prediction.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -240,10 +244,8 @@ class Trajectory:
 
 def _first_root(c0: float, c1: float, c2: float, c3: float) -> float:
     """The least x in [0, 1] at which the cubic c0 + c1 x + c2 x^2 + c3 x^3,
-    negative at 0 and not at 1, reaches 0: Brent's root on the first of its
-    monotone pieces that ends at or above 0."""
-    from scipy.optimize import brentq  # imported with scipy.integrate
-
+    negative at 0 and not at 1, reaches 0: bisection, to a bracket of
+    1e-15, on the first of its monotone pieces that ends at or above 0."""
     def cubic(x):
         return c0 + x * (c1 + x * (c2 + x * c3))
     # the turns, where c1 + 2 c2 x + 3 c3 x^2 = 0
@@ -262,7 +264,13 @@ def _first_root(c0: float, c1: float, c2: float, c3: float) -> float:
         hi = 1.0
         if cubic(hi) < 0:  # 0 at 1, rounded below
             return hi
-    return brentq(cubic, lo, hi, xtol=1e-15)
+    while hi - lo > 1e-15:  # cubic(lo) < 0 <= cubic(hi)
+        mid = 0.5 * (lo + hi)
+        if cubic(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class Subspace:
@@ -744,78 +752,85 @@ LOCATOR_BRACKET = (0.05, 40.0)
 LOCATOR_TOL = 1e-12
 
 
-# Work arrays lent to LSODA runs, by their sizes.  scipy's C runner keeps a
-# reference to the rwork and iwork it is handed on every call, so arrays
-# made for each run would stay in memory for good; runs borrow these instead.
-_LSODA_WORK: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+# LSODA's arrays, lent to runs by the dimension of their state.  The
+# compiled driver keeps a reference to the rwork and iwork it is handed on
+# every call, so arrays made for each run would stay in memory for good.
+_LSODA_WORK: dict[int, list[tuple[np.ndarray, ...]]] = {}
+
+
+@lru_cache(maxsize=None)
+def _lsoda_step():
+    """ODEPACK's LSODA driver (Petzold, SIAM J. Sci. Stat. Comput. 4, 136,
+    1983), as scipy compiles it: ``lsoda(f, y, t, tout, rtol, atol, itask,
+    istate, rwork, iwork, jac, jt, f_args, tfirst, jac_args, state_doubles,
+    state_ints)`` returns (y, t, istate), with y updated in place.  It is
+    loaded on first use from the ``integrate/_odepack`` extension file
+    alone, so no scipy package is imported and nothing enters
+    ``sys.modules``."""
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    spec = importlib.machinery.FileFinder(
+        os.path.join(scipy_dir, "integrate"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec("scipy.integrate._odepack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.lsoda
 
 
 @contextmanager
-def _lent_work_arrays(lsoda):
-    """Lend the ``lsoda`` integrator a pair of work arrays of its sizes
-    from ``_LSODA_WORK``, holding the contents its ``reset()`` made, and
-    take the pair back when the run ends, also on a raise; a nested or
-    concurrent run borrows another pair.  Yields the lent iwork."""
-    free = _LSODA_WORK.setdefault((lsoda.rwork.size, lsoda.iwork.size), [])
+def _lsoda(n: int, t_end: float, controls: IntegrationControls):
+    """LSODA's arrays for a run of ``n`` coordinates to ``t_end``, set as
+    ``scipy.integrate.ode``'s "lsoda" integrator sets them for a full
+    Jacobian (jt 1) and its defaults: at most 500 steps a call, Adams
+    orders up to 12 and BDF orders up to 5, and ``controls.max_step`` as
+    the step cap (0 is none).  rwork[0] holds ``t_end`` as the critical
+    time, which LSODA's one-step task (itask 5) never passes.  The arrays
+    are lent from ``_LSODA_WORK`` and taken back when the run ends, also
+    on a raise; a nested or concurrent run borrows another set.  Yields
+    (rwork, iwork, state_doubles, state_ints); LSODA counts its
+    right-hand-side calls in iwork[11] and its Jacobians in iwork[12]."""
+    free = _LSODA_WORK.setdefault(n, [])
     try:
-        rwork, iwork = free.pop()
+        work = free.pop()
     except IndexError:
-        rwork, iwork = np.empty_like(lsoda.rwork), np.empty_like(lsoda.iwork)
-    rwork[:], iwork[:] = lsoda.rwork, lsoda.iwork
-    lsoda.rwork = lsoda.call_args[4] = rwork
-    lsoda.iwork = lsoda.call_args[5] = iwork
+        work = (np.empty(max(20 + 16 * n, 22 + 9 * n + n * n)), np.empty(20 + n, np.int32),
+                np.empty(240), np.empty(48, np.int32))
+    for array in work:
+        array.fill(0)
+    rwork, iwork = work[:2]
+    rwork[0], rwork[5] = t_end, controls.max_step or 0.0
+    iwork[5:9] = 500, 0, 12, 5
     try:
-        yield iwork
+        yield work
     finally:
-        free.append((rwork, iwork))
-
-
-def _lsoda(model: CompiledModel, s0: np.ndarray, t_end: float,
-           controls: IntegrationControls):
-    """scipy's ODEPACK LSODA on ``model`` with its analytic Jacobian, in
-    the unit-trace chart z = Q^T (s - u) of :class:`CompiledModel`, whose
-    first coordinate is along M.
-    LSODA weighs each coordinate's error by its own size, so this way its
-    rtol bounds the error of M relative to |M|, not to the populations near
-    1/dim beside which a 1e-4 seed is a small difference: at rtol 1e-4, tau
-    at I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in the
-    populations themselves.  The state is s = Q z + u.
-
-    Returns the ``scipy.integrate.ode`` at z(0), its ``lsoda`` integrator
-    set, as ``scipy.integrate.LSODA`` sets it, to LSODA's one-step task
-    (itask 5) with the critical time ``t_end`` in rwork[0], so that each
-    call of its ``run`` takes one step and never passes ``t_end``."""
-    from scipy.integrate import ode  # imported on first use
-
-    solver = ode(model.rhs, model.jac).set_integrator(
-        "lsoda", rtol=controls.rtol, atol=controls.atol,
-        max_step=controls.max_step or 0.0)  # LSODA's 0 is no cap
-    solver.set_initial_value(model.chart(s0), 0.0)
-    lsoda = solver._integrator
-    lsoda.rwork[0] = t_end
-    lsoda.call_args[2] = 5
-    return solver
+        free.append(work)
 
 
 def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                       controls: IntegrationControls,
                       stop_at_fixed_point: bool = False):
-    """LSODA in the unit-trace chart (see :func:`_lsoda`), with the
-    analytic Jacobian, stepped one accepted step at a time.  LSODA switches
-    between Adams and BDF methods as the problem turns stiff, so its steps
-    are set by the dynamics rather than by the fast decays, and its Newton
-    iterations run in compiled code.
+    """ODEPACK's LSODA on ``model`` with its analytic Jacobian, in the
+    unit-trace chart z = Q^T (s - u) of :class:`CompiledModel`, whose first
+    coordinate is along M, stepped one accepted step at a time.  LSODA
+    switches between Adams and BDF methods as the problem turns stiff, so
+    its steps are set by the dynamics rather than by the fast decays, and
+    its Newton iterations run in compiled code.  It weighs each
+    coordinate's error by its own size, so in this chart its rtol bounds
+    the error of M relative to |M|, not to the populations near 1/dim
+    beside which a 1e-4 seed is a small difference: at rtol 1e-4, tau at
+    I = 2, J = 3 (Gamma) is off by 4e-5 relative here and by 3e-2 in the
+    populations themselves.
 
-    The loop calls the integrator's ``run`` itself, with the unwrapped
-    callbacks: the C calls and arguments of ``scipy.integrate.LSODA``
-    without its per-step and per-call Python layers, so the trajectory is
-    the same to the bit.  The run borrows its work arrays from a module
-    free list (:func:`_lent_work_arrays`), since the C runner would keep
-    fresh ones alive.
+    The loop calls the compiled driver (:func:`_lsoda_step`) itself, once
+    per accepted step (itask 5), with the model's callbacks and the
+    arrays of :func:`_lsoda`, and tracks LSODA's ``istate``: the C calls
+    and arguments of ``scipy.integrate.LSODA`` without its Python layers,
+    so the trajectory is the same to the bit.
 
     Every accepted step is checked against the step budget (see
     ``BUDGET_PROJECTION_STEPS``) and for a finite state, one dot product
-    z . z of the solver's state; a failed step or a non-finite state raises
+    z . z of the solver's state; a failed call (its ``istate`` < 0 in the
+    diagnostics) or a non-finite state raises
     ``IntegrationError("solver failed: ...")``.  M, dM/dt and positivity
     (the populations in 'hyperfine+zeeman', else the least eigenvalue of
     s = Q z + u) are read for a block of up to CHECK_BLOCK steps in one
@@ -842,13 +857,12 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
     derivative dz/dt, whose norm equals that of ds/dt since Q is
     orthonormal; its rms is taken over the n coordinates of s."""
     gamma = model.params.gamma
-    solver = _lsoda(model, s0, t_end, controls)
-    lsoda = solver._integrator
-    run, rhs, jac = lsoda.run, solver.f, solver.jac
+    step, rhs, jac = _lsoda_step(), model.rhs, model.jac
+    rtol, atol = controls.rtol, controls.atol
     m_q, rows_t, offsets = model.readout[0], model.readout.T, model.readout_offset
     populations = model.sub.mode == MODE_HFZ
     dim, n, first_population = model.sub.dim, model.sub.n, 2 + 2 * model.k
-    z, t, h = solver.y, 0.0, None
+    z, t, h, istate = model.chart(s0), 0.0, None, 1
     values = z[None] @ rows_t + offsets
     times, mags, rates = [0.0], values[:, 0].tolist(), model.rate(values).tolist()
     stop = "budget"
@@ -872,7 +886,7 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
         rates.extend(model.rate(values).tolist())
         block_t.clear()
 
-    with _lent_work_arrays(lsoda) as iwork:
+    with _lsoda(z.size, t_end, controls) as (rwork, iwork, doubles, ints):
 
         def counts():
             return {"steps": n_steps, "nfev": int(iwork[11]), "njev": int(iwork[12])}
@@ -884,11 +898,12 @@ def _integrate_coords(model: CompiledModel, s0: np.ndarray, t_end: float,
                 raise IntegrationError("step budget exhausted",
                                        {"t": t, "projected_steps": n_steps * t_end / t,
                                         **counts()})
-            z, t_next = run(rhs, jac, z, t, t_end, (), ())
-            if not lsoda.success:
+            z, t_next, istate = step(rhs, z, t, t_end, rtol, atol, 5, istate, rwork, iwork,
+                                     jac, 1, (), 1, (), doubles, ints)
+            if istate < 0:
                 flush()
                 raise IntegrationError("solver failed: Unexpected istate in LSODA.",
-                                       {"t": t, "h": h, **counts()})
+                                       {"t": t, "h": h, "istate": istate, **counts()})
             h, t = t_next - t, t_next
             if not math.isfinite(z @ z):
                 flush()

@@ -39,6 +39,7 @@ from .dynamics import (
     IntegrationControls,
     IntegrationError,
     SimParams,
+    _lsoda_step,
     steady_state,
 )
 
@@ -304,12 +305,12 @@ def _run_tasks(tasks: list, workers: int, base: SimParams) -> list:
     ``RuntimeError`` with its exit code.  No worker outlives the call.
     The model of ``base`` is compiled here first, so the workers inherit
     its cached parts and calibrations instead of each building them again.
-    ``scipy.integrate``, which the integrator imports on first use, is
-    imported here too, so that no worker pays for that import."""
+    The integrator's compiled step function, loaded on first use, is
+    loaded here too, so that no worker loads it again."""
     if workers <= 1 or len(tasks) <= 2:
         return list(map(_sweep_task, tasks))
     CompiledModel(base)
-    import scipy.integrate  # noqa: F401
+    _lsoda_step()
     ctx = multiprocessing.get_context("fork")
     claimed = ctx.Value("l", 0)
     children = {}  # the receiving end of each worker's pipe -> the worker

@@ -19,14 +19,15 @@ from spingas.sweep import ConditionsMap, SweepGrid
 
 @pytest.fixture()
 def lsoda_rtols(monkeypatch):
-    """The rtol of every LSODA run, in order."""
+    """The rtol of every LSODA run, in order, as the compiled driver sees it."""
     seen = []
-    build = dyn._lsoda
+    step = dyn._lsoda_step()
 
-    def spy(model, s0, t_end, controls):
-        seen.append(controls.rtol)
-        return build(model, s0, t_end, controls)
-    monkeypatch.setattr(dyn, "_lsoda", spy)
+    def spy(*args):
+        if args[7] == 1:  # istate 1: the first call of a run
+            seen.append(args[4])
+        return step(*args)
+    monkeypatch.setattr(dyn, "_lsoda_step", lambda: spy)
     return seen
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -52,30 +52,33 @@ GAMMA = 58.0
 
 
 class LsodaRun:
-    """One run of the LSODA driver, seen through its integrator's ``run``:
-    the time and state of every accepted step, from t = 0, and LSODA's own
-    counts (iwork[11] is nfev, iwork[12] njev), read after
+    """One run of the LSODA driver, seen through the compiled step function
+    it calls: the time and state of every accepted step, from t = 0, and
+    LSODA's own counts (iwork[11] is nfev, iwork[12] njev), read after
     every call.  ``faults`` maps the number of an accepted step (the first
     is 1) to a function that writes a fault into the state LSODA returned
-    there, in place, before the driver sees it."""
+    there, in place, before the driver sees it.  ``step`` is the spy that
+    the run calls in place of the step function."""
 
-    def __init__(self, solver, faults):
-        lsoda = solver._integrator
-        run = lsoda.run
-        self.times, self.states = [solver.t], [solver.y.copy()]
+    def __init__(self, step, faults):
+        self.times, self.states = [], []
         self.nfev = self.njev = 0
 
         def spy(*args):
-            y, t = run(*args)
-            if lsoda.success:
+            if not self.times:
+                self.times.append(args[2])
+                self.states.append(args[1].copy())
+            y, t, istate = step(*args)
+            if istate > 0:
                 self.times.append(t)
                 fault = faults.get(len(self.times) - 1)
                 if fault:
                     fault(y)
                 self.states.append(y.copy())
-            self.nfev, self.njev = int(lsoda.iwork[11]), int(lsoda.iwork[12])
-            return y, t
-        lsoda.run = spy
+            iwork = args[9]
+            self.nfev, self.njev = int(iwork[11]), int(iwork[12])
+            return y, t, istate
+        self.step = spy
 
     @property
     def t(self):
@@ -94,15 +97,15 @@ def faults():
 
 @pytest.fixture()
 def solvers(monkeypatch, faults):
-    """Every LSODA run that ``_integrate_coords`` makes, in order."""
+    """Every LSODA run that ``_integrate_coords`` makes, in order; a run
+    fetches the step function once."""
     made = []
-    build = dyn._lsoda
+    step = dyn._lsoda_step()
 
-    def spy(*args):
-        solver = build(*args)
-        made.append(LsodaRun(solver, faults))
-        return solver
-    monkeypatch.setattr(dyn, "_lsoda", spy)
+    def spy():
+        made.append(LsodaRun(step, faults))
+        return made[-1].step
+    monkeypatch.setattr(dyn, "_lsoda_step", spy)
     return made
 
 
@@ -425,6 +428,31 @@ class TestIntegration:
         traj = Trajectory(times=t, magnetization=0.5 + poly(t),
                           final_state=np.eye(16) / 16, rates=poly.deriv()(t))
         assert traj.response_crossing(0.5, final=1.0) == pytest.approx(0.2, rel=0, abs=1e-15)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(y=st.tuples(st.integers(-256, -1), st.integers(0, 256)),
+           d=st.tuples(st.integers(-512, 512), st.integers(-512, 512)))
+    def test_first_root_is_brents_root(self, y, d):
+        # the Hermite cubic of a crossing, from values y0 < 0 <= y1 and
+        # scaled rates d0, d1 (multiples of 1/64, so the coefficients are
+        # exact): the first monotone piece that ends at or above 0, from
+        # the turns numpy finds, brackets the root Brent's method takes
+        from scipy.optimize import brentq
+
+        (y0, y1), (d0, d1) = np.array(y) / 64, np.array(d) / 64
+        c = (y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1)
+        cubic = np.polynomial.Polynomial(c)
+        turns = sorted(x.real for x in cubic.deriv().roots() if x.imag == 0 and 0 < x.real < 1)
+        lo = 0.0
+        for hi in turns + [1.0]:
+            if cubic(hi) >= 0:
+                break
+            lo = hi
+        ref = brentq(cubic, lo, hi, xtol=1e-15)
+        # a well-conditioned root: the rounding of the cubic, about
+        # eps sum|c_k|, moves it by well under 1e-15
+        assume(abs(cubic.deriv()(ref)) >= 0.1 * sum(map(abs, c)))
+        assert abs(dyn._first_root(*c) - ref) <= 2e-15
 
     def test_zero_seed_symmetry(self):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,
@@ -882,9 +910,34 @@ class TestSolverCounts:
         assert res.nfev >= res.steps
 
     def test_failure_diagnostics_carry_counts(self, solvers):
-        # a linear right-hand side that turns non-finite once LSODA runs BDF
-        # (from about the 1,350th call): the first non-finite state fails
-        # the run
+        # a linear right-hand side that turns to noise once LSODA runs BDF
+        # (from about the 1,350th call): the corrector no longer converges,
+        # and the failed call's istate (-5, repeated convergence failures)
+        # is reported with the counts
+        model = CompiledModel(SimParams.from_rates(2.0, 3.0))
+        rng = np.random.default_rng(0)
+        calls = []
+
+        def rhs(_t, z):
+            calls.append(1)
+            return (1e3 * rng.standard_normal(z.size) if len(calls) > 1600
+                    else model.lin @ z + model.lin_offset)
+        model.rhs = rhs
+        with pytest.raises(IntegrationError, match="solver failed: Unexpected istate") as info:
+            dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
+                                  IntegrationControls())
+        diag = info.value.diagnostics
+        assert set(diag) == {"t", "h", "istate", "steps", "nfev", "njev"}
+        assert diag["istate"] == -5
+        assert diag["steps"] == len(solvers[-1].times) - 1 > 0
+        assert diag["t"] == solvers[-1].t
+        assert diag["nfev"] == len(calls)
+        assert_solver_counts(diag, solvers[-1])
+        assert diag["njev"] > 0
+
+    def test_non_finite_state_in_bdf_carries_counts(self, solvers):
+        # a linear right-hand side that turns non-finite once LSODA runs BDF:
+        # the first non-finite state fails the run
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
         calls = []
 
@@ -893,7 +946,7 @@ class TestSolverCounts:
             return (np.full_like(z, np.nan) if len(calls) > 1600
                     else model.lin @ z + model.lin_offset)
         model.rhs = rhs
-        with (pytest.raises(IntegrationError, match="solver failed") as info,
+        with (pytest.raises(IntegrationError, match="solver failed: non-finite state") as info,
               np.errstate(invalid="ignore")):
             dyn._integrate_coords(model, model.seed_coords(1e-4), 1.0,
                                   IntegrationControls())
@@ -925,8 +978,8 @@ class TestSolverCounts:
         assert_solver_counts(diag, solvers[-1])
 
     def test_work_arrays_do_not_accumulate(self):
-        # scipy's C runner keeps a reference to the rwork and iwork of each
-        # call, so a pair made per run would never be freed
+        # the compiled driver keeps a reference to the rwork and iwork of
+        # each call, so a pair made per run would never be freed
         p = SimParams.from_rates(2.0, 3.0)
         model = CompiledModel(p)
         integrate(p, t_end=0.002, model=model)
@@ -941,9 +994,10 @@ class TestSolverCounts:
             after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        ode_py = [tracemalloc.Filter(True, "*scipy/integrate/_ode.py")]
-        growth = sum(stat.size_diff for stat in after.filter_traces(ode_py).compare_to(
-            before.filter_traces(ode_py), "filename"))
+        # the arrays are made in dynamics._lsoda
+        made_there = [tracemalloc.Filter(True, dyn.__file__)]
+        growth = sum(stat.size_diff for stat in after.filter_traces(made_there).compare_to(
+            before.filter_traces(made_there), "filename"))
         assert growth < one_run
 
     def test_concurrent_runs_borrow_their_own_work_arrays(self):
@@ -972,10 +1026,11 @@ class TestSolverCounts:
 
     def test_scipy_internals_mean_what_the_loop_takes_them_for(self, monkeypatch):
         # the loop reads nfev and njev from LSODA's iwork[11] and [12], and
-        # sets its one-step task in call_args[2] and t_end as its critical
-        # time in rwork[0]; none of these is public, so check them against
-        # the callbacks' own calls and against stock LSODA, whose step()
-        # takes one step and never passes its t_bound
+        # hands the compiled driver its one-step task (itask 5), t_end as
+        # its critical time in rwork[0] and the rest of its arrays as
+        # scipy's ode builds them; none of these is public, so check them
+        # against the callbacks' own calls and against stock LSODA, whose
+        # step() takes one step and never passes its t_bound
         from scipy.integrate import LSODA
 
         model = CompiledModel(SimParams.from_rates(2.0, 3.0))
@@ -989,20 +1044,13 @@ class TestSolverCounts:
         rhs, jac = model.rhs, model.jac
         model.rhs, model.jac = counted("rhs", rhs), counted("jac", jac)
         times = []
-        build = dyn._lsoda
+        step = dyn._lsoda_step()
 
-        def spy(*args):
-            solver = build(*args)
-            lsoda = solver._integrator
-            run = lsoda.run
-
-            def one_call(*run_args):
-                z, t = run(*run_args)
-                times.append(t)
-                return z, t
-            lsoda.run = one_call
-            return solver
-        monkeypatch.setattr(dyn, "_lsoda", spy)
+        def one_call(*args):
+            z, t, istate = step(*args)
+            times.append(t)
+            return z, t, istate
+        monkeypatch.setattr(dyn, "_lsoda_step", lambda: one_call)
         t_end, controls = 1.0, IntegrationControls()
         s0 = model.seed_coords(1e-4)
         counts = dyn._integrate_coords(model, s0, t_end, controls)[5]

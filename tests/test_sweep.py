@@ -165,45 +165,63 @@ class TestRunSweep:
         assert serial[1].tobytes() == pooled[1].tobytes()
         assert abs(serial[1][2]) > 0.2
 
-    def test_workers_inherit_scipy_integrate(self):
-        # the integrator imports scipy.integrate on first use; the sweep
-        # imports it before it forks, so that no worker pays for the import
+    def test_runs_load_no_scipy_package(self):
+        # the integrator loads ODEPACK's compiled step function on first use
+        # from its extension file alone; the sweep loads it before it forks,
+        # so that no worker loads it again.  A pooled sweep, a response time
+        # and a trajectory import no scipy package, here or in the workers
         src = os.path.dirname(os.path.dirname(spingas.__file__))
         script = ("import os, sys\n"
-                  "from spingas import sweep\n"
+                  "from spingas import dynamics, sweep\n"
+                  "def report(label):\n"
+                  "    scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                  "    loads = dynamics._lsoda_step.cache_info().misses\n"
+                  "    os.write(1, f'{label} {os.getpid()} {loads} {scipy}\\n'.encode())\n"
                   "task = sweep._sweep_task\n"
                   "def logged(args):\n"
-                  "    os.write(1, f'{os.getpid()} {\"scipy.integrate\" in sys.modules}\\n'.encode())\n"
-                  "    return task(args)\n"
+                  "    report('before')\n"
+                  "    cell = task(args)\n"
+                  "    report('after')\n"
+                  "    return cell\n"
                   "sweep._sweep_task = logged\n"
-                  "assert 'scipy.integrate' not in sys.modules\n"
-                  "print('main', os.getpid(), flush=True)\n"
-                  "sweep.run_sweep(sweep.SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2],\n"
-                  "                                           cmap=None), workers=2)\n")
+                  "report('main')\n"
+                  "cells = sweep.run_sweep(sweep.SweepGrid.from_rates([1.5, 3.0], [3.0, 3.8],\n"
+                  "                                                   cmap=None), workers=2).cells\n"
+                  "assert all(c.converged and not c.tau_floored for c in cells)\n"
+                  "p = dynamics.SimParams.from_rates(2.0, 3.0)\n"
+                  "assert dynamics.response_time(p).steps > 0\n"
+                  "dynamics.integrate(p, 0.01)\n"
+                  "report('end')\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
-                             capture_output=True, text=True).stdout.split("\n")
-        main_pid = out[0].split()[1]
-        calls = [line.split() for line in out[1:] if line]
-        assert len(calls) == 4
-        assert main_pid not in {pid for pid, _ in calls}  # the forked workers ran them
-        assert all(seen == "True" for _, seen in calls)
+                             capture_output=True, text=True).stdout.splitlines()
+        lines = [line.split(maxsplit=3) for line in out]
+        assert lines[0][0] == "main" and lines[-1][0] == "end"
+        main_pid = lines[0][1]
+        assert lines[0][2:] == ["0", "[]"]  # nothing loaded at import
+        assert lines[-1][1:] == [main_pid, "1", "[]"]
+        tasks = lines[1:-1]
+        assert len(tasks) == 8  # 'before' and 'after' of each of the 4 cells
+        assert main_pid not in {pid for _, pid, _, _ in tasks}  # the forked workers ran them
+        # loaded once, in the parent before the fork; never in a worker
+        assert all(loads == "1" and scipy == "[]" for _, _, loads, scipy in tasks)
 
     def test_cold_start_loads_no_solver(self, tmp_path):
         # importing the package, building the set-up probe's model (see
-        # benchmark/setup_probe.py), classifying a point and printing a table
-        # load neither scipy solver package; a fit imports its solver on
-        # first use
+        # benchmark/setup_probe.py), classifying a point, integrating it to
+        # its steady state and printing a table load neither scipy solver
+        # package; a fit imports its solver on first use
         src = os.path.dirname(os.path.dirname(spingas.__file__))
         script = ("import sys\n"
                   "import numpy as np\n"
                   "import spingas\n"
                   "from spingas import cli, critfit\n"
-                  "from spingas.dynamics import CompiledModel, SimParams\n"
+                  "from spingas.dynamics import CompiledModel, SimParams, steady_state\n"
                   "CompiledModel(SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0,\n"
                   "                                   h_over_gamma=1e-3))\n"
                   "p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=3.0)\n"
                   "assert CompiledModel(p).slow_mode_rate() > 0  # ordered\n"
+                  "assert steady_state(p).steps > 0  # integrated\n"
                   "assert cli.main(['table2']) == 0\n"
                   "print('loaded', [m for m in ('scipy.optimize', 'scipy.integrate')\n"
                   "                 if m in sys.modules])\n"
