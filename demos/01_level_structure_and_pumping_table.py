@@ -17,11 +17,11 @@ print("Ground-level basis (index, F, m_F):")
 for entry in system.basis_g.manifest()["states"]:
     print(f"  {entry['index']:>2}  F={entry['F']}  m_F={entry['m_F']:>4}")
 
-h_hf = hyperfine_hamiltonian(system.spec, system.basis_g, "ground").matrix
+h_hf = hyperfine_hamiltonian(system.spec, system.basis_g)
 split = (np.diag(h_hf).real.max() - np.diag(h_hf).real.min()) / (2 * np.pi * 1e9)
 print(f"\nGround hyperfine splitting: {split:.3f} GHz")
 
-h_e = hyperfine_hamiltonian(system.spec, system.basis_e, "excited").matrix
+h_e = hyperfine_hamiltonian(system.spec, system.basis_e)
 split_e = (np.diag(h_e).real.max() - np.diag(h_e).real.min()) / (2 * np.pi * 1e9)
 print(f"Excited hyperfine splitting: {split_e:.3f} GHz")
 

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .spin_algebra import (  # noqa: F401
     AtomSpec,
     CoupledBasis,
-    Operator,
     VectorOperator,
     angular_momentum_operators,
     build_basis,

@@ -115,17 +115,15 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         gamma=cfg.gamma(), **cfg.sim_kwargs())
     model = CompiledModel(params)
     if args.dump_optics:
-        from .spin_algebra import Operator, operator_to_csv
+        from .spin_algebra import operator_to_csv
         for k, coupling in enumerate(model.couplings):
-            w_op = Operator(coupling.w, "excited", "ground")
             write_atomic(f"{args.dump_optics}_w{k}.csv",
-                         _stamp(cfg) + operator_to_csv(w_op))
+                         _stamp(cfg) + operator_to_csv(coupling.w))
         if model.channel is not None:
             rho_e = model.channel.rho_e(model.sub.to_matrix(
                 model.seed_coords(params.seed_polarization)))
             write_atomic(f"{args.dump_optics}_rho_e.csv",
-                         _stamp(cfg) + operator_to_csv(
-                             Operator(rho_e, "excited", "excited")))
+                         _stamp(cfg) + operator_to_csv(rho_e))
     if args.t_end is not None:
         traj = integrate(params, t_end=args.t_end, model=model,
                          controls=cfg.controls())

@@ -63,15 +63,6 @@ def parse_axis(text: str) -> tuple[float, ...]:
     return vals
 
 
-_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _flag(text: str) -> bool:
-    if text.lower() not in _FLAGS:
-        raise ValueError("expected true/false, yes/no or 1/0")
-    return _FLAGS[text.lower()]
-
-
 # (section, key) -> (parser, default-as-text, owner).  The owner is the
 # object whose field of the key's name the value sets; a law, (target key,
 # law), whose output sets the target's field; or None.
@@ -100,7 +91,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("numerics", "atol"): (float, "", IntegrationControls),
     ("numerics", "projection_mode"): (str, "hyperfine+zeeman", SimParams),
     ("numerics", "seed_polarization"): (float, "1e-4", SimParams),
-    ("numerics", "light_shift"): (_flag, "false", SimParams),
     ("conditions", "sigma_e"): (float, "", ConditionsMap),
     ("conditions", "cell_length"): (float, "1.5", ConditionsMap),
     ("conditions", "attenuation_mode"): (str, "path-averaged", ConditionsMap),

@@ -155,7 +155,6 @@ class SimParams:
     b_z: float = 1.0
     projection_mode: str = MODE_HFZ
     seed_polarization: float = 1e-4
-    light_shift: bool = False
 
     def __post_init__(self):
         for name in ("gamma", "j_exchange", "b_z", "seed_polarization"):
@@ -411,7 +410,7 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
     t_map = _hermitian_vecs(np.eye(dg * dg)[:, sub.rows], dg)
     f_map = t_map.conj().T / np.sum(np.abs(t_map) ** 2, axis=0)[:, None]
     f_max = float(max(f for f, _ in system.basis_g.states))
-    fz_row = np.real(system.ops_g["F"].z.matrix.T.reshape(-1) @ t_map) / f_max
+    fz_row = np.real(system.ops_g["F"].z.T.reshape(-1) @ t_map) / f_max
     tr_row = np.zeros(n)
     tr_row[:dg] = 1.0
     # Tr F_z = 0, so fz_row is orthogonal to tr_row and leads the rest
@@ -443,8 +442,7 @@ def _ground_parts(atom: AtomSpec, b_z: float, mode: str) -> _GroundParts:
 
 @lru_cache(maxsize=16)
 def _field_action(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
-                  coll: CollisionParams, doppler: DopplerSpec,
-                  light_shift: bool) -> FieldAction:
+                  coll: CollisionParams, doppler: DopplerSpec) -> FieldAction:
     """A unit-intensity field's action in subspace coordinates.  At
     I/Gamma = 1e12 its depletion and return terms reach 4.6e15 /s, against
     entries of 2.9e9 /s.  On single coordinates the two halves of a linear
@@ -453,7 +451,7 @@ def _field_action(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
     columns that state took M = -5.6e-5 and 1500 times its residual bound."""
     ground = _ground_parts(atom, b_z, mode)
     coupling = couple_field(shape, ground.system, coll, doppler)
-    return FieldAction(ground.system, coupling, coll, light_shift,
+    return FieldAction(ground.system, coupling, coll,
                        t_map=ground.t_map, f_map=ground.f_map)
 
 
@@ -496,7 +494,7 @@ class CompiledModel:
         self.params = params
         parts = _ground_parts(params.atom, params.b_z, params.projection_mode)
         self.system, self.sub, self.f_max = parts.system, parts.sub, parts.f_max
-        self.fz = self.system.ops_g["F"].z.matrix
+        self.fz = self.system.ops_g["F"].z
         self.s_ops = self.system.ops_g["S"]
         self.qj = params.coll.q_slowdown * params.j_exchange
         self.m_basis, self.u, self._m_scale = parts.m_basis, parts.u, parts.m_scale
@@ -506,11 +504,13 @@ class CompiledModel:
             gen += self.qj * parts.phi
         fields = params.fields()
         if fields:
-            optical = sum(np.real(_field_action(
-                params.atom, params.b_z, params.projection_mode, f.scaled(1.0),
-                params.coll, params.doppler, params.light_shift).superop(f.amplitude_sq)[0])
-                for f in fields)
-            gen += self.m_basis.T @ optical @ parts.extended
+            # an overflowing intensity is caught by the finite check below
+            with np.errstate(invalid="ignore", over="ignore"):
+                optical = sum(np.real(_field_action(
+                    params.atom, params.b_z, params.projection_mode, f.scaled(1.0),
+                    params.coll, params.doppler).superop(f.amplitude_sq)[0])
+                    for f in fields)
+                gen += self.m_basis.T @ optical @ parts.extended
         if not np.isfinite(gen).all():
             raise IntegrationError("the generator is not finite")
         feedback = parts.feedback if self.qj > 0 else ()
@@ -565,8 +565,7 @@ class CompiledModel:
     def channel(self) -> OpticalChannel | None:
         if not self.couplings:
             return None
-        return OpticalChannel(self.system, self.couplings, self.params.coll,
-                              light_shift=self.params.light_shift)
+        return OpticalChannel(self.system, self.couplings, self.params.coll)
 
     @cached_property
     def lin_superop(self) -> np.ndarray:
@@ -1134,13 +1133,12 @@ def critical_exchange_rate(i_over_gamma: float) -> float:
 
 @lru_cache(maxsize=16)
 def _mixed_state_rates(atom: AtomSpec, b_z: float, mode: str, shape: OpticalField,
-                       coll: CollisionParams, doppler: DopplerSpec,
-                       light_shift: bool) -> tuple[float, float]:
+                       coll: CollisionParams, doppler: DopplerSpec) -> tuple[float, float]:
     """The photon absorption rate gamma_q Tr(rho_e) and the pumping rate
     dM/dt of a unit-intensity field on the fully mixed state u, read off the
     field's cached :func:`_field_action`."""
     ground = _ground_parts(atom, b_z, mode)
-    action = _field_action(atom, b_z, mode, shape, coll, doppler, light_shift)
+    action = _field_action(atom, b_z, mode, shape, coll, doppler)
     superop, x = action.superop(1.0)
     de = ground.system.dim_e
     # the first n columns are the unrotated excited matrices
@@ -1154,8 +1152,7 @@ def absorption_rate_unit(params: SimParams, shape: OpticalField | None = None) -
     """Photon absorption rate of the fully mixed state per unit intensity."""
     shape = shape if shape is not None else pump_field(1.0)
     return _mixed_state_rates(params.atom, params.b_z, params.projection_mode,
-                              shape.scaled(1.0), params.coll, params.doppler,
-                              params.light_shift)[0]
+                              shape.scaled(1.0), params.coll, params.doppler)[0]
 
 
 def alignment_rate_unit(params: SimParams, shape: OpticalField | None = None) -> float:
@@ -1177,8 +1174,7 @@ def bias_rate_unit(params: SimParams, shape: OpticalField) -> float:
     Gamma fz.delta = fz.D u.  So H := Gamma dM/d(intensity) is |dM/dt| of
     the unit field at u, for every Gamma and J."""
     unit = abs(_mixed_state_rates(params.atom, params.b_z, params.projection_mode,
-                                  shape.scaled(1.0), params.coll, params.doppler,
-                                  params.light_shift)[1])
+                                  shape.scaled(1.0), params.coll, params.doppler)[1])
     if unit == 0:
         raise RuntimeError("bias calibration produced a vanishing rate")
     return unit

@@ -11,7 +11,10 @@ velocity-averaged over the 1-D Maxwell-Boltzmann distribution of the Doppler
 shift k.v by Gauss-Hermite quadrature.  The excited-level matrix then solves a
 linear quasi-steady equation driven by i(X rho_g w^+ - w rho_g X^+), and the
 ground level sees three channels: depletion, stimulated return, and quench
-repopulation (2 gamma_q / 3) sum_i D_i^+ rho_e D_i.
+repopulation (2 gamma_q / 3) sum_i D_i^+ rho_e D_i.  The depletion keeps the
+dissipative (anti-Hermitian) part of its kernel X^+ w only: the Hermitian
+part, the coherent light shift, is left out, as it commutes out of the
+populations that the production 'hyperfine+zeeman' chart keeps.
 
 Each field addresses the ground hyperfine manifold of its reference
 transition only; the other manifold sits a full ground hyperfine splitting
@@ -217,10 +220,10 @@ class AtomSystem:
         self.ops_e = angular_momentum_operators(self.basis_e)
         self.dim_g = self.basis_g.dimension
         self.dim_e = self.basis_e.dimension
-        self.h_g = (hyperfine_hamiltonian(self.spec, self.basis_g, GROUND).matrix
-                    + zeeman_hamiltonian(self.spec, self.b_z, self.basis_g, GROUND).matrix)
-        self.h_e = (hyperfine_hamiltonian(self.spec, self.basis_e, EXCITED).matrix
-                    + zeeman_hamiltonian(self.spec, self.b_z, self.basis_e, EXCITED).matrix)
+        self.h_g = (hyperfine_hamiltonian(self.spec, self.basis_g)
+                    + zeeman_hamiltonian(self.spec, self.b_z, self.basis_g))
+        self.h_e = (hyperfine_hamiltonian(self.spec, self.basis_e)
+                    + zeeman_hamiltonian(self.spec, self.b_z, self.basis_e))
         self.dipole = dipole_operator(self.basis_g, self.basis_e)
         self.dipole_sph = spherical_components(self.dipole)
         self._eig_g = _block_eigh(self.h_g)
@@ -243,8 +246,8 @@ class AtomSystem:
 
     def hyperfine_offset(self, f_g, f_e) -> float:
         """Hyperfine-level separation of a named transition (Zeeman ignored)."""
-        hf_g = hyperfine_hamiltonian(self.spec, self.basis_g, GROUND).matrix
-        hf_e = hyperfine_hamiltonian(self.spec, self.basis_e, EXCITED).matrix
+        hf_g = hyperfine_hamiltonian(self.spec, self.basis_g)
+        hf_e = hyperfine_hamiltonian(self.spec, self.basis_e)
         ig = self.basis_g.block_slice(f_g).start
         ie = self.basis_e.block_slice(f_e).start
         return float(hf_e[ie, ie].real - hf_g[ig, ig].real)
@@ -447,7 +450,7 @@ def repopulation(rho_e: np.ndarray, dipole: VectorOperator,
     """Quench return to the ground level, (2 gamma_q / 3) sum_i D_i^+ rho_e D_i.
 
     Conserves atoms: Tr(out) = gamma_q Tr(rho_e)."""
-    out = np.zeros((dipole.x.matrix.shape[1],) * 2, dtype=complex)
+    out = np.zeros((dipole.x.shape[1],) * 2, dtype=complex)
     for d in dipole.matrices:
         out += d.conj().T @ rho_e @ d
     return (2.0 * coll.gamma_q / 3.0) * out
@@ -511,19 +514,15 @@ class FieldAction:
     """
 
     def __init__(self, system: AtomSystem, coupling: FieldCoupling,
-                 coll: CollisionParams, light_shift: bool = False, *,
-                 t_map: np.ndarray, f_map: np.ndarray | None = None):
+                 coll: CollisionParams, *, t_map: np.ndarray, f_map: np.ndarray | None = None):
         dg, de = system.dim_g, system.dim_e
         x, w = coupling.x, coupling.w
         self._de = de
         self._a0, self._repop = _excited_parts(system.spec, system.b_z, coll)
         drain = _hermitian_block(_stimulated_drain(coupling, de), de)
         g = x.conj().T @ w
-        herm = 0.5 * (g + g.conj().T)
         anti = (g - g.conj().T) / 2j
         dep = -(_sop_left(anti, dg) + _sop_right(anti, dg))
-        if light_shift:
-            dep += 1j * (_sop_left(herm, dg) - _sop_right(herm, dg))
         self._ret = 1j * (_sop_sandwich(w.conj().T, x) - _sop_sandwich(x.conj().T, w))
         t_maps, self._f_maps = [t_map], [f_map]
         if coupling.field.wants_symmetrization():
@@ -585,17 +584,12 @@ class OpticalChannel:
     fields' :class:`FieldAction`, taken on a Hermitian basis H of the ground
     matrices (which spans every complex matrix) and multiplied by H^-1, so
     that each is the field's complex-linear map on vec(rho_g).
-    ``light_shift`` adds the coherent (Hermitian) part of the depletion
-    kernel, which is dropped by default so that only dissipative channels
-    act on the ground level.
     """
 
     def __init__(self, system: AtomSystem, couplings: list[FieldCoupling],
-                 coll: CollisionParams, light_shift: bool = False):
+                 coll: CollisionParams):
         self.system = system
-        self.couplings = couplings
         self.coll = coll
-        self.light_shift = light_shift
         dg, de = system.dim_g, system.dim_e
         # Fields are assembled independently: each gets its own quasi-steady
         # solve (cross-field stimulated terms are smaller than the per-field
@@ -607,7 +601,7 @@ class OpticalChannel:
         self.ground_superop = np.zeros((dg * dg, dg * dg), dtype=complex)
         self.excited_map = np.zeros((de * de, dg * dg), dtype=complex)
         for c in couplings:
-            g_sop, x = FieldAction(system, c, coll, light_shift, t_map=basis).superop(1.0)
+            g_sop, x = FieldAction(system, c, coll, t_map=basis).superop(1.0)
             self.ground_superop += g_sop @ inverse
             self.excited_map += x[:, :dg * dg] @ inverse
 

@@ -4,7 +4,9 @@ The electronic ground level (L=0) and the first excited level (L=1, J=1/2)
 each split into two hyperfine manifolds F = I -/+ 1/2.  All operators are
 expressed in the coupled ``|F, m_F>`` basis, ordered by ascending F and then
 ascending m_F; that ordering is part of the on-disk format of every exported
-matrix.
+matrix.  Operators are plain complex arrays: a :class:`VectorOperator` holds
+the three Cartesian components, and each Hamiltonian is that of the level of
+the basis it is given.
 
 Energies are angular frequencies in rad/s throughout (see :mod:`spingas.units`).
 """
@@ -170,28 +172,20 @@ def build_basis(spec: AtomSpec, level: str) -> CoupledBasis:
 
 
 @dataclass(frozen=True)
-class Operator:
-    matrix: np.ndarray
-    row_basis: str
-    col_basis: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-
-@dataclass(frozen=True)
 class VectorOperator:
-    x: Operator
-    y: Operator
-    z: Operator
+    """Cartesian components of a vector operator, complex matrices."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     @property
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.x.matrix, self.y.matrix, self.z.matrix)
+        return (self.x, self.y, self.z)
 
     def dot(self, vec) -> np.ndarray:
         vx, vy, vz = vec
-        return vx * self.x.matrix + vy * self.y.matrix + vz * self.z.matrix
+        return vx * self.x + vy * self.y + vz * self.z
 
 
 def _ladder_matrices(j: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,14 +228,13 @@ def angular_momentum_operators(basis: CoupledBasis) -> MappingProxyType[str, Vec
     u = coupling_unitary(basis)
     se = _ladder_matrices(je)
     inuc = _ladder_matrices(i_n)
-    tag = basis.level
 
     def vec(prod_components) -> VectorOperator:
         ops = []
         for comp in prod_components:
             mat = u @ comp @ u.conj().T
             mat.flags.writeable = False
-            ops.append(Operator(mat, tag, tag))
+            ops.append(mat)
         return VectorOperator(*ops)
 
     s_prod = [np.kron(c, np.eye(ni)) for c in se]
@@ -250,27 +243,22 @@ def angular_momentum_operators(basis: CoupledBasis) -> MappingProxyType[str, Vec
     return MappingProxyType({"S": vec(s_prod), "I": vec(i_prod), "F": vec(f_prod)})
 
 
-def hyperfine_hamiltonian(spec: AtomSpec, basis: CoupledBasis, level: str) -> Operator:
-    """H_hf = A I.S, diagonal in the coupled basis."""
-    if level != basis.level:
-        raise ValueError("basis level does not match requested level")
-    a = spec.a_ground if level == GROUND else spec.a_excited
+def hyperfine_hamiltonian(spec: AtomSpec, basis: CoupledBasis) -> np.ndarray:
+    """H_hf = A I.S of the basis' level, diagonal in the coupled basis."""
+    a = spec.a_ground if basis.level == GROUND else spec.a_excited
     i_n, s_e = basis.nuclear_spin, basis.electron_spin
     diag = []
     for f, _ in basis.states:
         k = float(f * (f + 1) - i_n * (i_n + 1) - s_e * (s_e + 1)) / 2.0
         diag.append(a * k)
-    return Operator(np.diag(diag), basis.level, basis.level)
+    return np.diag(diag).astype(complex)
 
 
-def zeeman_hamiltonian(spec: AtomSpec, b_z: float, basis: CoupledBasis,
-                       level: str) -> Operator:
-    """H_Z = g B S_z for a field b_z (gauss) along the quantization axis."""
-    if level != basis.level:
-        raise ValueError("basis level does not match requested level")
-    g = spec.g_ground if level == GROUND else spec.g_excited
-    sz = angular_momentum_operators(basis)["S"].z.matrix
-    return Operator(g * b_z * sz, basis.level, basis.level)
+def zeeman_hamiltonian(spec: AtomSpec, b_z: float, basis: CoupledBasis) -> np.ndarray:
+    """H_Z = g B S_z of the basis' level for a field b_z (gauss) along the
+    quantization axis."""
+    g = spec.g_ground if basis.level == GROUND else spec.g_excited
+    return g * b_z * angular_momentum_operators(basis)["S"].z
 
 
 def dipole_operator(basis_g: CoupledBasis, basis_e: CoupledBasis) -> VectorOperator:
@@ -321,9 +309,7 @@ def dipole_operator(basis_g: CoupledBasis, basis_e: CoupledBasis) -> VectorOpera
 
     dx = (d_sph[-1] - d_sph[+1]) / math.sqrt(2.0)
     dy = 1j * (d_sph[-1] + d_sph[+1]) / math.sqrt(2.0)
-    dz = d_sph[0]
-    mk = lambda m: Operator(m, basis_e.level, basis_g.level)
-    return VectorOperator(mk(dx), mk(dy), mk(dz))
+    return VectorOperator(dx, dy, d_sph[0])
 
 
 def spherical_components(d: VectorOperator) -> dict[int, np.ndarray]:
@@ -353,11 +339,10 @@ def polarization_vector(kind: str) -> np.ndarray:
     raise ValueError(f"unknown polarization {kind!r}")
 
 
-def operator_to_csv(op: Operator) -> str:
-    """Dense CSV dump (row, col, re, im) for debugging."""
+def operator_to_csv(mat: np.ndarray) -> str:
+    """Dense CSV dump (row, col, re, im) of a matrix, for debugging."""
     buf = io.StringIO()
     buf.write("row,col,re,im\n")
-    mat = op.matrix
     for i in range(mat.shape[0]):
         for j in range(mat.shape[1]):
             v = mat[i, j]

@@ -107,7 +107,9 @@ class SweepGrid:
     """Rectangular grid of sweep points on the (I/Gamma, J/Gamma) axes.
 
     ``densities`` holds the vapor density of each J line, which attenuates
-    its pump, or NaN where the line has none (no attenuation)."""
+    its pump, or NaN where the line has none (no attenuation).  Rates are
+    >= 0, as :meth:`SimParams.from_rates` takes them, and so is a density,
+    which would amplify the pump if it were negative."""
 
     i_over_gamma: tuple[float, ...]
     j_over_gamma: tuple[float, ...]
@@ -120,8 +122,12 @@ class SweepGrid:
                 raise ValueError(f"{name} axis is empty")
             if not all(map(math.isfinite, ax)):
                 raise ValueError(f"{name} axis values must be finite")
+            if min(ax) < 0:
+                raise ValueError(f"{name} axis values must be >= 0")
             if any(b <= a for a, b in zip(ax, ax[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
+        if not all(math.isnan(n) or n >= 0 for n in self.densities):
+            raise ValueError("densities must be >= 0 or NaN (no attenuation)")
 
     @classmethod
     def from_rates(cls, i_over_gamma, j_over_gamma,
@@ -357,12 +363,11 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
     """Run steady-state and response-time simulations over a grid.
 
     ``sim_kwargs`` are further :class:`SimParams` fields of every cell
-    (projection_mode, seed_polarization, b_z, atom, coll, doppler,
-    light_shift, ...), with the :class:`SimParams` defaults for the rest;
-    the manifest records the first three as resolved, and the conditions
-    map if a grid line has a density (else ``null``).  Cell failures are
-    recorded per cell and never abort the sweep.  The output is bitwise
-    independent of the worker count."""
+    (projection_mode, seed_polarization, b_z, atom, coll, doppler), with the
+    :class:`SimParams` defaults for the rest; the manifest records the first
+    three as resolved, and the conditions map if a grid line has a density
+    (else ``null``).  Cell failures are recorded per cell and never abort
+    the sweep.  The output is bitwise independent of the worker count."""
     cmap = cmap if cmap is not None else ConditionsMap()
     workers = workers if workers is not None else default_workers()
     base = SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,

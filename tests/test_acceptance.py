@@ -293,7 +293,7 @@ def test_criterion_7_invariant_suite():
 
     rng = np.random.default_rng(99)
     system = AtomSystem()
-    fz = system.ops_g["F"].z.matrix
+    fz = system.ops_g["F"].z
 
     worst_trace = worst_herm = worst_eig = 0.0
     n_sets = 100

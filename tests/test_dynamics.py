@@ -186,7 +186,7 @@ class TestExchangeTerm:
         assert np.abs(out).max() == 0.0
 
     def test_conserves_total_spin(self, system, rng):
-        fz = system.ops_g["F"].z.matrix
+        fz = system.ops_g["F"].z
         for _ in range(100):
             out = spin_exchange_term(random_density(rng), 265.0, system.ops_g["S"])
             assert abs(np.trace(fz @ out).real) < 1e-10
@@ -219,7 +219,7 @@ class TestExchangeTerm:
     def test_annihilates_spin_temperature_states(self, system, beta, qj):
         # exact oracle: exchange conserves F_z and drives to exp(beta F_z)/Z,
         # so it vanishes there (rounding is ~1e-16 qj; a random rho gives ~1e-2 qj)
-        rho = expm(beta * system.ops_g["F"].z.matrix)
+        rho = expm(beta * system.ops_g["F"].z)
         rho /= np.trace(rho).real
         out = spin_exchange_term(rho, qj, system.ops_g["S"])
         assert np.abs(out).max() <= 1e-13 * qj
@@ -721,13 +721,10 @@ class TestSteadyDetection:
 
 
 class TestCachedParts:
-    @pytest.mark.parametrize("mode, light_shift", [
-        ("hyperfine+zeeman", False), ("hyperfine", False), ("none", False),
-        ("hyperfine+zeeman", True)])
-    def test_chart_generator_matches_projected_full_generator(self, mode, light_shift):
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    def test_chart_generator_matches_projected_full_generator(self, mode):
         p = SimParams.from_rates(i_over_gamma=1.5, j_over_gamma=3.0,
-                                 h_over_gamma=0.4, projection_mode=mode,
-                                 light_shift=light_shift)
+                                 h_over_gamma=0.4, projection_mode=mode)
         model = CompiledModel(p)
         ref = rotated(model, project_superop(model.sub, model.lin_superop))
         assert np.abs(chart_generator(model) - ref).max() < 1e-12 * np.abs(ref).max()
@@ -738,8 +735,7 @@ class TestCachedParts:
         p = SimParams.from_rates(i_over_gamma=i_over_gamma)
         field = p.pump
         action = dyn._field_action(p.atom, p.b_z, p.projection_mode,
-                                   field.scaled(1.0), p.coll, p.doppler,
-                                   p.light_shift)
+                                   field.scaled(1.0), p.coll, p.doppler)
         r_opt = np.real(action.superop(field.amplitude_sq)[0])
         model = CompiledModel(p)
         channel = OpticalChannel(model.system, [couple_field(
@@ -829,11 +825,11 @@ def full_space_bias_unit(p: SimParams, shape) -> float:
     vec_id = np.eye(dg).reshape(-1)
     rho0 = vec_id / dg
     action = FieldAction(system, couple_field(shape, system, p.coll, p.doppler),
-                         p.coll, p.light_shift, t_map=rho0[:, None])
+                         p.coll, t_map=rho0[:, None])
     source = action.superop(1.0)[0][:, 0]
     delta = np.linalg.solve(lin + np.outer(rho0, vec_id), -source).reshape(dg, dg)
     f_max = max(f for f, _ in system.basis_g.states)
-    return p.gamma * abs(np.trace(delta @ system.ops_g["F"].z.matrix).real) / f_max
+    return p.gamma * abs(np.trace(delta @ system.ops_g["F"].z).real) / f_max
 
 
 class TestCalibrations:
@@ -890,13 +886,13 @@ class TestCalibrations:
         ground = dyn._ground_parts(p.atom, p.b_z, p.projection_mode)
         # each beam's action against one that builds A0 and P for itself
         cached = [dyn._field_action(p.atom, p.b_z, p.projection_mode, f.scaled(1.0),
-                                    p.coll, p.doppler, p.light_shift) for f in p.fields()]
+                                    p.coll, p.doppler) for f in p.fields()]
         assert cached[0]._a0 is cached[1]._a0 and cached[0]._repop is cached[1]._repop
         monkeypatch.setattr(optics, "_excited_parts", optics._excited_parts.__wrapped__)
         for f, action in zip(p.fields(), cached):
             own = FieldAction(ground.system,
                               couple_field(f.scaled(1.0), ground.system, p.coll, p.doppler),
-                              p.coll, p.light_shift, t_map=ground.t_map, f_map=ground.f_map)
+                              p.coll, t_map=ground.t_map, f_map=ground.f_map)
             for part, ref in zip(action.superop(f.amplitude_sq), own.superop(f.amplitude_sq)):
                 assert np.array_equal(part, ref)
 

@@ -129,15 +129,15 @@ class TestOperators:
         ops = sa.angular_momentum_operators(system.basis_g)
         assert ops["S"] is system.ops_g["S"]
         with pytest.raises(ValueError):
-            ops["S"].z.matrix[0, 0] = 1.0
+            ops["S"].z[0, 0] = 1.0
         with pytest.raises(TypeError):
             ops["S"] = ops["F"]
 
     def test_traceless(self, system):
-        assert abs(np.trace(system.ops_g["S"].z.matrix)) < 1e-12
+        assert abs(np.trace(system.ops_g["S"].z)) < 1e-12
 
     def test_fz_eigenvalues(self, system):
-        eig = np.sort(np.diag(system.ops_g["F"].z.matrix).real)
+        eig = np.sort(np.diag(system.ops_g["F"].z).real)
         expected = np.sort(np.concatenate([np.arange(-3, 4), np.arange(-4, 5)]))
         assert np.allclose(eig, expected, atol=1e-12)
 
@@ -160,41 +160,54 @@ class TestHamiltonians:
     def test_hyperfine_interval(self, system):
         # Lande interval oracle: E(F) = A/2 [F(F+1) - I(I+1) - S(S+1)],
         # so the 3-4 splitting is 4A = 2*pi*9.2e9 for A = 2*pi*2.3e9.
-        h = sa.hyperfine_hamiltonian(system.spec, system.basis_g, "ground").matrix
+        h = sa.hyperfine_hamiltonian(system.spec, system.basis_g)
         d = np.diag(h).real
         split = d[-1] - d[0]
         assert split == pytest.approx(4 * system.spec.a_ground, rel=1e-14)
         assert split / (2 * math.pi) == pytest.approx(9.2e9, rel=1e-12)
+
+    def test_level_comes_from_the_basis(self, system):
+        # the excited level has its own constants; both Hamiltonians are
+        # complex, like every operator of the basis
+        for basis, a, g in ((system.basis_g, system.spec.a_ground, system.spec.g_ground),
+                            (system.basis_e, system.spec.a_excited, system.spec.g_excited)):
+            h = sa.hyperfine_hamiltonian(system.spec, basis)
+            assert h.dtype == complex
+            assert np.diag(h).real.max() - np.diag(h).real.min() == pytest.approx(
+                a * float(2 * basis.nuclear_spin + 1) / 2, rel=1e-14)
+            hz = sa.zeeman_hamiltonian(system.spec, 1.0, basis)
+            assert hz.dtype == complex
+            assert np.array_equal(hz, g * sa.angular_momentum_operators(basis)["S"].z)
 
     def test_zero_coupling(self, system):
         spec = sa.AtomSpec(nuclear_spin=Fraction(7, 2), electron_spin=Fraction(1, 2),
                            a_ground=0.0, a_excited=0.0,
                            g_ground=1.0, g_excited=1.0)
         basis = sa.build_basis(spec, "ground")
-        h = sa.hyperfine_hamiltonian(spec, basis, "ground").matrix
+        h = sa.hyperfine_hamiltonian(spec, basis)
         assert np.abs(h).max() == 0.0
 
     def test_hyperfine_symmetries(self, system):
-        h = sa.hyperfine_hamiltonian(system.spec, system.basis_g, "ground").matrix
+        h = sa.hyperfine_hamiltonian(system.spec, system.basis_g)
         f2 = sum(m @ m for m in system.ops_g["F"].matrices)
-        fz = system.ops_g["F"].z.matrix
+        fz = system.ops_g["F"].z
         assert np.abs(h @ f2 - f2 @ h).max() < 1e-12 * np.abs(h).max()
         assert np.abs(h @ fz - fz @ h).max() < 1e-12 * np.abs(h).max()
 
     def test_zeeman_scale(self, system):
-        h = sa.zeeman_hamiltonian(system.spec, 1.0, system.basis_g, "ground").matrix
+        h = sa.zeeman_hamiltonian(system.spec, 1.0, system.basis_g)
         # spectral norm is g B max|S_z| = g B / 2
         norm = np.linalg.norm(h, ord=2)
         assert 2 * norm == pytest.approx(2 * math.pi * 2.8e6, rel=1e-12)
         assert np.abs(h - h.conj().T).max() < 1e-12 * norm
 
     def test_zeeman_zero_field(self, system):
-        h = sa.zeeman_hamiltonian(system.spec, 0.0, system.basis_g, "ground").matrix
+        h = sa.zeeman_hamiltonian(system.spec, 0.0, system.basis_g)
         assert np.abs(h).max() == 0.0
 
     def test_zeeman_axial_symmetry(self, system):
-        h = sa.zeeman_hamiltonian(system.spec, 1.0, system.basis_g, "ground").matrix
-        fz = system.ops_g["F"].z.matrix
+        h = sa.zeeman_hamiltonian(system.spec, 1.0, system.basis_g)
+        fz = system.ops_g["F"].z
         assert np.abs(h @ fz - fz @ h).max() < 1e-12 * np.abs(h).max()
 
 
@@ -241,8 +254,7 @@ class TestDipole:
 
 class TestExport:
     def test_operator_csv(self, system):
-        op = sa.Operator(np.array([[1.0, 2j], [0.0, -1.0]]), "a", "b")
-        text = sa.operator_to_csv(op)
+        text = sa.operator_to_csv(np.array([[1.0, 2j], [0.0, -1.0]]))
         lines = text.strip().splitlines()
         assert lines[0] == "row,col,re,im"
         assert lines[1] == "0,0,1,0"

@@ -113,6 +113,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="j_over_gamma axis values must be finite"):
             SweepGrid.from_rates([0.5], [bad])
 
+    def test_sign_rules(self):
+        # rates are SimParams.from_rates' (>= 0); a density is >= 0, or NaN
+        # for no attenuation, since a negative one would amplify the pump
+        for name in ("i_over_gamma", "j_over_gamma"):
+            axes = {"i_over_gamma": (0.5,), "j_over_gamma": (1.0,), name: (-1.0, 0.5)}
+            with pytest.raises(ValueError, match=f"{name} axis values must be >= 0"):
+                SweepGrid(**axes, densities=(math.nan,) * len(axes["j_over_gamma"]))
+        with pytest.raises(ValueError, match="densities must be >= 0 or NaN"):
+            SweepGrid((0.5,), (1.0, 2.0), (3e12, -1.0))
+        for density in (0.0, 3e12, math.nan):
+            SweepGrid((0.0, 0.5), (0.0,), (density,))
+
 
 @contextlib.contextmanager
 def deadline(seconds):
@@ -644,11 +656,13 @@ ERROR_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n#'), st.characters()), max
 
 @st.composite
 def sweep_results(draw):
-    axis = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                    max_size=3, unique=True).map(sorted)
+    # any grid that SweepGrid accepts: rates >= 0, densities >= 0 or NaN
+    axis = st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=3, unique=True).map(sorted)
     i_ax, j_ax = draw(axis), draw(axis)
+    density = ANY_FLOAT.filter(lambda d: math.isnan(d) or d >= 0)
     grid = SweepGrid(i_over_gamma=tuple(i_ax), j_over_gamma=tuple(j_ax),
-                     densities=tuple(draw(st.lists(ANY_FLOAT, min_size=len(j_ax),
+                     densities=tuple(draw(st.lists(density, min_size=len(j_ax),
                                                    max_size=len(j_ax)))))
     cell = st.builds(CellResult, i_over_gamma=ANY_FLOAT, j_over_gamma=ANY_FLOAT,
                      n=ANY_FLOAT, i_effective=ANY_FLOAT, m_signed=ANY_FLOAT,
