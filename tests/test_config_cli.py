@@ -280,6 +280,21 @@ class TestCli:
         assert main(["--set", "relaxation.temperature_c=-200", "table2"]) == 2
         assert "[relaxation.temperature_c]" in capsys.readouterr().err
 
+    def test_retired_light_shift_key_is_a_config_error(self, capsys):
+        assert main(["--set", "numerics.light_shift=false", "table2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown key 'numerics.light_shift'")
+
+    @pytest.mark.parametrize("axis", ["i_over_gamma", "j_over_gamma"])
+    def test_negative_sweep_axis_is_a_config_error(self, tmp_path, capsys, axis):
+        # SweepGrid's sign rule, reported with its key before any cell runs
+        rc = main(["--set", f"sweep.{axis}=-1,0.5", "sweep", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"[sweep.{axis}]" in err
+        assert ">= 0" in err
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("value", ["1/0", "0/0"])
     def test_zero_denominator_is_a_config_error(self, value, capsys):
         assert main(["--set", f"atom.nuclear_spin={value}", "table2"]) == 2

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -358,6 +359,16 @@ class TestCompiledModel:
             for got, ref in ((model.rhs(0.0, z), rhs), (model.jac(0.0, z), jac)):
                 assert got.shape == ref.shape and got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    def test_overflowing_intensity_fails_without_warnings(self, mode):
+        # I = 1e300 Gamma overflows the pump amplitude; the finite check is
+        # the one rule that stops it, so no numpy warning comes first
+        p = SimParams.from_rates(i_over_gamma=1e300, j_over_gamma=3.0, projection_mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="the generator is not finite"):
+                CompiledModel(p)
 
     def test_rhs_traceless(self, rng):
         p = SimParams.from_rates(i_over_gamma=2.0, j_over_gamma=2.5)

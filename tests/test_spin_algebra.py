@@ -133,6 +133,26 @@ class TestOperators:
         with pytest.raises(TypeError):
             ops["S"] = ops["F"]
 
+    @pytest.mark.parametrize("level", ["ground", "excited"])
+    def test_components_are_complex_arrays(self, system, level):
+        # each component is a plain read-only Hermitian complex matrix
+        basis = system.basis_g if level == "ground" else system.basis_e
+        for vec in sa.angular_momentum_operators(basis).values():
+            assert all(a is b for a, b in zip(vec.matrices, (vec.x, vec.y, vec.z)))
+            for mat in vec.matrices:
+                assert type(mat) is np.ndarray and mat.dtype == complex
+                assert mat.shape == (basis.dimension, basis.dimension)
+                assert not mat.flags.writeable
+                assert np.abs(mat - mat.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8),
+                                      (1 / math.sqrt(3),) * 3])
+    def test_projection_on_any_axis_has_the_fz_spectrum(self, system, axis):
+        # rotational invariance: n.F has the eigenvalues of F_z for a unit n
+        f = system.ops_g["F"]
+        eig = np.linalg.eigvalsh(f.dot(axis))
+        assert np.abs(eig - np.sort(np.diag(f.z).real)).max() < 1e-12
+
     def test_traceless(self, system):
         assert abs(np.trace(system.ops_g["S"].z)) < 1e-12
 
@@ -237,6 +257,12 @@ class TestDipole:
                 if abs(dx[r, c]) > 1e-14:
                     assert abs(me - mg) == 1
 
+    def test_blocks_are_complex_arrays(self, system):
+        # rows excited, columns ground
+        shape = (system.basis_e.dimension, system.basis_g.dimension)
+        for mat in system.dipole.matrices:
+            assert type(mat) is np.ndarray and mat.dtype == complex and mat.shape == shape
+
     def test_stretched_states_decoupled_from_pump_manifold(self, system):
         # the maximally polarized states live in F=4 and have no element on
         # the F_g=3 pump transition
@@ -260,3 +286,13 @@ class TestExport:
         assert lines[1] == "0,0,1,0"
         assert lines[2].startswith("0,1,0,2")
         assert len(lines) == 5
+
+    def test_operator_csv_round_trip(self):
+        # 17 significant digits keep every bit of both parts
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        back = np.zeros_like(mat)
+        for line in sa.operator_to_csv(mat).strip().splitlines()[1:]:
+            r, c, re, im = line.split(",")
+            back[int(r), int(c)] = complex(float(re), float(im))
+        assert np.array_equal(back, mat)
