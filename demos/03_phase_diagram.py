@@ -18,8 +18,7 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 cmap = ConditionsMap(attenuation_mode="path-averaged")
-grid = SweepGrid.from_rates(np.linspace(0.5, 6.0, 14),
-                            np.linspace(0.5, 6.0, 14), cmap=cmap)
+grid = SweepGrid.from_rates(np.linspace(0.5, 6.0, 14), np.linspace(0.5, 6.0, 14))
 result = run_sweep(grid, cmap=cmap)
 save_sweep(result, os.path.join(OUT, "phase_diagram_cells.csv"),
            os.path.join(OUT, "phase_diagram_manifest.json"))

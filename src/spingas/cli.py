@@ -85,8 +85,11 @@ def _read_xy(path: str) -> tuple[np.ndarray, np.ndarray]:
     for k, row in rows:
         if len(row) < 2:
             raise ValueError(f"line {k} of {path} holds no x,y pair: {','.join(row)!r}")
-        xs.append(float(row[0]))
-        ys.append(float(row[1]))
+        try:
+            xs.append(float(row[0]))
+            ys.append(float(row[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {k} of {path}: {exc}") from None
     if not xs:
         raise ValueError("no data rows in series file")
     return np.array(xs), np.array(ys)
@@ -159,11 +162,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: RunConfig) -> int:
-    cmap = cfg.conditions()
-    grid = SweepGrid.from_rates(cfg["sweep", "i_over_gamma"],
-                                cfg["sweep", "j_over_gamma"],
-                                cmap=cmap, gamma=cfg.gamma())
-    result = run_sweep(grid, gamma=cfg.gamma(), cmap=cmap, workers=cfg.workers(),
+    grid = SweepGrid.from_rates(cfg["sweep", "i_over_gamma"], cfg["sweep", "j_over_gamma"])
+    result = run_sweep(grid, gamma=cfg.gamma(), cmap=cfg.conditions(), workers=cfg.workers(),
                        controls=cfg.controls(), **cfg.sim_kwargs())
     result.provenance["tool_version"] = __version__
     result.provenance["config_hash"] = cfg.hash()

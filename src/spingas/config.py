@@ -105,7 +105,7 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
 _SIM = SimParams()
 _DEFAULTS = {type(owner): owner for owner in (
     _SIM, _SIM.atom, _SIM.coll, _SIM.doppler, IntegrationControls(), ConditionsMap(),
-    SweepGrid((1.0,), (1.0,), (math.nan,)))}
+    SweepGrid((1.0,), (1.0,)))}
 
 
 def _target(section: str, key: str, value) -> tuple:

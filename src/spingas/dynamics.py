@@ -1023,13 +1023,16 @@ def steady_state(params: SimParams, max_time: float | None = None,
     breaks the symmetry ('symmetric'; see :func:`_classified`), or on the
     fixed point of a checked Newton solve once the integration has come
     close ('fixed-point'; see :func:`_integrate_coords`).  A run that
-    reaches ``max_time`` (default 2000/Gamma) first has not converged
-    ('budget').  Without ``controls`` the run takes rtol STEADY_RTOL (see
+    reaches ``max_time`` (default 2000/Gamma; it must be > 0, or this
+    raises ``ValueError``) first has not converged ('budget').  Without
+    ``controls`` the run takes rtol STEADY_RTOL (see
     :class:`IntegrationControls`).  A ``model`` must be compiled for
     ``params`` up to the seed, or this raises ``ValueError``."""
-    model = _model_for(params, model)
     if max_time is None:
         max_time = 2000.0 / params.gamma
+    if not max_time > 0:
+        raise ValueError("max_time must be > 0")
+    model = _model_for(params, model)
     controls = controls or IntegrationControls(rtol=STEADY_RTOL)
     s0 = model.seed_coords(params.seed_polarization)
     z = _classified(model, params.seed_polarization)

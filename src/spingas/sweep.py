@@ -1,14 +1,15 @@
 """Phase-diagram sweeps on the calibrated (I/Gamma, J/Gamma) axes: grids,
 parallel execution, persistence.
 
-The vapor density n of a J line, J = n <sigma_ex v> (optionally divided by
-the slow-down q), attenuates its pump to I * attenuation(n): the point
-value exp(-n sigma_e L), its path average (1 - exp(-n sigma_e L)) /
-(n sigma_e L), or off.  Each cell runs an independent steady-state and
-response-time simulation.  With several workers the cells run in forked
-processes that claim one cell at a time and send their cells back when
-none is left; results are deterministic and independent of the worker
-count because cells never share state.
+A sweep given a conditions map attenuates each J line's pump by the
+line's vapor density n, J = n <sigma_ex v> (optionally divided by the
+slow-down q), to I * attenuation(n): the point value exp(-n sigma_e L),
+its path average (1 - exp(-n sigma_e L)) / (n sigma_e L), or off.  A
+sweep given no map attenuates no line.  Each cell runs an independent
+steady-state and response-time simulation.  With several workers the
+cells run in forked processes that claim one cell at a time and send
+their cells back when none is left; results are deterministic and
+independent of the worker count because cells never share state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import multiprocessing.connection
 import os
 import traceback
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -106,14 +107,12 @@ class ConditionsMap:
 class SweepGrid:
     """Rectangular grid of sweep points on the (I/Gamma, J/Gamma) axes.
 
-    ``densities`` holds the vapor density of each J line, which attenuates
-    its pump, or NaN where the line has none (no attenuation).  Rates are
-    >= 0, as :meth:`SimParams.from_rates` takes them, and so is a density,
-    which would amplify the pump if it were negative."""
+    Rates are >= 0, as :meth:`SimParams.from_rates` takes them.  The grid
+    holds no density: :func:`run_sweep` derives each J line's from its
+    conditions map."""
 
     i_over_gamma: tuple[float, ...]
     j_over_gamma: tuple[float, ...]
-    densities: tuple[float, ...]
 
     def __post_init__(self):
         for name in ("i_over_gamma", "j_over_gamma"):
@@ -126,22 +125,12 @@ class SweepGrid:
                 raise ValueError(f"{name} axis values must be >= 0")
             if any(b <= a for a, b in zip(ax, ax[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
-        if not all(math.isnan(n) or n >= 0 for n in self.densities):
-            raise ValueError("densities must be >= 0 or NaN (no attenuation)")
 
     @classmethod
-    def from_rates(cls, i_over_gamma, j_over_gamma,
-                   cmap: ConditionsMap | None = None,
-                   gamma: float = GAMMA_BASE) -> "SweepGrid":
-        """Grid on the rate axes; densities derived from J when a map is
-        given (so attenuation can be applied)."""
-        i_ax = tuple(float(x) for x in i_over_gamma)
-        j_ax = tuple(float(x) for x in j_over_gamma)
-        if cmap is not None:
-            dens = tuple(cmap.density_from_j(j * gamma) for j in j_ax)
-        else:
-            dens = tuple(float("nan") for _ in j_ax)
-        return cls(i_over_gamma=i_ax, j_over_gamma=j_ax, densities=dens)
+    def from_rates(cls, i_over_gamma, j_over_gamma) -> "SweepGrid":
+        """Grid on the rate axes, given as any iterables of numbers."""
+        return cls(i_over_gamma=tuple(float(x) for x in i_over_gamma),
+                   j_over_gamma=tuple(float(x) for x in j_over_gamma))
 
     def cells(self):
         for jj, j in enumerate(self.j_over_gamma):
@@ -362,21 +351,25 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
               **sim_kwargs) -> SweepResult:
     """Run steady-state and response-time simulations over a grid.
 
-    ``sim_kwargs`` are further :class:`SimParams` fields of every cell
-    (projection_mode, seed_polarization, b_z, atom, coll, doppler), with the
+    With a conditions map ``cmap``, each J line's density is
+    ``cmap.density_from_j(j * gamma)`` and its pump is scaled by
+    ``cmap.attenuation`` of that density; with none, no line is attenuated
+    and each cell's ``n`` is NaN.  ``sim_kwargs`` are further
+    :class:`SimParams` fields of every cell (projection_mode,
+    seed_polarization, b_z, atom, coll, doppler), with the
     :class:`SimParams` defaults for the rest; the manifest records the first
-    three as resolved, and the conditions map if a grid line has a density
-    (else ``null``).  Cell failures are recorded per cell and never abort
-    the sweep.  The output is bitwise independent of the worker count."""
-    cmap = cmap if cmap is not None else ConditionsMap()
+    three as resolved, and the conditions map if one was given (else
+    ``null``).  Cell failures are recorded per cell and never abort the
+    sweep.  The output is bitwise independent of the worker count."""
     workers = workers if workers is not None else default_workers()
     base = SimParams.from_rates(i_over_gamma=1.0, j_over_gamma=1.0,
                                 gamma=gamma, **sim_kwargs)
-    attenuated = any(map(math.isfinite, grid.densities))
     tasks = []
-    for _, jj, i_axis, j_axis in grid.cells():
-        n = grid.densities[jj]
-        att = cmap.attenuation(n) if math.isfinite(n) else 1.0
+    for _, _, i_axis, j_axis in grid.cells():
+        n, att = math.nan, 1.0
+        if cmap is not None:
+            n = cmap.density_from_j(j_axis * gamma)
+            att = cmap.attenuation(n)
         tasks.append((i_axis, j_axis, i_axis * att, n, gamma, sim_kwargs,
                       max_time, controls))
     return SweepResult(
@@ -388,7 +381,7 @@ def run_sweep(grid: SweepGrid, gamma: float = GAMMA_BASE,
             "projection_mode": base.projection_mode,
             "seed_polarization": base.seed_polarization,
             "b_z": base.b_z,
-            **{name: getattr(cmap, name) if attenuated else None for name in (
+            **{name: None if cmap is None else getattr(cmap, name) for name in (
                 "attenuation_mode", "sigma_e", "sigma_ex_v", "cell_length", "j_convention")},
             "blas_threads": BLAS_THREADS,
             "migrations": [],
@@ -467,8 +460,7 @@ def save_sweep(result: SweepResult, csv_path: str, manifest_path: str,
     write_atomic(csv_path, buf.getvalue())
     manifest = {
         "provenance": result.provenance,
-        "grid": {f.name: [None if math.isnan(x) else x for x in getattr(result.grid, f.name)]
-                 for f in fields(SweepGrid)},
+        "grid": asdict(result.grid),
     }
     write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -504,8 +496,9 @@ def load_sweep(csv_path: str, manifest_path: str) -> SweepResult:
         raise SchemaError("manifest lacks the grid block")
     cells = []
     try:
-        grid = SweepGrid(**{f.name: tuple(math.nan if x is None else x for x in gspec[f.name])
-                            for f in fields(SweepGrid)})
+        # the axes by name: older manifests also hold each J line's
+        # density, which the cells' n column restates, and it is ignored
+        grid = SweepGrid(**{f.name: tuple(gspec[f.name]) for f in fields(SweepGrid)})
         with open(csv_path, newline="") as fh:
             # only the comment lines above the header: a quoted error text
             # may hold lines that start with '#'
@@ -546,14 +539,17 @@ def gnuplot_matrix(result: SweepResult, quantity: str = "m_abs") -> str:
     return "\n".join(lines) + "\n"
 
 
-def density_scan(power_i_over_gamma: float, densities,
+def density_scan(power_i_over_gamma: float, n_axis,
                  cmap: ConditionsMap | None = None, gamma: float = GAMMA_BASE,
                  workers: int | None = None, **sim_kwargs) -> SweepResult:
     """Fixed-power scan across vapor density (the re-entrance cut): the
     unattenuated pump axis rate stays constant while J grows with n and the
-    effective I drops by attenuation."""
+    effective I drops by attenuation.
+
+    Each vapor density n of ``n_axis`` (cm^-3, strictly increasing)
+    becomes the J line ``cmap.j_from_density(n) / gamma``, whose density
+    :func:`run_sweep` derives back from J, to within the last bit of n."""
     cmap = cmap if cmap is not None else ConditionsMap()
-    densities = tuple(float(n) for n in densities)
-    j_ax = tuple(cmap.j_from_density(n) / gamma for n in densities)
-    grid = SweepGrid(i_over_gamma=(power_i_over_gamma,), j_over_gamma=j_ax, densities=densities)
+    grid = SweepGrid.from_rates([power_i_over_gamma],
+                                [cmap.j_from_density(n) / gamma for n in n_axis])
     return run_sweep(grid, gamma=gamma, cmap=cmap, workers=workers, **sim_kwargs)

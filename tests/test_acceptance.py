@@ -77,8 +77,7 @@ def desk_sweep():
     attenuation (shared with criterion 6)."""
     t0 = time.time()
     cmap = ConditionsMap(attenuation_mode="path-averaged")
-    grid = SweepGrid.from_rates(np.linspace(0.5, 6.0, 30),
-                                np.linspace(0.5, 6.0, 30), cmap=cmap)
+    grid = SweepGrid.from_rates(np.linspace(0.5, 6.0, 30), np.linspace(0.5, 6.0, 30))
     result = run_sweep(grid, cmap=cmap)
     print(f"\n[setup] 30x30 sweep finished in {time.time() - t0:.0f} s")
     return result

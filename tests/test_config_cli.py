@@ -32,7 +32,7 @@ def lsoda_rtols(monkeypatch):
 
 
 _SIM = dyn.SimParams()
-_GRID = SweepGrid((1.0,), (1.0,), (math.nan,))
+_GRID = SweepGrid((1.0,), (1.0,))
 # Each float key -> (unit tag, its owner's default instance or None, the
 # owner's field it sets, the law from the value to that field or None).
 # The tags scale by 1, so the owner sees the drawn float itself.
@@ -420,6 +420,12 @@ class TestCli:
         assert main(["fit", "--input", str(series), "--form", "beta", "--out", prefix]) == 2
         assert "line 11 of" in capsys.readouterr().err
         assert not os.path.exists(prefix + "_fit.json")
+        # a value that is not a number is named by its file and line too
+        series.write_text("x,y\n1,2\n2,abc\n")
+        assert main(["fit", "--input", str(series), "--form", "beta", "--out", prefix]) == 2
+        assert f"line 3 of {series}: could not convert string to float: 'abc'" in \
+            capsys.readouterr().err
+        assert not os.path.exists(prefix + "_fit.json")
 
     def test_fit_rejects_nonpositive_abscissae(self, tmp_path):
         series = self._series(tmp_path, np.linspace(0.0, 3.2, 40), np.linspace(1.0, 2.0, 40))
@@ -521,8 +527,7 @@ class TestCli:
         prefix = str(tmp_path / "sw")
         assert main(axes + ["sweep", "--out", prefix]) == 0
         cmap = ConditionsMap()
-        direct = run_sweep(SweepGrid.from_rates((0.4, 2.0), (3.0,), cmap=cmap),
-                           cmap=cmap, workers=1)
+        direct = run_sweep(SweepGrid.from_rates((0.4, 2.0), (3.0,)), cmap=cmap, workers=1)
         save_sweep(direct, str(tmp_path / "direct.csv"), str(tmp_path / "direct.json"))
         assert rows(prefix + "_cells.csv") == rows(str(tmp_path / "direct.csv"))
         assert main(axes + ["--set", "numerics.rtol=1e-4", "sweep",

@@ -642,6 +642,9 @@ class TestHelpers:
     def test_non_finite_horizon_is_rejected(self):
         with pytest.raises(ValueError, match="t_end"):
             integrate(SimParams(), t_end=math.nan)
+        for max_time in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="max_time must be > 0"):
+                steady_state(SimParams.from_rates(2.0, 3.0), max_time=max_time)
 
 
 class TestBoundaryLocator:

@@ -8,7 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -96,9 +96,12 @@ class TestConditionsMap:
 
 class TestGrid:
     def test_from_rates(self):
-        grid = SweepGrid.from_rates([0.5, 1.0], [1.0, 2.0, 3.0], cmap=ConditionsMap())
+        # the grid holds its two rate axes and nothing else: a J line's
+        # density belongs to the conditions map a sweep is given
+        grid = SweepGrid.from_rates(np.array([0.5, 1.0]), range(1, 4))
+        assert [f.name for f in fields(SweepGrid)] == ["i_over_gamma", "j_over_gamma"]
+        assert grid == SweepGrid((0.5, 1.0), (1.0, 2.0, 3.0))
         assert len(list(grid.cells())) == 6
-        assert all(math.isfinite(n) for n in grid.densities)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -114,16 +117,12 @@ class TestGrid:
             SweepGrid.from_rates([0.5], [bad])
 
     def test_sign_rules(self):
-        # rates are SimParams.from_rates' (>= 0); a density is >= 0, or NaN
-        # for no attenuation, since a negative one would amplify the pump
+        # rates are SimParams.from_rates' (>= 0)
         for name in ("i_over_gamma", "j_over_gamma"):
             axes = {"i_over_gamma": (0.5,), "j_over_gamma": (1.0,), name: (-1.0, 0.5)}
             with pytest.raises(ValueError, match=f"{name} axis values must be >= 0"):
-                SweepGrid(**axes, densities=(math.nan,) * len(axes["j_over_gamma"]))
-        with pytest.raises(ValueError, match="densities must be >= 0 or NaN"):
-            SweepGrid((0.5,), (1.0, 2.0), (3e12, -1.0))
-        for density in (0.0, 3e12, math.nan):
-            SweepGrid((0.0, 0.5), (0.0,), (density,))
+                SweepGrid(**axes)
+        SweepGrid((0.0, 0.5), (0.0,))
 
 
 @contextlib.contextmanager
@@ -142,7 +141,7 @@ def deadline(seconds):
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
-    grid = SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2], cmap=None)
+    grid = SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2])
     return run_sweep(grid, workers=1)
 
 
@@ -155,7 +154,7 @@ class TestRunSweep:
             assert cell.tau_floored
 
     def test_worker_independence(self, tiny_sweep):
-        grid = SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2], cmap=None)
+        grid = SweepGrid.from_rates([0.2, 0.4], [0.8, 1.2])
         again = run_sweep(grid, workers=2)
         for a, b in zip(tiny_sweep.cells, again.cells):
             assert a.m_signed == b.m_signed
@@ -197,8 +196,8 @@ class TestRunSweep:
                   "    return cell\n"
                   "sweep._sweep_task = logged\n"
                   "report('main')\n"
-                  "cells = sweep.run_sweep(sweep.SweepGrid.from_rates([1.5, 3.0], [3.0, 3.8],\n"
-                  "                                                   cmap=None), workers=2).cells\n"
+                  "cells = sweep.run_sweep(sweep.SweepGrid.from_rates([1.5, 3.0], [3.0, 3.8]),\n"
+                  "                        workers=2).cells\n"
                   "assert all(c.converged and not c.tau_floored for c in cells)\n"
                   "p = dynamics.SimParams.from_rates(2.0, 3.0)\n"
                   "assert dynamics.response_time(p).steps > 0\n"
@@ -427,16 +426,39 @@ class TestRunSweep:
         assert manifest == current and "powers" not in manifest["grid"]
 
     def test_manifest_records_the_conditions_only_where_applied(self, tiny_sweep):
-        # no grid line has a density, so no cell was attenuated
-        assert all(math.isnan(n) for n in tiny_sweep.grid.densities)
+        # swept with no conditions map, so no line has a density and no
+        # cell was attenuated
+        assert all(math.isnan(c.n) for c in tiny_sweep.cells)
         assert all(c.i_effective == c.i_over_gamma for c in tiny_sweep.cells)
         assert [tiny_sweep.provenance[k] for k in CONDITION_KEYS] == [None] * 5
         cmap = ConditionsMap(attenuation_mode="point", j_convention="measured")
-        attenuated = run_sweep(SweepGrid.from_rates([0.2], [0.8], cmap=cmap),
-                               cmap=cmap, workers=1)
+        attenuated = run_sweep(SweepGrid.from_rates([0.2], [0.8]), cmap=cmap, workers=1)
+        assert attenuated.cells[0].n == cmap.density_from_j(0.8 * GAMMA)
         assert attenuated.cells[0].i_effective < 0.2
         assert [attenuated.provenance[k] for k in CONDITION_KEYS] == \
             [getattr(cmap, k) for k in CONDITION_KEYS]
+
+    def test_a_map_given_to_the_sweep_alone_attenuates_its_lines(self):
+        # the grid carries no density, so the sweep's map is the one that
+        # attenuates, in run_sweep and in refine_contour alike
+        cmap = ConditionsMap(attenuation_mode="point")
+        swept = run_sweep(SweepGrid.from_rates([2.0], [3.0]), cmap=cmap, workers=1)
+        cell = swept.cells[0]
+        assert cell.n == cmap.density_from_j(3.0 * GAMMA)
+        assert cell.i_effective == 2.0 * cmap.attenuation(cell.n) < 2.0
+        assert [swept.provenance[k] for k in CONDITION_KEYS] == \
+            [getattr(cmap, k) for k in CONDITION_KEYS]
+        bare = run_sweep(SweepGrid.from_rates([2.0], [3.0]), workers=1).cells[0]
+        refined = refine_contour("fixed-J", 3.0, [2.0], cmap=cmap, workers=1)[1]
+        assert refined[0] == cell.m_signed != bare.m_signed
+
+    def test_each_line_has_its_density_at_the_sweeps_gamma(self):
+        cmap = ConditionsMap(attenuation_mode="point")
+        cells = run_sweep(SweepGrid((1.0,), (1.0, 2.0)), gamma=70.0, cmap=cmap,
+                          workers=1).cells
+        assert [c.n for c in cells] == [cmap.density_from_j(j * 70.0) for j in (1.0, 2.0)]
+        assert cells[0].n == pytest.approx(1.0e11)
+        assert [c.i_effective for c in cells] == [cmap.attenuation(c.n) for c in cells]
 
     def test_m_abs_that_is_not_the_abs_of_m_signed_is_rejected(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
@@ -491,10 +513,28 @@ class TestRunSweep:
         man_path = str(tmp_path / "manifest.json")
         save_sweep(tiny_sweep, csv_path, man_path)
         manifest = json.load(open(man_path))
-        del manifest["grid"]["densities"]
+        del manifest["grid"]["j_over_gamma"]
         json.dump(manifest, open(man_path, "w"))
-        with pytest.raises(SchemaError, match="densities"):
+        with pytest.raises(SchemaError, match="j_over_gamma"):
             load_sweep(csv_path, man_path)
+
+    def test_a_grid_density_entry_of_an_older_manifest_is_ignored(self, tiny_sweep, tmp_path):
+        # manifests written while the grid held a density per J line carry
+        # it in the grid block; each cell's n restates it
+        csv_path = str(tmp_path / "cells.csv")
+        man_path = str(tmp_path / "manifest.json")
+        save_sweep(tiny_sweep, csv_path, man_path)
+        saved = open(man_path, "rb").read()
+        manifest = json.loads(saved)
+        assert sorted(manifest["grid"]) == ["i_over_gamma", "j_over_gamma"]
+        manifest["grid"]["densities"] = [1e11, None]
+        json.dump(manifest, open(man_path, "w"))
+        back = load_sweep(csv_path, man_path)
+        assert back.grid == tiny_sweep.grid
+        for a, b in zip(tiny_sweep.cells, back.cells):
+            np.testing.assert_equal(astuple(b), astuple(a))
+        save_sweep(back, csv_path, man_path)
+        assert open(man_path, "rb").read() == saved
 
     def test_old_schema_migrates_with_note(self, tiny_sweep, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
@@ -650,20 +690,19 @@ class TestOutputs:
 
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 # error texts: the characters that CSV quoting, line splitting and the
-# comment rule act on, among any others
-ERROR_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n#'), st.characters()), max_size=12)
+# comment rule act on, among any others that UTF-8 encodes (a lone
+# surrogate has no UTF-8 form, so no text file can hold it)
+ERROR_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n#'), st.characters(codec="utf-8")),
+                     max_size=12)
 
 
 @st.composite
 def sweep_results(draw):
-    # any grid that SweepGrid accepts: rates >= 0, densities >= 0 or NaN
+    # any grid that SweepGrid accepts: finite, strictly increasing rates >= 0
     axis = st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=3, unique=True).map(sorted)
     i_ax, j_ax = draw(axis), draw(axis)
-    density = ANY_FLOAT.filter(lambda d: math.isnan(d) or d >= 0)
-    grid = SweepGrid(i_over_gamma=tuple(i_ax), j_over_gamma=tuple(j_ax),
-                     densities=tuple(draw(st.lists(density, min_size=len(j_ax),
-                                                   max_size=len(j_ax)))))
+    grid = SweepGrid(i_over_gamma=tuple(i_ax), j_over_gamma=tuple(j_ax))
     cell = st.builds(CellResult, i_over_gamma=ANY_FLOAT, j_over_gamma=ANY_FLOAT,
                      n=ANY_FLOAT, i_effective=ANY_FLOAT, m_signed=ANY_FLOAT,
                      tau_s=ANY_FLOAT, tau_floored=st.booleans(),
@@ -686,7 +725,7 @@ def _cells(error, m_signed=0.5):
 class TestRoundtripProperty:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(result=sweep_results(),
-           header=st.none() | st.text(st.characters(exclude_characters="\r\n"),
+           header=st.none() | st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
                                       max_size=8))
     @example(result=_cells("a\n#b"), header="a header")
     @example(result=_cells('x, "y"\r\n# z\r'), header=None)
